@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfeasibleWeights, NoConvergence
-from .gauss import GaussianMixture, pairwise_w2sq
+from .gauss import GaussianMixture, _psd_roots, pairwise_w2sq
+from .geometry import frames_equal
 
 # perturbation added to marginals to break degenerate ties; plan entries at
 # or below the cleanup threshold are treated as exact zeros
@@ -241,22 +242,58 @@ def solve_transportation(cost, w0, w1) -> TransportPlan:
     return TransportPlan(x, float(np.sum(x * C)), (u, v))
 
 
-def mw2(mix0: GaussianMixture, mix1: GaussianMixture) -> MW2Result:
+def mw2(
+    mix0: GaussianMixture, mix1: GaussianMixture, roots0: Optional[np.ndarray] = None
+) -> MW2Result:
     """Mixture-Wasserstein distance between two Gaussian mixtures.
 
     Builds the matrix of pairwise squared component distances, solves the
     transportation problem between the weight vectors, and reports the
-    square root of the optimum together with the optimal plan.
+    square root of the optimum together with the optimal plan.  ``roots0``
+    is passed on to :func:`~bundlemw.gauss.pairwise_w2sq`.
 
     Raises
     ------
     FrameMismatch
         If the mixtures are expressed in different moving frames.
     """
-    pairwise = pairwise_w2sq(mix0, mix1)
+    pairwise = pairwise_w2sq(mix0, mix1, roots0)
     plan = solve_transportation(pairwise, mix0.weights, mix1.weights)
     dsq = max(plan.cost, 0.0)
     return MW2Result(float(np.sqrt(dsq)), dsq, plan, pairwise)
+
+
+def _mw2_row(mixtures, i: int) -> list:
+    """Distances from mixtures[i] to every later mixture, factoring it once."""
+    roots = _psd_roots(mixtures[i])
+    return [mw2(mixtures[i], mix, roots).distance for mix in mixtures[i + 1 :]]
+
+
+def pairwise_mw2(mixtures) -> np.ndarray:
+    """Symmetric N x N matrix of mixture-Wasserstein distances.
+
+    Entry (i, j) equals ``mw2(mixtures[i], mixtures[j]).distance`` bit for
+    bit for i < j, and the diagonal is exactly zero.  Each row mixture's
+    covariance square roots are computed once, not once per pair.  A frame
+    that equals the first mixture's exactly is checked only against it;
+    any other frame is checked pair by pair within tolerance, as
+    :func:`mw2` does, so the result never depends on which mixture is first.
+
+    Raises
+    ------
+    FrameMismatch
+        If two mixtures are expressed in different moving frames.
+    """
+    mixtures = list(mixtures)
+    # sharing one frame object turns the per-pair frame check into an identity test
+    for k, mix in enumerate(mixtures[1:], 1):
+        if frames_equal(mixtures[0].frame, mix.frame, tol=0.0):
+            mixtures[k] = GaussianMixture(mix.weights, mix.components, mixtures[0].frame)
+    n = len(mixtures)
+    D = np.zeros((n, n))
+    for i in range(n - 1):
+        D[i, i + 1 :] = D[i + 1 :, i] = _mw2_row(mixtures, i)
+    return D
 
 
 def mw2_distance(mix0: GaussianMixture, mix1: GaussianMixture) -> float:

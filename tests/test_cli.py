@@ -7,7 +7,14 @@ from bundlemw import cli
 from bundlemw.contours import load_distmat, save_distmat
 from bundlemw.changepoint import load_report
 from bundlemw.gauss import load_mixture
-from bundlemw.geometry import frame_to_dict, frames_equal, save_frame, standard_frame
+from bundlemw.geometry import (
+    Point,
+    build_reference_frame,
+    frame_to_dict,
+    frames_equal,
+    save_frame,
+    standard_frame,
+)
 from bundlemw.sampling import load_samples
 from bundlemw.triangles import Triangle, load_triangles, save_triangles
 
@@ -183,6 +190,17 @@ class TestMw2AndDistmat:
         assert np.all(np.diag(D) == 0.0)
         assert D[0, 1] == pytest.approx(0.3, abs=1e-8)
 
+    def test_distmat_frame_mismatch_exits_2(self, workspace, capsys):
+        tmp, config = workspace
+        mixdir = tmp / "mixes"
+        mixdir.mkdir()
+        other = frame_to_dict(build_reference_frame(Point([1.0, 0.0, 0.0]), rng_seed=5))
+        for i, frame in enumerate([config["frame"], config["frame"], other]):
+            mix = dict(config["mixture"], frame=frame)
+            (mixdir / f"m{i}.json").write_text(json.dumps(mix))
+        assert run(["distmat", mixdir, "--out", tmp / "d.csv"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "FrameMismatch"
+
     def test_distmat_needs_two_mixtures(self, workspace, capsys):
         tmp, _ = workspace
         empty = tmp / "empty"
@@ -282,10 +300,10 @@ class TestTriangles:
 
 
 class TestContours:
-    def make_frames(self, tmp, n_frames=2, per_frame=3):
+    def make_frames(self, tmp, n_frames=2, per_frame=3, seed=0):
         from bundlemw.contours import Contour, save_contours_json
 
-        rng = np.random.default_rng(0)
+        rng = np.random.default_rng(seed)
         fdir = tmp / "frames"
         fdir.mkdir()
         t = np.linspace(0, 2 * np.pi, 40, endpoint=False)
@@ -317,6 +335,24 @@ class TestContours:
         assert run(["distmat", out, "--out", tmp / "sd.csv"]) == 0
         D, _ = load_distmat(tmp / "sd.csv")
         assert D[0, 1] > 0.01
+
+    def test_distmat_jobs_byte_identical_and_equal_to_mw2(self, workspace, capsys):
+        # d = 39 with rank-2 covariances; at this seed one mean shape is not
+        # a fixed point of renormalization, so re-parsing the mixtures for
+        # another process would move the last bit of its distances
+        tmp, _ = workspace
+        fdir = self.make_frames(tmp, n_frames=6, seed=1)
+        out = tmp / "mixes"
+        assert run(["contours", fdir, "--T", "20", "--out", out]) == 0
+        assert run(["distmat", out, "--jobs", "1", "--out", tmp / "d1.csv"]) == 0
+        assert run(["distmat", out, "--jobs", "2", "--out", tmp / "d2.csv"]) == 0
+        assert (tmp / "d1.csv").read_bytes() == (tmp / "d2.csv").read_bytes()
+        capsys.readouterr()
+        D, names = load_distmat(tmp / "d1.csv")
+        for i in range(len(names)):
+            for j in range(i + 1, len(names)):
+                assert run(["mw2", out / f"{names[i]}.json", out / f"{names[j]}.json"]) == 0
+                assert json.loads(capsys.readouterr().out)["distance"] == D[i, j]
 
     def test_empty_dir(self, workspace, capsys):
         tmp, _ = workspace

@@ -269,6 +269,30 @@ class TestPairwiseAndIO:
                 exact = w2sq_bundle_gaussian(m0.components[i], m1.components[j])
                 assert P[i, j] == pytest.approx(exact, abs=1e-10)
 
+    def test_pairwise_commuting_closed_form(self):
+        # S = Q diag(a) Q^T with one shared Q: Bures is sum (sqrt a - sqrt b)^2
+        rng = np.random.default_rng(15)
+        d = 59
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        f = build_reference_frame(Point(np.eye(d + 1)[-1]), rng_seed=17)
+
+        def mix(K):
+            evals = rng.uniform(0.1, 1.0, (K, d))
+            comps = [
+                BundleGaussian(Point(f.p.coords + 0.3 * rng.standard_normal(d + 1)),
+                               Q @ np.diag(a) @ Q.T)
+                for a in evals
+            ]
+            return GaussianMixture(np.full(K, 1.0 / K), comps, f), evals
+
+        (m0, a), (m1, b) = mix(3), mix(4)
+        M0 = np.array([g.basepoint.coords for g in m0.components])
+        M1 = np.array([g.basepoint.coords for g in m1.components])
+        geo = 2.0 * np.arcsin(0.5 * np.linalg.norm(M0[:, None] - M1[None], axis=-1))
+        bures = ((np.sqrt(a)[:, None] - np.sqrt(b)[None]) ** 2).sum(axis=-1)
+        expect = geo**2 + bures
+        assert np.max(np.abs(pairwise_w2sq(m0, m1) - expect) / expect) <= 1e-10
+
     def test_pairwise_frame_mismatch(self):
         rng = np.random.default_rng(12)
         m0 = make_mixture(rng, 2, 3)

@@ -10,12 +10,13 @@ from bundlemw.gauss import (
     GaussianMixture,
     w2sq_bundle_gaussian,
 )
-from bundlemw.geometry import Point, build_reference_frame, geodesic_distance
+from bundlemw.geometry import Point, build_reference_frame, geodesic_distance, standard_frame
 from bundlemw.transport import (
     MW2Result,
     TransportPlan,
     mw2,
     mw2_distance,
+    pairwise_mw2,
     result_to_dict,
     save_result,
     solve_transportation,
@@ -253,3 +254,45 @@ class TestMW2:
         back = json.loads(path.read_text())
         assert back["cost"] == pytest.approx(res.distance_sq)
         assert np.allclose(back["plan"], res.plan.matrix)
+
+
+class TestPairwiseMW2:
+    @pytest.mark.parametrize("k_low, k_high", [(1, 2), (2, 6)])
+    def test_entries_equal_mw2_exactly(self, k_low, k_high):
+        rng = np.random.default_rng(12)
+        f = build_reference_frame(Point(np.eye(4)[-1]), rng_seed=17)
+        ms = [make_mixture(rng, int(rng.integers(k_low, k_high)), 4, frame=f) for _ in range(6)]
+        D = pairwise_mw2(ms)
+        assert D.shape == (6, 6)
+        assert np.all(np.diag(D) == 0.0)
+        for i, j in itertools.permutations(range(6), 2):
+            assert D[i, j] == mw2(ms[min(i, j)], ms[max(i, j)]).distance
+
+    def test_frames_compared_pair_by_pair_within_tolerance(self):
+        # b and c sit 0.75e-8 on either side of the first frame: each is
+        # within 1e-8 of it, but they are 1.5e-8 from each other
+        rng = np.random.default_rng(13)
+        f = standard_frame(4)
+
+        def rotated(theta):
+            c, s = np.cos(theta), np.sin(theta)
+            B = f.matrix.copy()
+            B[[0, 1]] = [c * B[0] + s * B[1], c * B[1] - s * B[0]]
+            return build_reference_frame(f.p, basis=B)
+
+        ms = [make_mixture(rng, 2, 4, frame=g) for g in (f, rotated(0.75e-8), rotated(-0.75e-8))]
+        for b in ms[1:]:
+            assert pairwise_mw2([ms[0], b])[0, 1] == mw2(ms[0], b).distance
+        with pytest.raises(FrameMismatch):
+            mw2(ms[1], ms[2])
+        with pytest.raises(FrameMismatch):
+            pairwise_mw2(ms)
+
+    def test_frame_mismatch_raises(self):
+        rng = np.random.default_rng(14)
+        f = build_reference_frame(Point(np.eye(3)[-1]), rng_seed=17)
+        ms = [make_mixture(rng, 2, 3, frame=f) for _ in range(3)]
+        f2 = build_reference_frame(f.p, rng_seed=123)
+        ms.append(GaussianMixture(ms[0].weights, ms[0].components, f2))
+        with pytest.raises(FrameMismatch):
+            pairwise_mw2(ms)
