@@ -10,18 +10,25 @@ first candidate whose permutation p-value exceeds the threshold.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._jsonfile import read_json, write_json
 from .errors import NotSymmetric, SegmentTooSmall
 
 
-def _check_distmat(D):
+def check_distmat(D):
+    """Validate a distance matrix and return it exactly symmetrized.
+
+    It must be square, nonempty, finite, symmetric to 1e-8 (else
+    NotSymmetric), nonnegative, and zero on the diagonal to 1e-12.
+    """
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {D.shape}")
+    if D.size == 0:
+        raise ValueError("distance matrix is empty")
     if not np.all(np.isfinite(D)):
         raise ValueError("distance matrix contains non-finite entries")
     if np.max(np.abs(D - D.T)) > 1e-8:
@@ -51,7 +58,7 @@ def energy_statistic(D, split, lo, hi, alpha=1.0):
     within means exclude self-pairs.  Q can be negative; it vanishes when
     the off-diagonal structure is exchangeable across the split.
     """
-    D = _check_distmat(D)
+    D = check_distmat(D)
     alpha = _check_alpha(alpha)
     lo, split, hi = int(lo), int(split), int(hi)
     if not (0 <= lo < split < hi <= D.shape[0]):
@@ -105,7 +112,7 @@ def best_split(D, lo, hi, min_size=12, alpha=1.0):
     Returns (split, Q) with `split` an absolute index.  Raises
     SegmentTooSmall when the segment cannot host min_size points per side.
     """
-    D = _check_distmat(D)
+    D = check_distmat(D)
     alpha = _check_alpha(alpha)
     lo, hi = int(lo), int(hi)
     min_size = int(min_size)
@@ -154,7 +161,7 @@ def e_divisive(D, R=499, p0=0.0125, min_size=12, alpha=1.0, seed=0):
     p <= p0 are accepted and their segment is bisected; the first rejected
     candidate ends the procedure and is included in the report.
     """
-    D = _check_distmat(D)
+    D = check_distmat(D)
     alpha = _check_alpha(alpha)
     R = int(R)
     min_size = int(min_size)
@@ -249,11 +256,8 @@ def report_from_dict(data):
 
 
 def save_report(path, report):
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report_to_dict(report))
 
 
 def load_report(path):
-    with open(path) as fh:
-        return report_from_dict(json.load(fh))
+    return report_from_dict(read_json(path))

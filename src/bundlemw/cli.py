@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._jsonfile import write_json
 from .changepoint import e_divisive, save_report
 from .contours import (
     SrvfShape,
@@ -55,13 +56,7 @@ from .gauss import (
     mixture_from_dict,
     save_mixture,
 )
-from .geometry import (
-    Point,
-    frechet_mean,
-    load_frame,
-    pairwise_geodesic,
-    standard_frame,
-)
+from .geometry import frechet_mean, load_frame, pairwise_geodesic, standard_frame
 from .sampling import load_samples, sample_mixture, save_samples
 from .transport import mw2, pairwise_mw2, save_result, solve_transportation
 # bench/traced.py looks up this name and times the rows of distmat by it
@@ -135,8 +130,8 @@ def cmd_simulate(args) -> int:
         }
     )
     stats = {}
-    points, labels = sample_mixture(mix, n, seed, stats=stats)
-    save_samples(args.out, points, labels)
+    X, labels = sample_mixture(mix, n, seed, stats=stats)
+    save_samples(args.out, X, labels)
     _emit(
         {
             "config_sha256": hashlib.sha256(raw).hexdigest(),
@@ -152,14 +147,13 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     X, _ = load_samples(args.samples)
     frame = load_frame(args.frame)
-    points = [Point(row) for row in X]
     if args.method == "kmeans":
         if args.K is None:
             raise ValueError("--K is required with --method kmeans")
-        clustering = riemannian_kmeans(points, args.K, seed=args.seed)
+        clustering = riemannian_kmeans(X, args.K, seed=args.seed)
     else:
         clustering = kmodes_cluster(pairwise_geodesic(X), q=args.q)
-    mix = fit_mixture(points, clustering, frame)
+    mix = fit_mixture(X, clustering, frame)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     mixture_path = outdir / "mixture.json"
@@ -223,9 +217,7 @@ def cmd_transport(args) -> int:
         "w1": w1.tolist(),
     }
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, payload)
     _emit({"cost": plan.cost, "nonzeros": int(np.count_nonzero(plan.matrix))})
     return 0
 
@@ -297,7 +289,7 @@ def cmd_contours(args) -> int:
     written = []
     for name, qs in shapes.items():
         aligned = [align_shape(reference, q) for q in qs]
-        mean = frechet_mean([Point(q.flat) for q in aligned])
+        mean = frechet_mean(np.array([q.flat for q in aligned]))
         mean_shape = SrvfShape(mean.coords.reshape(2, T))
         _, cov = shape_statistics(aligned, mean_shape, frame=sphere_frame)
         mix = GaussianMixture(

@@ -16,11 +16,11 @@ the standard frame at e_1.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
+from ._jsonfile import read_json, write_json
 from .errors import ClusterTooSmall, DegenerateContour, DimensionMismatch, NoConvergence
 from .gauss import CovarianceMatrix
 from .geometry import (
@@ -29,7 +29,6 @@ from .geometry import (
     frechet_mean,
     geodesic_distance,
     log_batch,
-    sphere_log,
     standard_frame,
     transport_frame,
 )
@@ -213,8 +212,7 @@ def shape_frechet_mean(
     aligned = list(shapes)
     for _ in range(max_iter):
         aligned = [align_shape(mean, s, seam_search=seam_search) for s in shapes]
-        pts = [Point(s.flat) for s in aligned]
-        new_flat = frechet_mean(pts, tol=min(tol, 1e-10))
+        new_flat = frechet_mean(np.array([s.flat for s in aligned]), tol=min(tol, 1e-10))
         moved = geodesic_distance(Point(mean.flat), new_flat)
         mean = SrvfShape(new_flat.coords.reshape(2, T))
         if moved < tol:
@@ -254,9 +252,7 @@ def shape_statistics(
 def load_contour_file(path) -> list[Contour]:
     path = Path(path)
     if path.suffix == ".json":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return [Contour(np.asarray(arr, dtype=float)) for arr in data]
+        return [Contour(np.asarray(arr, dtype=float)) for arr in read_json(path)]
     rows = np.loadtxt(path, delimiter=",", skiprows=_csv_header_rows(path), ndmin=2)
     return [Contour(rows.T)]
 
@@ -272,9 +268,7 @@ def _csv_header_rows(path) -> int:
 
 
 def save_contours_json(path, contours) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([c.points.tolist() for c in contours], fh, indent=2)
-        fh.write("\n")
+    write_json(path, [c.points.tolist() for c in contours])
 
 
 def load_contour_dir(path) -> dict[str, list[Contour]]:

@@ -17,7 +17,7 @@ class DegenerateFrame(BundleMWError):
     """Random tangent vectors were rank-deficient; no frame constructed."""
 
 
-class NotSymmetric(BundleMWError):
+class NotSymmetric(BundleMWError, ValueError):
     """A matrix expected to be symmetric is asymmetric beyond tolerance."""
 
 

@@ -15,17 +15,19 @@ a Gram matrix with the n-1 divisor.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
+from ._jsonfile import read_json, write_json
+from .changepoint import check_distmat
 from .errors import ClusterTooSmall, EmptyCluster
 from .gauss import BundleGaussian, CovarianceMatrix, GaussianMixture, normalize_minimal_form
 from .geometry import (
     MovingFrame,
     Point,
+    _unit_rows,
     frechet_mean,
     log_batch,
     pairwise_geodesic,
@@ -40,20 +42,22 @@ class Clustering:
     """Cluster assignment of n points.
 
     ``labels[i]`` indexes a cluster or equals OUTLIER (-1).  K-means fills
-    ``centers`` with Frechet means; mode clustering fills ``modes`` with
-    the data-point index of each cluster's mode instead, since it never
-    sees coordinates.  ``converged`` is False when Lloyd iteration hit its
+    ``centers``, a K x D array, with Frechet means; mode clustering fills
+    ``modes`` with the data-point index of each cluster's mode instead,
+    since it never sees coordinates.  ``converged`` is False when Lloyd iteration hit its
     budget before assignments stabilized.
     """
 
     labels: np.ndarray
     sizes: list[int]
-    centers: Optional[list[Point]] = None
+    centers: Optional[np.ndarray] = None
     modes: Optional[list[int]] = None
     converged: bool = True
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=int)
+        if self.centers is not None:
+            self.centers = np.asarray(self.centers, dtype=float)
         K = len(self.sizes)
         valid = self.labels[self.labels != OUTLIER]
         if valid.size and (valid.min() < 0 or valid.max() >= K):
@@ -88,13 +92,14 @@ def _kmeanspp_indices(D: np.ndarray, K: int, rng: np.random.Generator) -> list[i
 
 
 def riemannian_kmeans(
-    points: Sequence[Point],
+    X,
     K: int,
     seed: int = 0,
     tol: float = 1e-10,
     max_iter: int = 100,
 ) -> Clustering:
-    """Lloyd iteration on the sphere with geodesic distances.
+    """Lloyd iteration on the rows of X (n x D, normalized to the sphere)
+    with geodesic distances.
 
     Assignments go to the nearest center (smallest index wins ties);
     centers are updated to cluster Frechet means.  Clusters that empty out
@@ -102,19 +107,17 @@ def riemannian_kmeans(
     Stops when the assignment stabilizes; if ``max_iter`` passes first the
     best-so-far result is returned with ``converged=False``.
     """
-    n = len(points)
+    X = _unit_rows(X)
+    n = X.shape[0]
     if K < 1:
         raise ValueError("K must be at least 1")
     if n < K:
         raise EmptyCluster(f"cannot form {K} clusters from {n} points")
-    X = np.array([p.coords for p in points])
     rng = np.random.default_rng(seed)
-    seed_idx = _kmeanspp_indices(pairwise_geodesic(X), K, rng)
-    centers = [Point(X[i]) for i in seed_idx]
+    C = X[_kmeanspp_indices(pairwise_geodesic(X), K, rng)]
     labels = np.full(n, -2)
     converged = False
     for _ in range(max_iter):
-        C = np.array([c.coords for c in centers])
         dist = pairwise_geodesic(X, C)
         new_labels = np.argmin(dist, axis=1)
         point_dist = dist[np.arange(n), new_labels]
@@ -132,12 +135,9 @@ def riemannian_kmeans(
             converged = True
             break
         labels = new_labels
-        centers = [
-            frechet_mean([points[i] for i in np.flatnonzero(labels == k)], tol=tol)
-            for k in range(K)
-        ]
+        C = np.array([frechet_mean(X[labels == k], tol=tol).coords for k in range(K)])
     sizes = list(np.bincount(labels, minlength=K))
-    return Clustering(labels=labels, sizes=sizes, centers=centers, converged=converged)
+    return Clustering(labels=labels, sizes=sizes, centers=C, converged=converged)
 
 
 def kmodes_cluster(distmat, q: float = 0.1) -> Clustering:
@@ -150,14 +150,8 @@ def kmodes_cluster(distmat, q: float = 0.1) -> Clustering:
     the cluster modes.  If every pairwise distance is zero the matrix
     carries no structure and all points form one cluster around mode 0.
     """
-    D = np.asarray(distmat, dtype=float)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        raise ValueError("distance matrix must be square")
+    D = check_distmat(distmat)
     n = D.shape[0]
-    if n < 1:
-        raise ValueError("distance matrix is empty")
-    if np.max(np.abs(D - D.T)) > 1e-8 or np.any(D < -1e-12) or np.max(np.abs(np.diag(D))) > 1e-12:
-        raise ValueError("distance matrix must be symmetric, nonnegative, zero-diagonal")
     if not 0.0 < q <= 1.0:
         raise ValueError("quantile q must be in (0, 1]")
     off = D[~np.eye(n, dtype=bool)]
@@ -189,12 +183,9 @@ def kmodes_cluster(distmat, q: float = 0.1) -> Clustering:
     return Clustering(labels=labels, sizes=sizes, modes=modes)
 
 
-def fit_mixture(
-    points: Sequence[Point],
-    clustering: Clustering,
-    frame: MovingFrame,
-) -> GaussianMixture:
-    """Estimate a Gaussian mixture from clustered points.
+def fit_mixture(X, clustering: Clustering, frame: MovingFrame) -> GaussianMixture:
+    """Estimate a Gaussian mixture from the clustered rows of X (n x D,
+    normalized to the sphere).
 
     Cluster k contributes weight n_k / n (outliers excluded from n), mean
     equal to the cluster center (Frechet mean or mode point), and the
@@ -206,7 +197,7 @@ def fit_mixture(
     ClusterTooSmall
         If any cluster has fewer than two members.
     """
-    X = np.array([p.coords for p in points])
+    X = _unit_rows(X)
     if X.shape[0] != clustering.labels.size:
         raise ValueError("points and clustering labels have different lengths")
     total = int(np.sum(clustering.labels != OUTLIER))
@@ -219,11 +210,11 @@ def fit_mixture(
         if idx.size < 2:
             raise ClusterTooSmall(f"cluster {k} has {idx.size} members, needs at least 2")
         if clustering.centers is not None:
-            m = clustering.centers[k]
+            m = Point(clustering.centers[k])
         elif clustering.modes is not None:
-            m = points[clustering.modes[k]]
+            m = Point(X[clustering.modes[k]])
         else:
-            m = frechet_mean([points[i] for i in idx])
+            m = frechet_mean(X[idx])
         local = transport_frame(frame, m)
         V = log_batch(m.coords, X[idx]) @ local.matrix.T
         cov = V.T @ V / (idx.size - 1)
@@ -241,29 +232,25 @@ def clustering_to_dict(c: Clustering) -> dict:
         "labels": [int(l) for l in c.labels],
         "sizes": [int(s) for s in c.sizes],
         "modes": None if c.modes is None else [int(m) for m in c.modes],
-        "centers": None if c.centers is None else [p.coords.tolist() for p in c.centers],
+        "centers": None if c.centers is None else c.centers.tolist(),
         "outliers": c.outliers,
         "converged": bool(c.converged),
     }
 
 
 def clustering_from_dict(data: dict) -> Clustering:
-    centers = data.get("centers")
     return Clustering(
         labels=np.asarray(data["labels"], dtype=int),
         sizes=list(data["sizes"]),
-        centers=None if centers is None else [Point(c) for c in centers],
+        centers=data.get("centers"),
         modes=data.get("modes"),
         converged=bool(data.get("converged", True)),
     )
 
 
 def save_clustering(path, c: Clustering) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(clustering_to_dict(c), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, clustering_to_dict(c))
 
 
 def load_clustering(path) -> Clustering:
-    with open(path, encoding="utf-8") as fh:
-        return clustering_from_dict(json.load(fh))
+    return clustering_from_dict(read_json(path))

@@ -14,11 +14,11 @@ mixtures from different frames can be rejected early.
 
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
 import numpy as np
 
+from ._jsonfile import read_json, write_json
 from .errors import DegenerateMatrix, DimensionMismatch, FrameMismatch, NotSymmetric
 from .geometry import (
     ANTIPODE_TOL,
@@ -291,14 +291,11 @@ def mixture_from_dict(data: dict) -> GaussianMixture:
 
 
 def save_mixture(path, mix: GaussianMixture) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mixture_to_dict(mix), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, mixture_to_dict(mix))
 
 
 def load_mixture(path) -> GaussianMixture:
-    with open(path, encoding="utf-8") as fh:
-        return mixture_from_dict(json.load(fh))
+    return mixture_from_dict(read_json(path))
 
 
 def single_gaussian_mixture(g: BundleGaussian, frame=None) -> GaussianMixture:

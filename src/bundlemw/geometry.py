@@ -14,11 +14,11 @@ conditioning degrades as <p, m> approaches -1 (we recommend staying above
 
 from __future__ import annotations
 
-import json
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
+from ._jsonfile import read_json, write_json
 from .errors import AntipodalPoint, DegenerateFrame, NoConvergence
 
 # <p,q> at or below -1 + ANTIPODE_TOL counts as the puncture.
@@ -35,14 +35,9 @@ class Point:
 
     def __init__(self, coords):
         c = np.asarray(coords, dtype=float)
-        if c.ndim != 1 or c.size < 2:
+        if c.ndim != 1:
             raise ValueError("point coordinates must be a vector in R^D, D >= 2")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("point coordinates must be finite")
-        n = float(np.linalg.norm(c))
-        if n < 1e-12:
-            raise ValueError("cannot normalize a zero vector to the sphere")
-        self.coords = c / n
+        self.coords = _unit_rows(c[None])[0]
 
     @property
     def dim(self) -> int:
@@ -51,6 +46,23 @@ class Point:
 
     def __repr__(self) -> str:
         return f"Point({np.array2string(self.coords, precision=6)})"
+
+
+def _unit_rows(X) -> np.ndarray:
+    """The rows of X, points given in R^D with D >= 2, scaled to unit norm.
+
+    Rejects non-finite and zero rows.  Row norms come from a per-row dot
+    product, so one row gives the same bits alone or in a stack.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] < 2:
+        raise ValueError("point coordinates must be vectors in R^D, D >= 2")
+    if not np.isfinite(X).all():
+        raise ValueError("point coordinates must be finite")
+    norms = np.sqrt(np.vecdot(X, X))[:, None]
+    if (norms < 1e-12).any():
+        raise ValueError("cannot normalize a zero vector to the sphere")
+    return X / norms
 
 
 class TangentVector:
@@ -72,15 +84,6 @@ class TangentVector:
         self.base = base
         self.vec = v - dot * base.coords
 
-    @classmethod
-    def _trusted(cls, base: Point, vec: np.ndarray) -> "TangentVector":
-        # internal constructor for vectors already known to be tangent;
-        # skips the projection so identities stay bitwise exact
-        t = object.__new__(cls)
-        t.base = base
-        t.vec = vec
-        return t
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.vec))
 
@@ -91,47 +94,43 @@ class TangentVector:
 class MovingFrame:
     """A distinguished point with a full orthonormal tangent basis.
 
-    ``basis`` holds d = D - 1 tangent vectors at ``p`` whose Gram matrix is
-    the identity to 1e-10.  Transporting the basis to another point (see
-    :func:`transport_frame`) yields the moving frame F(m) used to express
-    tangent vectors and covariances in R^d coordinates.
+    ``matrix`` holds the d = D - 1 basis vectors at ``p`` as the rows of a
+    read-only d x D array.  Each row must be tangent at ``p`` to 1e-10
+    (relative to its norm), and its residual normal component is projected
+    away; the Gram matrix must be the identity to 1e-10.  Transporting the
+    basis to another point (see :func:`transport_frame`) yields the moving
+    frame F(m) used to express tangent vectors and covariances in R^d
+    coordinates.
     """
 
-    __slots__ = ("p", "basis")
+    __slots__ = ("p", "matrix")
 
-    def __init__(self, p: Point, basis: Sequence[TangentVector]):
-        basis = tuple(basis)
-        if len(basis) != p.dim - 1:
-            raise ValueError(f"frame needs {p.dim - 1} basis vectors, got {len(basis)}")
-        for b in basis:
-            if np.max(np.abs(b.base.coords - p.coords)) > 1e-12:
-                raise ValueError("basis vectors must all be based at the frame point")
-        mat = np.array([b.vec for b in basis])
-        gram = mat @ mat.T
-        if np.max(np.abs(gram - np.eye(len(basis)))) > 1e-10:
+    def __init__(self, p: Point, basis):
+        B = np.array(basis, dtype=float)
+        d = p.dim - 1
+        if B.shape != (d, p.dim):
+            raise ValueError(f"frame basis must be {d} x {p.dim}, got shape {B.shape}")
+        normal = np.vecdot(B, p.coords)
+        if np.any(np.abs(normal) > 1e-10 * np.maximum(1.0, _last_axis_norm(B))):
+            raise ValueError("frame basis vectors must be tangent at the frame point")
+        B -= np.outer(normal, p.coords)
+        if np.max(np.abs(B @ B.T - np.eye(d))) > 1e-10:
             raise ValueError("frame basis is not orthonormal")
+        B.setflags(write=False)
         self.p = p
-        self.basis = basis
+        self.matrix = B
 
     @property
     def dim(self) -> int:
         """Fiber dimension d = D - 1."""
-        return len(self.basis)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Basis vectors as rows of a d x D matrix."""
-        return np.array([b.vec for b in self.basis])
+        return self.matrix.shape[0]
 
 
 def sphere_exp(p: Point, v: TangentVector) -> Point:
     """Exponential map: follow the geodesic from ``p`` with velocity ``v``."""
     if v.base.dim != p.dim or np.max(np.abs(v.base.coords - p.coords)) > 1e-12:
         raise ValueError("tangent vector is not based at p")
-    theta = v.norm()
-    if theta < 1e-14:
-        return Point(p.coords)
-    return Point(np.cos(theta) * p.coords + np.sin(theta) * (v.vec / theta))
+    return Point(exp_batch(p.coords, v.vec[None])[0])
 
 
 def _angle_from_chords(c, chord, cochord):
@@ -157,14 +156,7 @@ def sphere_log(p: Point, q: Point) -> TangentVector:
         If ``q`` is within tolerance of the antipode of ``p``, where the
         log map is undefined.
     """
-    c = float(np.clip(np.sum(p.coords * q.coords), -1.0, 1.0))
-    if c <= -1.0 + ANTIPODE_TOL:
-        raise AntipodalPoint("log map undefined at the antipode")
-    theta = geodesic_distance(p, q)
-    if theta == 0.0:
-        return TangentVector(p, np.zeros(p.dim))
-    u = q.coords - c * p.coords
-    return TangentVector(p, (theta / float(_last_axis_norm(u))) * u)
+    return TangentVector(p, log_batch(p.coords, q.coords[None])[0])
 
 
 def _last_axis_norm(A: np.ndarray) -> np.ndarray:
@@ -187,31 +179,21 @@ def parallel_transport(v: TangentVector, q: Point) -> TangentVector:
 
     The component along the geodesic rotates within the geodesic plane; the
     orthogonal component is unchanged.  Transport is a linear isometry.
+    Transport to the base point itself returns ``v`` unchanged.
     """
-    p = v.base
-    if np.array_equal(p.coords, q.coords):
-        return TangentVector._trusted(q, v.vec.copy())
-    c = float(np.clip(p.coords @ q.coords, -1.0, 1.0))
-    if c <= -1.0 + ANTIPODE_TOL:
-        raise AntipodalPoint("parallel transport undefined to the antipode")
-    # Levi-Civita transport along the minimal geodesic, closed form.
-    w = v.vec - (float(v.vec @ q.coords) / (1.0 + c)) * (p.coords + q.coords)
-    return TangentVector(q, w)
+    if np.array_equal(v.base.coords, q.coords):
+        return v
+    return TangentVector(q, transport_batch(v.vec[None], v.base.coords, q.coords)[0])
 
 
-def frechet_mean(
-    points: Sequence[Point],
-    weights=None,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> Point:
-    """Weighted Frechet (Karcher) mean by fixed-point iteration.
+def frechet_mean(X, weights=None, tol: float = 1e-10, max_iter: int = 200) -> Point:
+    """Weighted Frechet (Karcher) mean of the rows of X (n x D).
 
-    Starting from the normalized Euclidean mean, iterates
-    m <- exp_m(sum_i w_i log_m(x_i)) until the tangent update norm drops
-    below ``tol``.  Uniqueness is only guaranteed when the points lie in an
-    open geodesic ball of radius < pi/2 around the initializer; this is not
-    checked.
+    Rows are normalized to the sphere first.  Starting from the normalized
+    Euclidean mean, iterates m <- exp_m(sum_i w_i log_m(x_i)) until the
+    tangent update norm drops below ``tol``.  Uniqueness is only guaranteed
+    when the points lie in an open geodesic ball of radius < pi/2 around
+    the initializer; this is not checked.
 
     Raises
     ------
@@ -220,53 +202,51 @@ def frechet_mean(
     AntipodalPoint
         If an iterate becomes antipodal to a data point.
     """
-    if len(points) == 0:
+    if len(X) == 0:
         raise ValueError("frechet_mean needs at least one point")
-    X = np.array([pt.coords for pt in points])
+    X = _unit_rows(X)
+    n = X.shape[0]
     if weights is None:
-        w = np.full(len(points), 1.0 / len(points))
+        w = np.full(n, 1.0 / n)
     else:
         w = np.asarray(weights, dtype=float)
-        if w.shape != (len(points),) or np.any(w < -1e-12):
+        if w.shape != (n,) or np.any(w < -1e-12):
             raise ValueError("weights must be a nonnegative vector matching the points")
         s = float(w.sum())
         if s <= 0:
             raise ValueError("weights must not sum to zero")
         w = np.clip(w, 0.0, None) / s
-    m0 = w @ X
-    n0 = float(np.linalg.norm(m0))
+    m = w @ X
+    n0 = float(np.linalg.norm(m))
     if n0 < 1e-12:
         raise ValueError("weighted Euclidean mean is zero; no stable initialization")
-    m = Point(m0)
+    m = m / n0
     for _ in range(max_iter):
-        logs = log_batch(m.coords, X)
-        t = w @ logs
+        t = w @ log_batch(m, X)
         if float(np.linalg.norm(t)) < tol:
-            return m
-        m = sphere_exp(m, TangentVector(m, t))
+            return Point(m)
+        m = exp_batch(m, t[None])[0]
     raise NoConvergence(f"Frechet mean did not converge in {max_iter} iterations")
 
 
 def build_reference_frame(p: Point, rng_seed: int = 0, basis=None) -> MovingFrame:
     """Construct an orthonormal tangent frame at ``p``.
 
-    With ``basis`` given (a d x D array or a sequence of tangent vectors),
-    that basis is validated and used directly.  Otherwise d = D - 1 random
-    ambient directions are projected to the tangent space and orthonormalized
-    by PCA (eigenvectors of their Gram operator), deterministically for a
-    given ``rng_seed``.  Eigenvector signs follow the first-nonzero-entry-
-    positive convention.
+    With ``basis`` given (a d x D array-like), that basis is validated and
+    used directly.  Otherwise d = D - 1 random ambient directions are
+    projected to the tangent space and orthonormalized by PCA (eigenvectors
+    of their Gram operator), deterministically for a given ``rng_seed``.
+    Eigenvector signs follow the first-nonzero-entry-positive convention.
 
     Raises
     ------
     DegenerateFrame
         If ten consecutive random draws are rank-deficient.
     """
+    if basis is not None:
+        return MovingFrame(p, basis)
     D = p.dim
     d = D - 1
-    if basis is not None:
-        vecs = [b if isinstance(b, TangentVector) else TangentVector(p, b) for b in basis]
-        return MovingFrame(p, vecs)
     rng = np.random.default_rng(rng_seed)
     for _ in range(10):
         W = rng.standard_normal((d, D))
@@ -286,7 +266,7 @@ def build_reference_frame(p: Point, rng_seed: int = 0, basis=None) -> MovingFram
             nz = np.flatnonzero(np.abs(row) > 1e-9)
             if nz.size and row[nz[0]] < 0:
                 row *= -1.0
-        return MovingFrame(p, [TangentVector(p, b) for b in B])
+        return MovingFrame(p, B)
     raise DegenerateFrame("random tangent vectors were rank-deficient ten times")
 
 
@@ -294,10 +274,12 @@ def transport_frame(frame: MovingFrame, m: Point) -> MovingFrame:
     """Parallel-transport the frame basis to ``m``, giving F(m).
 
     Transport is an isometry, so the result is again a valid orthonormal
-    frame, now based at ``m``.
+    frame, now based at ``m``.  Transport to the frame's own point returns
+    the frame itself, since re-projecting its rows would move their last bits.
     """
-    rows = transport_batch(frame.matrix, frame.p.coords, m.coords)
-    return MovingFrame(m, [TangentVector._trusted(m, r) for r in rows])
+    if np.array_equal(frame.p.coords, m.coords):
+        return frame
+    return MovingFrame(m, transport_batch(frame.matrix, frame.p.coords, m.coords))
 
 
 def tangent_coordinates(frame: MovingFrame, v: TangentVector) -> np.ndarray:
@@ -317,14 +299,12 @@ def tangent_from_coordinates(frame: MovingFrame, c) -> TangentVector:
 
 def standard_frame(D: int) -> MovingFrame:
     """The frame at p = e_1 with basis (e_2, ..., e_D)."""
-    p = Point(np.eye(D)[0])
-    return MovingFrame(p, [TangentVector(p, np.eye(D)[j]) for j in range(1, D)])
+    return MovingFrame(Point(np.eye(D)[0]), np.eye(D)[1:])
 
 
 # ---------------------------------------------------------------------------
 # Batch kernels over coordinate arrays.  Rows are points / tangent vectors;
-# used by the sampling and estimation pipelines where object-per-point
-# wrappers would dominate runtime.
+# sphere_exp, sphere_log and parallel_transport are one-row calls of these.
 
 def exp_batch(m: np.ndarray, V: np.ndarray) -> np.ndarray:
     """exp_m applied to each row of the tangent array V (n x D)."""
@@ -376,19 +356,15 @@ def frame_to_dict(frame: MovingFrame) -> dict:
 
 
 def frame_from_dict(data: dict) -> MovingFrame:
-    p = Point(data["p"])
-    return build_reference_frame(p, basis=np.asarray(data["basis"], dtype=float))
+    return MovingFrame(Point(data["p"]), data["basis"])
 
 
 def save_frame(path, frame: MovingFrame) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(frame_to_dict(frame), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, frame_to_dict(frame))
 
 
 def load_frame(path) -> MovingFrame:
-    with open(path, encoding="utf-8") as fh:
-        return frame_from_dict(json.load(fh))
+    return frame_from_dict(read_json(path))
 
 
 def frames_equal(a: MovingFrame, b: MovingFrame, tol: float = 1e-8) -> bool:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NoConvergence
 from .gauss import BundleGaussian, GaussianMixture
-from .geometry import MovingFrame, Point, exp_batch, transport_frame
+from .geometry import MovingFrame, exp_batch, transport_frame
 
 _MAX_REDRAW_ROUNDS = 1000
 
@@ -71,16 +71,15 @@ def sample_gaussian(
     n: int,
     seed: int,
     stats: Optional[dict] = None,
-) -> list[Point]:
-    """Draw ``n`` points from one bundle Gaussian.
+) -> np.ndarray:
+    """Draw ``n`` points from one bundle Gaussian, as the rows of an n x D array.
 
     ``stats``, if given, accumulates the keys ``accepted`` and ``rejected``
     counting tangent draws kept and redrawn at the cut locus.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    X = _draw_points(g, frame, n, _component_rng(seed, 0), stats)
-    return [Point(x) for x in X]
+    return _draw_points(g, frame, n, _component_rng(seed, 0), stats)
 
 
 def sample_mixture(
@@ -88,8 +87,9 @@ def sample_mixture(
     n: int,
     seed: int,
     stats: Optional[dict] = None,
-) -> tuple[list[Point], list[int]]:
-    """Draw ``n`` points from a mixture; returns points and true labels.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``n`` points from a mixture; returns the n x D points and the
+    (n,) array of true labels.
 
     Components are chosen i.i.d. from the mixture weights using a label
     stream separate from the per-component coordinate streams.
@@ -107,16 +107,16 @@ def sample_mixture(
         X[idx] = _draw_points(
             mix.components[k], mix.frame, idx.size, _component_rng(seed, k), stats
         )
-    return [Point(x) for x in X], [int(l) for l in labels]
+    return X, labels
 
 
 # ---------------------------------------------------------------------------
 # samples.csv: ambient coordinates then the component label, one row per point.
 
-def save_samples(path, points, labels=None) -> None:
-    X = np.array([p.coords for p in points])
+def save_samples(path, X, labels=None) -> None:
+    X = np.asarray(X, dtype=float)
     if labels is None:
-        labels = [-1] * len(points)
+        labels = [-1] * len(X)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(X.shape[1])] + ["label"])

@@ -12,12 +12,12 @@ problem whose cost matrix holds all pairwise squared Gaussian distances.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ._jsonfile import read_json, write_json
 from .errors import InfeasibleWeights, NoConvergence
 from .gauss import GaussianMixture, _psd_roots, pairwise_w2sq
 from .geometry import frames_equal
@@ -314,11 +314,8 @@ def result_to_dict(res: MW2Result) -> dict:
 
 
 def save_result(path, res: MW2Result) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result_to_dict(res), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, result_to_dict(res))
 
 
 def load_result(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    return read_json(path)

@@ -314,6 +314,6 @@ def test_10_sampler_statistics():
     assert geodesic_distance(mean, m) <= 0.05
 
     local = transport_frame(frame, m)
-    V = log_batch(m.coords, np.array([p.coords for p in points])) @ local.matrix.T
+    V = log_batch(m.coords, points) @ local.matrix.T
     emp = V.T @ V / len(points)
     assert np.linalg.norm(emp - cov) / np.linalg.norm(cov) <= 0.10

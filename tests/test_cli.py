@@ -135,6 +135,20 @@ class TestFit:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("method", ["kmeans", "kmodes"])
+    @pytest.mark.parametrize("bad_row", ["0,0,0", "nan,0,1"])
+    def test_zero_or_nan_sample_row_rejected(self, workspace, capsys, method, bad_row):
+        tmp, _ = workspace
+        (tmp / "bad.csv").write_text(
+            f"x0,x1,x2,label\n1,0,0,-1\n0,1,0,-1\n{bad_row},-1\n0,0,1,-1\n"
+        )
+        code = run(
+            ["fit", tmp / "bad.csv", "--frame", tmp / "frame.json",
+             "--method", method, "--K", "2", "--q", "0.5", "--out", tmp / "fit"]
+        )
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
     def test_degenerate_cluster_is_numerical_failure(self, workspace, capsys):
         tmp, _ = workspace
         (tmp / "tiny.csv").write_text(

@@ -25,13 +25,13 @@ from bundlemw.sampling import sample_gaussian, sample_mixture
 
 
 def cap_samples(rng, center, std, n):
-    """Points scattered around a sphere point with tangent std ``std``."""
+    """Points scattered around a sphere point with tangent std ``std``, as rows."""
     pts = []
     c = np.asarray(center, dtype=float)
     c /= np.linalg.norm(c)
     for _ in range(n):
-        pts.append(Point(c + std * rng.standard_normal(c.size)))
-    return pts
+        pts.append(Point(c + std * rng.standard_normal(c.size)).coords)
+    return np.array(pts)
 
 
 class TestRiemannianKmeans:
@@ -43,14 +43,14 @@ class TestRiemannianKmeans:
         assert out.sizes == [40]
         assert out.converged
         ref = frechet_mean(pts)
-        assert geodesic_distance(out.centers[0], ref) < 1e-8
+        assert geodesic_distance(Point(out.centers[0]), ref) < 1e-8
 
     def test_two_separated_caps(self):
         rng = np.random.default_rng(1)
         a = cap_samples(rng, [0.0, 0.0, 1.0], 0.05, 200)
         b = cap_samples(rng, [1.0, 0.0, 0.0], 0.05, 200)
         truth = np.array([0] * 200 + [1] * 200)
-        out = riemannian_kmeans(a + b, 2, seed=3)
+        out = riemannian_kmeans(np.vstack([a, b]), 2, seed=3)
         assert out.converged
         # cluster numbering is arbitrary; align by majority vote
         flip = np.mean(out.labels[:200]) > 0.5
@@ -58,11 +58,11 @@ class TestRiemannianKmeans:
         assert np.mean(pred == truth) >= 0.99
 
     def test_identical_points_resolved_by_empty_cluster_rule(self):
-        pts = [Point([0.0, 1.0, 0.0]) for _ in range(5)]
+        pts = np.array([[0.0, 1.0, 0.0]] * 5)
         out = riemannian_kmeans(pts, 2, seed=0)
         assert sorted(out.sizes, reverse=True) == [4, 1]
         for c in out.centers:
-            assert np.allclose(c.coords, [0.0, 1.0, 0.0])
+            assert np.allclose(c, [0.0, 1.0, 0.0])
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
@@ -71,10 +71,10 @@ class TestRiemannianKmeans:
         r2 = riemannian_kmeans(pts, 3, seed=11)
         assert np.array_equal(r1.labels, r2.labels)
         for c1, c2 in zip(r1.centers, r2.centers):
-            assert np.array_equal(c1.coords, c2.coords)
+            assert np.array_equal(c1, c2)
 
     def test_too_few_points_raises(self):
-        pts = [Point([1.0, 0.0, 0.0])]
+        pts = np.array([[1.0, 0.0, 0.0]])
         with pytest.raises(EmptyCluster):
             riemannian_kmeans(pts, 2, seed=0)
 
@@ -137,7 +137,7 @@ class TestKmodes:
         rng = np.random.default_rng(5)
         a = cap_samples(rng, [0.0, 0.0, 1.0], 0.05, 60)
         b = cap_samples(rng, [1.0, 0.0, 0.0], 0.05, 60)
-        X = np.array([p.coords for p in a + b])
+        X = np.vstack([a, b])
         # q must roughly match the within-cluster pair fraction; the default
         # 0.1 is below it here and would oversegment
         out = kmodes_cluster(pairwise_geodesic(X), q=0.3)
@@ -145,6 +145,13 @@ class TestKmodes:
         first = set(out.labels[:60]) - {OUTLIER}
         second = set(out.labels[60:]) - {OUTLIER}
         assert len(first) == 1 and len(second) == 1 and first != second
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        D[0, 2] = D[2, 0] = bad
+        with pytest.raises(ValueError):
+            kmodes_cluster(D)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -162,12 +169,12 @@ class TestFitMixture:
         # variance 2a^2 with the n-1 divisor
         frame = build_reference_frame(Point([0.0, 0.0, 1.0]), basis=np.eye(3)[:2])
         a = 0.3
-        pts = [
-            Point([np.sin(a), 0.0, np.cos(a)]),
-            Point([-np.sin(a), 0.0, np.cos(a)]),
-        ]
+        pts = np.array([
+            Point([np.sin(a), 0.0, np.cos(a)]).coords,
+            Point([-np.sin(a), 0.0, np.cos(a)]).coords,
+        ])
         clus = Clustering(
-            labels=np.array([0, 0]), sizes=[2], centers=[Point([0.0, 0.0, 1.0])]
+            labels=np.array([0, 0]), sizes=[2], centers=[[0.0, 0.0, 1.0]]
         )
         mix = fit_mixture(pts, clus, frame)
         assert mix.K == 1
@@ -178,8 +185,8 @@ class TestFitMixture:
     def test_identical_points_zero_covariance(self):
         frame = build_reference_frame(Point([0.0, 0.0, 1.0]), rng_seed=0)
         p = Point([0.0, 1.0, 0.0])
-        clus = Clustering(labels=np.zeros(4, dtype=int), sizes=[4], centers=[p])
-        mix = fit_mixture([p] * 4, clus, frame)
+        clus = Clustering(labels=np.zeros(4, dtype=int), sizes=[4], centers=[p.coords])
+        mix = fit_mixture(np.array([p.coords] * 4), clus, frame)
         assert np.allclose(mix.components[0].cov.mat, 0.0)
         assert np.allclose(mix.components[0].basepoint.coords, p.coords)
 
@@ -188,22 +195,22 @@ class TestFitMixture:
         clus = Clustering(
             labels=np.array([0, 0, 1]),
             sizes=[2, 1],
-            centers=[Point([0.0, 0.0, 1.0]), Point([1.0, 0.0, 0.0])],
+            centers=[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
         )
-        pts = [Point([0.0, 0.1, 1.0]), Point([0.1, 0.0, 1.0]), Point([1.0, 0.1, 0.0])]
+        pts = np.array([[0.0, 0.1, 1.0], [0.1, 0.0, 1.0], [1.0, 0.1, 0.0]])
         with pytest.raises(ClusterTooSmall):
             fit_mixture(pts, clus, frame)
 
     def test_outliers_excluded_from_weights(self):
         frame = build_reference_frame(Point([0.0, 0.0, 1.0]), rng_seed=0)
         rng = np.random.default_rng(6)
-        pts = cap_samples(rng, [0.0, 0.0, 1.0], 0.05, 8) + [Point([1.0, 0.0, 0.0])]
+        pts = np.vstack([cap_samples(rng, [0.0, 0.0, 1.0], 0.05, 8), [[1.0, 0.0, 0.0]]])
         labels = np.array([0] * 8 + [OUTLIER])
         clus = Clustering(labels=labels, sizes=[8], modes=[0])
         mix = fit_mixture(pts, clus, frame)
         assert mix.weights[0] == pytest.approx(1.0)
         # mode point is used as the mean
-        assert np.array_equal(mix.components[0].basepoint.coords, pts[0].coords)
+        assert np.array_equal(mix.components[0].basepoint.coords, pts[0])
 
     def test_round_trip_recovery(self):
         frame = build_reference_frame(Point([0.0, 0.0, 1.0]), rng_seed=1)
@@ -251,7 +258,7 @@ class TestClusteringIO:
         assert back.sizes == out.sizes
         assert back.modes is None
         for a, b in zip(back.centers, out.centers):
-            assert np.allclose(a.coords, b.coords)
+            assert np.allclose(a, b)
 
     def test_roundtrip_kmodes(self, tmp_path):
         D = np.zeros((4, 4))

@@ -184,18 +184,18 @@ class TestFrechetMean:
     def test_midpoint_of_two_points(self):
         p = Point([1.0, 0.0, 0.0])
         q = Point([0.0, 1.0, 0.0])
-        m = frechet_mean([p, q])
+        m = frechet_mean(np.array([p.coords, q.coords]))
         assert np.allclose(m.coords, unit([1.0, 1.0, 0.0]), atol=1e-10)
 
     def test_single_point(self):
         p = Point(unit([2.0, -1.0, 0.5]))
-        m = frechet_mean([p])
+        m = frechet_mean(np.array([p.coords]))
         assert np.allclose(m.coords, p.coords)
 
     def test_weighted_mean_respects_weights(self):
         p = Point([1.0, 0.0, 0.0])
         q = Point([0.0, 1.0, 0.0])
-        m = frechet_mean([p, q], weights=[3.0, 1.0])
+        m = frechet_mean(np.array([p.coords, q.coords]), weights=[3.0, 1.0])
         # stationarity: 0.75 log_m(p) + 0.25 log_m(q) = 0
         lp = sphere_log(m, p).vec
         lq = sphere_log(m, q).vec
@@ -205,24 +205,24 @@ class TestFrechetMean:
         rng = np.random.default_rng(7)
         base = unit([0.0, 0.0, 1.0, 0.0])
         pts = [Point(base + 0.3 * rng.standard_normal(4)) for _ in range(25)]
-        m = frechet_mean(pts)
+        m = frechet_mean(np.array([x.coords for x in pts]))
         logs = np.array([sphere_log(m, x).vec for x in pts])
         assert np.linalg.norm(logs.mean(axis=0)) < 1e-9
 
     def test_bad_weights_rejected(self):
         p = Point([1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            frechet_mean([p, p], weights=[1.0])
+            frechet_mean(np.array([p.coords, p.coords]), weights=[1.0])
         with pytest.raises(ValueError):
-            frechet_mean([p, p], weights=[-1.0, 1.0])
+            frechet_mean(np.array([p.coords, p.coords]), weights=[-1.0, 1.0])
         with pytest.raises(ValueError):
-            frechet_mean([p, p], weights=[0.0, 0.0])
+            frechet_mean(np.array([p.coords, p.coords]), weights=[0.0, 0.0])
 
     def test_degenerate_spread_raises(self):
         p = Point([1.0, 0.0, 0.0])
         q = Point([-1.0, 0.0, 0.0])
         with pytest.raises((ValueError, NoConvergence, AntipodalPoint)):
-            frechet_mean([p, q])
+            frechet_mean(np.array([p.coords, q.coords]))
 
 
 class TestFrames:
@@ -255,7 +255,24 @@ class TestFrames:
     def test_frame_requires_full_rank_count(self):
         p = Point([0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
-            MovingFrame(p, [TangentVector(p, [1.0, 0.0, 0.0])])
+            MovingFrame(p, [[1.0, 0.0, 0.0]])
+
+    def test_basis_row_with_normal_component_rejected(self):
+        p = Point([0.0, 0.0, 1.0])
+        with pytest.raises(ValueError):
+            build_reference_frame(p, basis=[[1.0, 0.0, 1e-9], [0.0, 1.0, 0.0]])
+        f = build_reference_frame(p, basis=[[1.0, 0.0, 1e-12], [0.0, 1.0, 0.0]])
+        assert np.array_equal(f.matrix, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+    def test_basis_of_wrong_shape_rejected(self):
+        p = Point([0.0, 0.0, 1.0])
+        for basis in (
+            [[1.0, 0.0, 0.0]],
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],
+            [[1.0, 0.0], [0.0, 1.0]],
+        ):
+            with pytest.raises(ValueError):
+                build_reference_frame(p, basis=basis)
 
     def test_standard_frame(self):
         f = standard_frame(4)
