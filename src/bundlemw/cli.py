@@ -56,7 +56,7 @@ from .gauss import (
     mixture_from_dict,
     save_mixture,
 )
-from .geometry import frechet_mean, load_frame, pairwise_geodesic, standard_frame
+from .geometry import _unit_rows, frechet_mean, load_frame, pairwise_geodesic, standard_frame
 from .sampling import load_samples, sample_mixture, save_samples
 from .transport import mw2, pairwise_mw2, save_result, solve_transportation
 # bench/traced.py looks up this name and times the rows of distmat by it
@@ -152,7 +152,7 @@ def cmd_fit(args) -> int:
             raise ValueError("--K is required with --method kmeans")
         clustering = riemannian_kmeans(X, args.K, seed=args.seed)
     else:
-        clustering = kmodes_cluster(pairwise_geodesic(X), q=args.q)
+        clustering = kmodes_cluster(pairwise_geodesic(_unit_rows(X)), q=args.q)
     mix = fit_mixture(X, clustering, frame)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

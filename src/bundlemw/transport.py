@@ -1,8 +1,9 @@
 """Exact discrete transportation problem and the mixture-Wasserstein distance.
 
-The solver is a transportation simplex: northwest-corner start, spanning
-tree duals, Bland's smallest-index pivoting rule for anti-cycling, and a
-tiny perturbation of the marginals to keep basic solutions nondegenerate.
+The solver is a transportation simplex: least-cost start, spanning tree
+duals, and Dantzig's rule, which enters the most negative reduced cost.  A
+tiny perturbation of the marginals keeps every basis nondegenerate, so each
+pivot strictly lowers the cost and the simplex cannot cycle.
 Exactness (up to arithmetic) matters downstream: change-point statistics
 compare many distances and entropic approximations would blur them.
 
@@ -62,28 +63,33 @@ def _validate_simplex(w, n: int, name: str) -> np.ndarray:
     return w / w.sum()
 
 
-def _northwest_corner(a: np.ndarray, b: np.ndarray):
-    """Initial basic feasible solution; returns the plan and basis cells."""
+def _least_cost_start(C: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Initial basic feasible solution; returns the plan and basis cells.
+
+    Allocates to the cheapest cell whose row and column are both open, then
+    closes one of them but never the last open row, so the cells span a tree.
+    """
     K0, K1 = a.size, b.size
     x = np.zeros((K0, K1))
     basis = []
     a_rem = a.copy()
     b_rem = b.copy()
-    i = j = 0
-    while len(basis) < K0 + K1 - 1:
+    rows, cols = set(range(K0)), set(range(K1))
+    for flat in np.argsort(C, axis=None, kind="stable"):
+        i, j = divmod(int(flat), K1)
+        if i not in rows or j not in cols:
+            continue
         basis.append((i, j))
         move = min(a_rem[i], b_rem[j])
         x[i, j] = move
         a_rem[i] -= move
         b_rem[j] -= move
-        if i == K0 - 1:
-            j += 1
-        elif j == K1 - 1:
-            i += 1
-        elif a_rem[i] <= b_rem[j]:
-            i += 1
+        if len(rows) > 1 and (len(cols) == 1 or a_rem[i] <= b_rem[j]):
+            rows.remove(i)
         else:
-            j += 1
+            cols.remove(j)
+        if len(basis) == K0 + K1 - 1:
+            break
     return x, basis
 
 
@@ -202,23 +208,16 @@ def solve_transportation(cost, w0, w1) -> TransportPlan:
     b = b.copy()
     b[-1] += K0 * _EPS_PERTURB
 
-    x, basis = _northwest_corner(a, b)
-    basis_set = set(basis)
+    x, basis = _least_cost_start(C, a, b)
     max_iter = 200 * (K0 + K1) ** 2 + 1000
     for _ in range(max_iter):
         u, v = _tree_potentials(C, basis, K0, K1)
         reduced = C - u[:, None] - v[None, :]
-        entering = None
-        for i in range(K0):
-            row = reduced[i]
-            for j in range(K1):
-                if row[j] < -1e-12 and (i, j) not in basis_set:
-                    entering = (i, j)
-                    break
-            if entering is not None:
-                break
-        if entering is None:
+        reduced[tuple(zip(*basis))] = np.inf
+        flat = int(np.argmin(reduced))
+        if not reduced.flat[flat] < -1e-12:
             break
+        entering = divmod(flat, K1)
         path = _tree_path(basis, entering[0], K0 + entering[1], K0)
         cycle = [entering] + path
         minus = cycle[1::2]
@@ -229,8 +228,6 @@ def solve_transportation(cost, w0, w1) -> TransportPlan:
         for c in minus:
             x[c] -= theta
         x[leaving] = 0.0
-        basis_set.remove(leaving)
-        basis_set.add(entering)
         basis = [entering if c == leaving else c for c in basis]
     else:
         raise NoConvergence("transportation simplex exceeded its iteration budget")

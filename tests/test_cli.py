@@ -15,7 +15,7 @@ from bundlemw.geometry import (
     save_frame,
     standard_frame,
 )
-from bundlemw.sampling import load_samples
+from bundlemw.sampling import load_samples, save_samples
 from bundlemw.triangles import Triangle, load_triangles, save_triangles
 
 
@@ -114,6 +114,21 @@ class TestFit:
         )
         assert code == 0
         assert (tmp / "fitkm" / "clustering.json").exists()
+
+    def test_kmodes_on_rows_that_are_not_unit(self, workspace):
+        tmp, _ = workspace
+        rng = np.random.default_rng(0)
+        caps = [c + 0.05 * rng.standard_normal((20, 3)) for c in np.eye(3)[:2]]
+        caps = [c / np.linalg.norm(c, axis=1, keepdims=True) for c in caps]
+        # the same sphere points, with the second cap's rows three times longer
+        save_samples(tmp / "scaled.csv", np.vstack([caps[0], 3.0 * caps[1]]))
+        code = run(
+            ["fit", tmp / "scaled.csv", "--frame", tmp / "frame.json",
+             "--method", "kmodes", "--q", "0.3", "--out", tmp / "fitkm"]
+        )
+        assert code == 0
+        clustering = json.loads((tmp / "fitkm" / "clustering.json").read_text())
+        assert sorted(clustering["sizes"]) == [20, 20]
 
     def test_missing_frame_file(self, workspace, capsys):
         tmp, _ = workspace

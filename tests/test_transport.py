@@ -48,6 +48,18 @@ def linprog_cost(C, w0, w1):
     return res.fun
 
 
+def tie_heavy_problems(rng, n, k_max):
+    """Integer costs in {0, ..., 3} with uniform marginals, square and
+    rectangular in turn: degenerate problems with many optimal plans."""
+    problems = []
+    for k in range(n):
+        K0 = int(rng.integers(2, k_max + 1))
+        K1 = K0 if k % 2 == 0 else int(rng.integers(2, k_max + 1))
+        C = rng.integers(0, 4, size=(K0, K1)).astype(float)
+        problems.append((C, np.full(K0, 1.0 / K0), np.full(K1, 1.0 / K1)))
+    return problems
+
+
 class TestSolveTransportation:
     def test_antidiagonal_cost_picks_diagonal(self):
         plan = solve_transportation([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5], [0.5, 0.5])
@@ -83,19 +95,25 @@ class TestSolveTransportation:
 
     def test_matches_generic_lp_on_rectangular_problems(self):
         rng = np.random.default_rng(1)
-        for _ in range(25):
-            K0 = int(rng.integers(2, 8))
-            K1 = int(rng.integers(2, 8))
-            C = rng.random((K0, K1)) * 10.0
-            w0 = rng.random(K0) + 0.05
-            w0 /= w0.sum()
-            w1 = rng.random(K1) + 0.05
-            w1 /= w1.sum()
+        problems = []
+        for k_max in (7, 40):
+            for _ in range(25):
+                K0 = int(rng.integers(2, k_max + 1))
+                K1 = int(rng.integers(2, k_max + 1))
+                C = rng.random((K0, K1)) * 10.0
+                w0 = rng.random(K0) + 0.05
+                w0 /= w0.sum()
+                w1 = rng.random(K1) + 0.05
+                w1 /= w1.sum()
+                problems.append((C, w0, w1))
+        problems += tie_heavy_problems(np.random.default_rng(15), 20, 40)
+        for C, w0, w1 in problems:
             plan = solve_transportation(C, w0, w1)
             assert plan.cost == pytest.approx(linprog_cost(C, w0, w1), abs=1e-9)
 
     def test_plan_is_feasible_and_sparse(self):
         rng = np.random.default_rng(2)
+        problems = []
         for _ in range(15):
             K0 = int(rng.integers(2, 9))
             K1 = int(rng.integers(2, 9))
@@ -104,6 +122,10 @@ class TestSolveTransportation:
             w0 /= w0.sum()
             w1 = rng.random(K1) + 0.01
             w1 /= w1.sum()
+            problems.append((C, w0, w1))
+        problems += tie_heavy_problems(np.random.default_rng(16), 20, 16)
+        for C, w0, w1 in problems:
+            K0, K1 = C.shape
             plan = solve_transportation(C, w0, w1)
             assert np.all(plan.matrix >= 0.0)
             assert np.max(np.abs(plan.matrix.sum(axis=1) - w0)) < 1e-8
@@ -112,6 +134,7 @@ class TestSolveTransportation:
 
     def test_dual_certificate(self):
         rng = np.random.default_rng(3)
+        problems = []
         for _ in range(10):
             K0 = int(rng.integers(2, 7))
             K1 = int(rng.integers(2, 7))
@@ -120,6 +143,9 @@ class TestSolveTransportation:
             w0 /= w0.sum()
             w1 = rng.random(K1) + 0.1
             w1 /= w1.sum()
+            problems.append((C, w0, w1))
+        problems += tie_heavy_problems(np.random.default_rng(17), 20, 16)
+        for C, w0, w1 in problems:
             plan = solve_transportation(C, w0, w1)
             u, v = plan.potentials
             reduced = C - u[:, None] - v[None, :]
