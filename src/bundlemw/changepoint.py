@@ -31,13 +31,14 @@ def check_distmat(D):
         raise ValueError("distance matrix is empty")
     if not np.all(np.isfinite(D)):
         raise ValueError("distance matrix contains non-finite entries")
-    if np.max(np.abs(D - D.T)) > 1e-8:
+    S = D - D.T
+    if np.max(np.abs(S, out=S)) > 1e-8:
         raise NotSymmetric("distance matrix is asymmetric beyond 1e-8")
     if np.min(D) < 0:
         raise ValueError("distance matrix has negative entries")
     if np.max(np.abs(np.diag(D))) > 1e-12:
         raise ValueError("distance matrix diagonal must be zero")
-    return 0.5 * (D + D.T)
+    return np.multiply(np.add(D, D.T, out=S), 0.5, out=S)
 
 
 def _check_alpha(alpha):

@@ -48,7 +48,8 @@ from .errors import (
     NotSymmetric,
     SegmentTooSmall,
 )
-from .estimation import fit_mixture, kmodes_cluster, riemannian_kmeans, save_clustering
+from .estimation import KMODES_MAX_POINTS, fit_mixture, kmodes_cluster, riemannian_kmeans
+from .estimation import save_clustering
 from .gauss import (
     BundleGaussian,
     GaussianMixture,
@@ -79,6 +80,7 @@ _NUMERICAL_ERRORS = (
     ClusterTooSmall,
     DegenerateTriangle,
     DegenerateContour,
+    MemoryError,
 )
 _VALIDATION_ERRORS = (
     ValueError,
@@ -151,6 +153,8 @@ def cmd_fit(args) -> int:
         if args.K is None:
             raise ValueError("--K is required with --method kmeans")
         clustering = riemannian_kmeans(X, args.K, seed=args.seed)
+    elif len(X) > KMODES_MAX_POINTS:
+        raise ValueError(f"--method kmodes takes at most {KMODES_MAX_POINTS} points, got {len(X)}")
     else:
         clustering = kmodes_cluster(pairwise_geodesic(_unit_rows(X)), q=args.q)
     mix = fit_mixture(X, clustering, frame)

@@ -25,6 +25,7 @@ from .changepoint import check_distmat
 from .errors import ClusterTooSmall, EmptyCluster
 from .gauss import BundleGaussian, CovarianceMatrix, GaussianMixture, normalize_minimal_form
 from .geometry import (
+    _BLOCK_CELLS,
     MovingFrame,
     Point,
     _unit_rows,
@@ -35,6 +36,8 @@ from .geometry import (
 )
 
 OUTLIER = -1
+# Largest n that `fit --method kmodes` takes; it peaks near 25 n^2 bytes.
+KMODES_MAX_POINTS = 10_000
 
 
 @dataclass
@@ -75,12 +78,13 @@ class Clustering:
         return [int(i) for i in np.flatnonzero(self.labels == OUTLIER)]
 
 
-def _kmeanspp_indices(D: np.ndarray, K: int, rng: np.random.Generator) -> list[int]:
-    """Seed center indices by distance-squared weighting on the data."""
-    n = D.shape[0]
+def _kmeanspp_indices(X: np.ndarray, K: int, rng: np.random.Generator) -> list[int]:
+    """Seed center indices by distance-squared weighting on the rows of X."""
+    n = X.shape[0]
     chosen = [int(rng.integers(n))]
+    nearest = pairwise_geodesic(X, X[chosen])[:, 0]
     for _ in range(K - 1):
-        dsq = np.min(D[:, chosen], axis=1) ** 2
+        dsq = nearest**2
         dsq[chosen] = 0.0
         total = dsq.sum()
         if total <= 0.0:
@@ -88,6 +92,7 @@ def _kmeanspp_indices(D: np.ndarray, K: int, rng: np.random.Generator) -> list[i
         else:
             pick = int(rng.choice(n, p=dsq / total))
         chosen.append(pick)
+        nearest = np.minimum(nearest, pairwise_geodesic(X, X[[pick]])[:, 0])
     return chosen
 
 
@@ -114,7 +119,7 @@ def riemannian_kmeans(
     if n < K:
         raise EmptyCluster(f"cannot form {K} clusters from {n} points")
     rng = np.random.default_rng(seed)
-    C = X[_kmeanspp_indices(pairwise_geodesic(X), K, rng)]
+    C = X[_kmeanspp_indices(X, K, rng)]
     labels = np.full(n, -2)
     converged = False
     for _ in range(max_iter):
@@ -149,38 +154,36 @@ def kmodes_cluster(distmat, q: float = 0.1) -> Clustering:
     index on ties) until it reaches a local maximum, and those maxima are
     the cluster modes.  If every pairwise distance is zero the matrix
     carries no structure and all points form one cluster around mode 0.
+
+    Memory beyond the input peaks at two n x n float arrays, the validated
+    copy and its off-diagonal entries; the ascent runs in row blocks.
     """
     D = check_distmat(distmat)
     n = D.shape[0]
     if not 0.0 < q <= 1.0:
         raise ValueError("quantile q must be in (0, 1]")
-    off = D[~np.eye(n, dtype=bool)]
+    off = D.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].copy()  # off-diagonal entries
     if off.size == 0 or np.max(off) <= 0.0:
         return Clustering(labels=np.zeros(n, dtype=int), sizes=[n], modes=[0])
-    r = float(np.quantile(off, q))
-    ball = (D <= r) & ~np.eye(n, dtype=bool)
+    r = float(np.quantile(off, q, overwrite_input=True))
+    del off
+    ball = D <= r
+    np.fill_diagonal(ball, False)
     counts = ball.sum(axis=1)
 
     # ascent target: the ball member (self included) maximizing
     # (neighbor count, -index); fixed points are the modes
-    target = np.empty(n, dtype=int)
-    for i in range(n):
-        cand = np.flatnonzero(ball[i])
-        cand = np.append(cand, i)
-        best = cand[np.lexsort((cand, -counts[cand]))][0]
-        target[i] = best
-    labels = np.full(n, OUTLIER)
-    modes = sorted(int(i) for i in np.flatnonzero(target == np.arange(n)) if counts[i] > 0)
-    mode_pos = {m: k for k, m in enumerate(modes)}
-    for i in range(n):
-        if counts[i] == 0:
-            continue
-        j = i
-        while target[j] != j:
-            j = target[j]
-        labels[i] = mode_pos[j]
+    np.fill_diagonal(ball, True)
+    rows = max(1, _BLOCK_CELLS // n)
+    target = np.concatenate([np.argmax(np.where(ball[i:i + rows], counts, -1), axis=1)
+                             for i in range(0, n, rows)])
+    root = target
+    while not np.array_equal(root[root], root):
+        root = root[root]
+    modes = np.flatnonzero((target == np.arange(n)) & (counts > 0))
+    labels = np.where(counts > 0, np.searchsorted(modes, root), OUTLIER)
     sizes = list(np.bincount(labels[labels != OUTLIER], minlength=len(modes)))
-    return Clustering(labels=labels, sizes=sizes, modes=modes)
+    return Clustering(labels=labels, sizes=sizes, modes=modes.tolist())
 
 
 def fit_mixture(X, clustering: Clustering, frame: MovingFrame) -> GaussianMixture:

@@ -1,5 +1,7 @@
 """Shared builders for random test fixtures."""
 
+import tracemalloc
+
 import numpy as np
 
 from bundlemw.gauss import BundleGaussian, GaussianMixture
@@ -21,3 +23,31 @@ def make_mixture(rng, K, D, frame=None, cov_scale=0.1):
         comps.append(BundleGaussian(m, random_spd(rng, D - 1, cov_scale)))
     w = rng.random(K) + 0.1
     return GaussianMixture(w / w.sum(), comps, frame)
+
+
+def broadcast_geodesic(X, Y):
+    """Geodesic distances between rows of X and Y by one n x m x D broadcast,
+    the formula pairwise_geodesic applies block by block."""
+    c = np.sum(X[:, None, :] * Y[None, :, :], axis=-1)
+    diff = X[:, None, :] - Y[None, :, :]
+    summ = X[:, None, :] + Y[None, :, :]
+    chord = np.sqrt(np.sum(diff * diff, axis=-1))
+    cochord = np.sqrt(np.sum(summ * summ, axis=-1))
+    acute = 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
+    obtuse = np.pi - 2.0 * np.arcsin(np.clip(0.5 * cochord, 0.0, 1.0))
+    return np.where(c >= 0.0, acute, obtuse)
+
+
+def unit_rows(rng, n, D):
+    X = rng.standard_normal((n, D))
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+def peak_alloc_bytes(f, *args, **kwargs):
+    """Peak bytes allocated while ``f`` runs, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        f(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

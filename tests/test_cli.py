@@ -130,6 +130,41 @@ class TestFit:
         clustering = json.loads((tmp / "fitkm" / "clustering.json").read_text())
         assert sorted(clustering["sizes"]) == [20, 20]
 
+    def test_kmodes_rejects_more_points_than_the_cap(self, workspace, capsys, monkeypatch):
+        tmp, _ = workspace
+        X = np.tile(np.eye(3), (3334, 1))[:10001]
+        save_samples(tmp / "big.csv", X)
+
+        def refuse(*args):
+            raise AssertionError("the distance matrix must not be built")
+
+        monkeypatch.setattr(cli, "pairwise_geodesic", refuse)
+        code = run(
+            ["fit", tmp / "big.csv", "--frame", tmp / "frame.json",
+             "--method", "kmodes", "--out", tmp / "fitkm"]
+        )
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "10000" in err["message"]
+
+    def test_memory_error_exits_3(self, workspace, capsys, monkeypatch):
+        tmp, _ = workspace
+        run(["simulate", tmp / "config.json", "--out", tmp / "samples.csv"])
+        capsys.readouterr()
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.94 GiB")
+
+        monkeypatch.setattr(cli, "riemannian_kmeans", exhausted)
+        code = run(
+            ["fit", tmp / "samples.csv", "--frame", tmp / "frame.json",
+             "--method", "kmeans", "--K", "2", "--out", tmp / "fit"]
+        )
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "MemoryError", "message": "Unable to allocate 8.94 GiB"}
+
     def test_missing_frame_file(self, workspace, capsys):
         tmp, _ = workspace
         run(["simulate", tmp / "config.json", "--out", tmp / "samples.csv"])

@@ -5,6 +5,7 @@ from bundlemw.errors import ClusterTooSmall, EmptyCluster
 from bundlemw.estimation import (
     OUTLIER,
     Clustering,
+    _kmeanspp_indices,
     clustering_from_dict,
     clustering_to_dict,
     fit_mixture,
@@ -22,6 +23,7 @@ from bundlemw.geometry import (
     pairwise_geodesic,
 )
 from bundlemw.sampling import sample_gaussian, sample_mixture
+from helpers import broadcast_geodesic, peak_alloc_bytes, unit_rows
 
 
 def cap_samples(rng, center, std, n):
@@ -32,6 +34,62 @@ def cap_samples(rng, center, std, n):
     for _ in range(n):
         pts.append(Point(c + std * rng.standard_normal(c.size)).coords)
     return np.array(pts)
+
+
+def kmeanspp_from_full_matrix(X, K, rng):
+    """k-means++ seeding read off the whole n x n distance matrix."""
+    D = broadcast_geodesic(X, X)
+    n = D.shape[0]
+    chosen = [int(rng.integers(n))]
+    for _ in range(K - 1):
+        dsq = np.min(D[:, chosen], axis=1) ** 2
+        dsq[chosen] = 0.0
+        total = dsq.sum()
+        if total <= 0.0:
+            pick = next(i for i in range(n) if i not in chosen)
+        else:
+            pick = int(rng.choice(n, p=dsq / total))
+        chosen.append(pick)
+    return chosen
+
+
+def kmodes_by_row_loop(D, q):
+    """Mode clustering with one Python pass per row for the ascent targets
+    and one walk per point to its mode."""
+    n = D.shape[0]
+    off = D[~np.eye(n, dtype=bool)]
+    if off.size == 0 or np.max(off) <= 0.0:
+        return np.zeros(n, dtype=int), [0], [n]
+    r = float(np.quantile(off, q))
+    ball = (D <= r) & ~np.eye(n, dtype=bool)
+    counts = ball.sum(axis=1)
+    target = np.empty(n, dtype=int)
+    for i in range(n):
+        cand = np.append(np.flatnonzero(ball[i]), i)
+        target[i] = cand[np.lexsort((cand, -counts[cand]))][0]
+    labels = np.full(n, OUTLIER)
+    modes = sorted(int(i) for i in np.flatnonzero(target == np.arange(n)) if counts[i] > 0)
+    mode_pos = {m: k for k, m in enumerate(modes)}
+    for i in range(n):
+        if counts[i] == 0:
+            continue
+        j = i
+        while target[j] != j:
+            j = target[j]
+        labels[i] = mode_pos[j]
+    sizes = list(np.bincount(labels[labels != OUTLIER], minlength=len(modes)))
+    return labels, modes, sizes
+
+
+def tie_heavy_distmat(rng, n, isolated):
+    """Symmetric integer distances in {1, ..., 12} with zero diagonal; the
+    ``isolated`` rows sit at distance 20 from everything else."""
+    A = rng.integers(1, 13, size=(n, n)).astype(float)
+    D = np.triu(A, 1) + np.triu(A, 1).T
+    lone = rng.choice(n, size=isolated, replace=False)
+    D[lone, :] = D[:, lone] = 20.0
+    np.fill_diagonal(D, 0.0)
+    return D
 
 
 class TestRiemannianKmeans:
@@ -84,6 +142,26 @@ class TestRiemannianKmeans:
         out = riemannian_kmeans(pts, 5, seed=4)
         assert all(s >= 1 for s in out.sizes)
         assert sum(out.sizes) == 30
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
+    @pytest.mark.parametrize("K", [2, 4, 9])
+    def test_seeding_matches_full_matrix(self, seed, K):
+        rng = np.random.default_rng(seed)
+        X = np.vstack([cap_samples(rng, c, 0.2, 50) for c in np.eye(3)])
+        X[::7] = X[0]  # duplicate rows put zeros among the weights
+        got = _kmeanspp_indices(X, K, np.random.default_rng(seed))
+        assert got == kmeanspp_from_full_matrix(X, K, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_seeding_of_identical_rows_matches_full_matrix(self, seed):
+        X = np.array([[0.0, 0.6, 0.8]] * 12)
+        got = _kmeanspp_indices(X, 5, np.random.default_rng(seed))
+        assert got == kmeanspp_from_full_matrix(X, 5, np.random.default_rng(seed))
+
+    def test_memory_is_linear_in_n(self):
+        rng = np.random.default_rng(6)
+        X = np.vstack([cap_samples(rng, c, 0.2, 1250) for c in np.eye(4)])
+        assert peak_alloc_bytes(riemannian_kmeans, X, 4, seed=0) < 16 * 2**20
 
 
 class TestKmodes:
@@ -145,6 +223,33 @@ class TestKmodes:
         first = set(out.labels[:60]) - {OUTLIER}
         second = set(out.labels[60:]) - {OUTLIER}
         assert len(first) == 1 and len(second) == 1 and first != second
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("q", [0.02, 0.1, 0.3, 1.0])
+    def test_matches_row_loop_on_ties(self, seed, q):
+        rng = np.random.default_rng(seed)
+        D = tie_heavy_distmat(rng, int(rng.integers(2, 160)), isolated=seed % 3)
+        out = kmodes_cluster(D, q=q)
+        labels, modes, sizes = kmodes_by_row_loop(D, q)
+        assert np.array_equal(out.labels, labels)
+        assert out.modes == modes
+        assert out.sizes == sizes
+
+    @pytest.mark.parametrize("q", [0.02, 0.1])
+    def test_matches_row_loop_on_sphere_data(self, q):
+        rng = np.random.default_rng(12)
+        X = np.vstack([cap_samples(rng, c, 0.15, 150) for c in np.eye(3)])
+        D = pairwise_geodesic(X)
+        out = kmodes_cluster(D, q=q)
+        labels, modes, sizes = kmodes_by_row_loop(D, q)
+        assert np.array_equal(out.labels, labels)
+        assert out.modes == modes
+        assert out.sizes == sizes
+
+    def test_memory_is_two_matrices(self):
+        n = 2000
+        D = pairwise_geodesic(unit_rows(np.random.default_rng(13), n, 3))
+        assert peak_alloc_bytes(kmodes_cluster, D, q=0.1) <= 2 * 8 * n * n + 4 * 2**20
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, bad):

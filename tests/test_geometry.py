@@ -28,6 +28,7 @@ from bundlemw.geometry import (
     transport_batch,
     transport_frame,
 )
+from helpers import broadcast_geodesic, peak_alloc_bytes, unit_rows
 
 
 def unit(v):
@@ -381,3 +382,34 @@ class TestBatchKernels:
         assert Dm[1, 4] == pytest.approx(
             geodesic_distance(Point(X[1]), Point(X[4])), abs=1e-12
         )
+
+    @pytest.mark.parametrize("n, D", [(1, 3), (300, 3), (257, 7), (129, 60)])
+    def test_pairwise_geodesic_bitwise_equals_broadcast(self, n, D):
+        rng = np.random.default_rng(n + D)
+        X = unit_rows(rng, n, D)
+        X[n // 2] = -X[0]  # one antipodal pair, on the obtuse branch
+        Dm = pairwise_geodesic(X)
+        assert np.array_equal(Dm, broadcast_geodesic(X, X))
+        assert np.array_equal(Dm, Dm.T)
+
+    @pytest.mark.parametrize(
+        "n, m, D", [(300, 1, 3), (1, 300, 3), (257, 129, 7), (129, 257, 60), (300, 7, 3)]
+    )
+    def test_pairwise_geodesic_rectangular_bitwise_equals_broadcast(self, n, m, D):
+        rng = np.random.default_rng(n * m + D)
+        X, Y = unit_rows(rng, n, D), unit_rows(rng, m, D)
+        assert np.array_equal(pairwise_geodesic(X, Y), broadcast_geodesic(X, Y))
+
+    def test_pairwise_geodesic_duplicate_rows_exactly_zero(self):
+        rng = np.random.default_rng(8)
+        X = unit_rows(rng, 40, 5)[rng.integers(40, size=300)]
+        Dm = pairwise_geodesic(X)
+        same = np.all(X[:, None, :] == X[None, :, :], axis=-1)
+        assert np.all(Dm[same] == 0.0)
+        assert np.all(Dm[~same] > 0.0)
+        assert np.array_equal(Dm, Dm.T)
+
+    def test_pairwise_geodesic_memory_is_the_output(self):
+        n = 2000
+        X = unit_rows(np.random.default_rng(9), n, 3)
+        assert peak_alloc_bytes(pairwise_geodesic, X) <= 8 * n * n + 2 * 2**20
