@@ -63,12 +63,12 @@ from .transport import mw2, pairwise_mw2, save_result, solve_transportation
 # bench/traced.py looks up this name and times the rows of distmat by it
 from .transport import _mw2_row as _mw2_pair  # noqa: F401
 from .triangles import (
-    hopf_backward,
-    hopf_forward,
-    load_triangles,
-    point_to_angles,
+    load_angles,
+    load_vertices,
+    save_sphere_points,
     save_triangles,
-    triangle_preshape,
+    sphere_to_triangles,
+    triangles_to_sphere,
 )
 
 _NUMERICAL_ERRORS = (
@@ -250,32 +250,12 @@ def cmd_changepoint(args) -> int:
 
 def cmd_triangles(args) -> int:
     if args.mode == "forward":
-        triangles = load_triangles(args.input)
-        rows = []
-        for t in triangles:
-            p = hopf_forward(triangle_preshape(t))
-            theta, phi = point_to_angles(p)
-            rows.append([theta, phi, *p.coords])
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("theta,phi,x,y,z\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        _emit({"triangles": len(rows), "out": str(args.out)})
+        Y, theta, phi = triangles_to_sphere(load_vertices(args.input))
+        save_sphere_points(args.out, Y, theta, phi)
     else:
-        with open(args.input, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if lines and lines[0].lstrip("#").split(",")[0].strip() in ("theta", "psi"):
-            lines = lines[1:]
-        if not lines:
-            raise ValueError("angle file contains no data rows")
-        triangles = []
-        for ln in lines:
-            vals = [float(v) for v in ln.split(",")]
-            if len(vals) not in (2, 3):
-                raise ValueError("each row needs theta,phi or theta,phi,psi")
-            triangles.append(hopf_backward(*vals))
-        save_triangles(args.out, triangles)
-        _emit({"triangles": len(triangles), "out": str(args.out)})
+        Y = sphere_to_triangles(*load_angles(args.input).T)
+        save_triangles(args.out, Y)
+    _emit({"triangles": len(Y), "out": str(args.out)})
     return 0
 
 
@@ -359,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_changepoint)
 
     p = sub.add_parser("triangles", help="map triangles to sphere points and back")
-    p.add_argument("input", help="triangles.csv (forward) or theta,phi CSV (backward)")
+    p.add_argument("input", help="triangles.csv (forward) or an angle or sphere CSV (backward)")
     p.add_argument("--mode", choices=("forward", "backward"), default="forward")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_triangles)

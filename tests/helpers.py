@@ -1,5 +1,6 @@
 """Shared builders for random test fixtures."""
 
+import csv
 import tracemalloc
 
 import numpy as np
@@ -51,3 +52,55 @@ def peak_alloc_bytes(f, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def rowwise_shape_points(V):
+    """Sphere rows, theta and phi of (n, 3, 2) triangles by the per-row
+    code that triangles_to_sphere replaced: one complex preshape, Hopf map
+    and Point per row."""
+    rows, thetas, phis = [], [], []
+    for v in V:
+        z = v[:, 0] + 1j * v[:, 1]
+        z = z - z.mean()
+        z = z / np.linalg.norm(z)
+        z1, z2 = z[0], z[1]
+        w = 2.0 * z1 * np.conj(z2)
+        y = np.array([w.real, w.imag, abs(z2) ** 2 - abs(z1) ** 2])
+        p = Point(y / np.linalg.norm(y))
+        x1, x2, x3 = p.coords
+        rows.append(p.coords)
+        thetas.append(float(np.arccos(np.clip(x3, -1.0, 1.0))))
+        phis.append(float(np.arctan2(x2, x1)))
+    return np.array(rows), np.array(thetas), np.array(phis)
+
+
+def rowwise_triangles(angle_rows):
+    """(n, 3, 2) vertices of theta,phi[,psi] rows by the per-row code that
+    sphere_to_triangles replaced, with Python floats as it parsed them."""
+    out = []
+    for vals in angle_rows:
+        theta, phi, psi = (list(vals) + [0.0])[:3]
+        s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
+        x11 = np.cos((psi + phi) / 2.0) * s
+        x12 = np.sin((psi + phi) / 2.0) * s
+        x21 = np.cos((psi - phi) / 2.0) * c
+        x22 = np.sin((psi - phi) / 2.0) * c
+        out.append([[x11, x12], [x21, x22], [-(x11 + x21), -(x12 + x22)]])
+    return np.array(out)
+
+
+def rowwise_save_triangles(path, V):
+    """triangles.csv as the per-row csv.writer wrote it."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x11", "x12", "x21", "x22", "x31", "x32"])
+        for v in V:
+            writer.writerow([f"{x:.17g}" for x in v.ravel()])
+
+
+def rowwise_save_sphere_points(path, Y, theta, phi):
+    """The forward map's theta,phi,x,y,z file as the per-row loop wrote it."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("theta,phi,x,y,z\n")
+        for row in zip(theta.tolist(), phi.tolist(), *Y.T):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

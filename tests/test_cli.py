@@ -16,7 +16,7 @@ from bundlemw.geometry import (
     standard_frame,
 )
 from bundlemw.sampling import load_samples, save_samples
-from bundlemw.triangles import Triangle, load_triangles, save_triangles
+from bundlemw.triangles import Triangle, hopf_backward, load_triangles, save_triangles
 
 
 @pytest.fixture
@@ -361,6 +361,34 @@ class TestTriangles:
         )
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "mode, rows, code, error",
+        [
+            # a degenerate triangle in row 2 of 3
+            ("forward", "x11,x12,x21,x22,x31,x32\n0,0,1,0,0,1\n2,2,2,2,2,2\n0,0,2,0,1,1.7\n",
+             3, "DegenerateTriangle"),
+            ("forward", "0,0,1,0,0,1\n0,nan,1,0,0,1\n", 2, "ValueError"),
+            ("backward", "theta,phi\n0.5,0.1\n1.0,0.2\n3.2,0.3\n", 2, "ValueError"),
+        ],
+    )
+    def test_failing_row_writes_no_output(self, workspace, capsys, mode, rows, code, error):
+        tmp, _ = workspace
+        (tmp / "in.csv").write_text(rows)
+        assert run(["triangles", tmp / "in.csv", "--mode", mode, "--out", tmp / "out.csv"]) == code
+        assert json.loads(capsys.readouterr().err)["error"] == error
+        assert not (tmp / "out.csv").exists()
+
+    def test_mixed_angle_rows_take_psi_zero(self, workspace, capsys):
+        tmp, _ = workspace
+        (tmp / "angles.csv").write_text("theta,phi,psi\n0.5,0.1\n1.0,0.2,0.7\n2.0,-1.0\n")
+        assert run(
+            ["triangles", tmp / "angles.csv", "--mode", "backward", "--out", tmp / "t.csv"]
+        ) == 0
+        capsys.readouterr()
+        expect = [hopf_backward(0.5, 0.1), hopf_backward(1.0, 0.2, 0.7), hopf_backward(2.0, -1.0)]
+        for t, e in zip(load_triangles(tmp / "t.csv"), expect, strict=True):
+            assert np.array_equal(t.vertices, e.vertices)
 
 
 class TestContours:

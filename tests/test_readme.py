@@ -1,10 +1,15 @@
-"""The Python quick start in README.md runs as written and gives the
-numbers it quotes."""
+"""The Python quick start and the triangles commands in README.md run as
+written and give what the README says."""
 
 import re
+import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from bundlemw import cli
+from bundlemw.triangles import Triangle, load_triangles, save_triangles, triangle_shape_distance
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,3 +21,20 @@ def test_quick_start_runs():
     exec(compile(code, str(README), "exec"), ns)
     assert ns["result"].distance == pytest.approx(0.40427, abs=1e-5)
     assert ns["mw2"](ns["estimate"], ns["mix1"]).distance < 0.05
+
+
+def test_triangles_round_trip_runs(tmp_path, monkeypatch):
+    section = README.read_text(encoding="utf-8").split("### triangles", 1)[1]
+    commands = re.search(r"```sh\n(.*?)```", section, re.S).group(1).splitlines()
+    rng = np.random.default_rng(0)
+    triangles = [Triangle(rng.standard_normal((3, 2))) for _ in range(20)]
+    save_triangles(tmp_path / "triangles.csv", triangles)
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        program, *args = shlex.split(line)
+        assert program == "bundlemw"
+        assert cli.main(args) == 0
+    rebuilt = load_triangles(tmp_path / "rebuilt.csv")
+    assert len(rebuilt) == len(triangles)
+    for t0, t1 in zip(triangles, rebuilt):
+        assert triangle_shape_distance(t0, t1) <= 1e-9
