@@ -50,13 +50,7 @@ from .errors import (
 )
 from .estimation import KMODES_MAX_POINTS, fit_mixture, kmodes_cluster, riemannian_kmeans
 from .estimation import save_clustering
-from .gauss import (
-    BundleGaussian,
-    GaussianMixture,
-    load_mixture,
-    mixture_from_dict,
-    save_mixture,
-)
+from .gauss import GaussianMixture, load_mixture, mixture_from_dict, save_mixture
 from .geometry import _unit_rows, frechet_mean, load_frame, pairwise_geodesic, standard_frame
 from .sampling import load_samples, sample_mixture, save_samples
 from .transport import mw2, pairwise_mw2, save_result, solve_transportation
@@ -124,13 +118,7 @@ def cmd_simulate(args) -> int:
     for field in ("weights", "components"):
         if field not in mix_section:
             raise _config_error(f"mixture.{field}", "missing")
-    mix = mixture_from_dict(
-        {
-            "frame": cfg["frame"],
-            "weights": mix_section["weights"],
-            "components": mix_section["components"],
-        }
-    )
+    mix = mixture_from_dict(dict(mix_section, frame=cfg["frame"]))
     stats = {}
     X, labels = sample_mixture(mix, n, seed, stats=stats)
     save_samples(args.out, X, labels)
@@ -276,9 +264,7 @@ def cmd_contours(args) -> int:
         mean = frechet_mean(np.array([q.flat for q in aligned]))
         mean_shape = SrvfShape(mean.coords.reshape(2, T))
         _, cov = shape_statistics(aligned, mean_shape, frame=sphere_frame)
-        mix = GaussianMixture(
-            [1.0], [BundleGaussian(mean, cov)], sphere_frame
-        )
+        mix = GaussianMixture([1.0], mean.coords[None], cov[None], sphere_frame)
         path = outdir / f"{name}.json"
         save_mixture(path, mix)
         written.append(str(path))

@@ -22,15 +22,15 @@ import numpy as np
 
 from ._jsonfile import read_json, write_json
 from .errors import ClusterTooSmall, DegenerateContour, DimensionMismatch, NoConvergence
-from .gauss import CovarianceMatrix
 from .geometry import (
     MovingFrame,
     Point,
+    _unit_rows,
     frechet_mean,
     geodesic_distance,
     log_batch,
     standard_frame,
-    transport_frame,
+    transported_basis,
 )
 
 
@@ -224,25 +224,24 @@ def shape_statistics(
     aligned,
     mean: SrvfShape,
     frame: MovingFrame = None,
-) -> tuple[np.ndarray, CovarianceMatrix]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Shooting-vector coordinates and covariance of aligned shapes.
 
     Logs of the aligned shapes at the mean are expressed in ``frame``
     transported to the mean (default: the standard frame at e_1 on
-    S^{2T-1}); the covariance is their Gram matrix with the n-1 divisor.
-    Its rank is at most n-1.
+    S^{2T-1}); the covariance is their Gram matrix with the n-1 divisor,
+    a d x d array checked when it enters a mixture.  Its rank is at most
+    n-1.
     """
     if len(aligned) < 2:
         raise ClusterTooSmall("need at least two shapes for a covariance")
     T = mean.T
     if frame is None:
         frame = standard_frame(2 * T)
-    m = Point(mean.flat)
-    local = transport_frame(frame, m)
+    m = _unit_rows(mean.flat[None])[0]
     X = np.array([s.flat for s in aligned])
-    V = log_batch(m.coords, X) @ local.matrix.T
-    cov = V.T @ V / (len(aligned) - 1)
-    return V, CovarianceMatrix(cov)
+    V = log_batch(m, X) @ transported_basis(frame, m).T
+    return V, V.T @ V / (len(aligned) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,15 @@ import numpy as np
 from ._jsonfile import read_json, write_json
 from .changepoint import check_distmat
 from .errors import ClusterTooSmall, EmptyCluster
-from .gauss import BundleGaussian, CovarianceMatrix, GaussianMixture, normalize_minimal_form
+from .gauss import GaussianMixture, normalize_minimal_form
 from .geometry import (
     _BLOCK_CELLS,
     MovingFrame,
-    Point,
     _unit_rows,
     frechet_mean,
     log_batch,
     pairwise_geodesic,
-    transport_frame,
+    transported_basis,
 )
 
 OUTLIER = -1
@@ -206,25 +205,22 @@ def fit_mixture(X, clustering: Clustering, frame: MovingFrame) -> GaussianMixtur
     total = int(np.sum(clustering.labels != OUTLIER))
     if total == 0:
         raise ClusterTooSmall("all points are outliers")
-    comps = []
-    weights = []
-    for k in range(clustering.K):
-        idx = np.flatnonzero(clustering.labels == k)
+    members = [np.flatnonzero(clustering.labels == k) for k in range(clustering.K)]
+    for k, idx in enumerate(members):
         if idx.size < 2:
             raise ClusterTooSmall(f"cluster {k} has {idx.size} members, needs at least 2")
-        if clustering.centers is not None:
-            m = Point(clustering.centers[k])
-        elif clustering.modes is not None:
-            m = Point(X[clustering.modes[k]])
-        else:
-            m = frechet_mean(X[idx])
-        local = transport_frame(frame, m)
-        V = log_batch(m.coords, X[idx]) @ local.matrix.T
-        cov = V.T @ V / (idx.size - 1)
-        comps.append(BundleGaussian(m, CovarianceMatrix(cov)))
-        weights.append(idx.size / total)
-    mix = GaussianMixture(weights, comps, frame)
-    return normalize_minimal_form(mix)
+    if clustering.centers is not None:
+        means = _unit_rows(clustering.centers)
+    elif clustering.modes is not None:
+        means = _unit_rows(X[clustering.modes])
+    else:
+        means = np.array([frechet_mean(X[idx]).coords for idx in members])
+    covs = []
+    for m, idx in zip(means, members):
+        V = log_batch(m, X[idx]) @ transported_basis(frame, m).T
+        covs.append(V.T @ V / (idx.size - 1))
+    weights = [idx.size / total for idx in members]
+    return normalize_minimal_form(GaussianMixture(weights, means, covs, frame))
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,17 @@ basis between two basepoints the identity and reduces the squared
 
     d(m0, m1)^2 + tr(S0 + S1 - 2 (S0^{1/2} S1 S0^{1/2})^{1/2}).
 
-Mixtures carry the frame they are expressed in so that distances between
-mixtures from different frames can be rejected early.
+A mixture is three arrays, weights (K,), means (K, D) and covariances
+(K, d, d), plus the frame they are expressed in, so that distances between
+mixtures from different frames can be rejected early.  Means are scaled to
+unit length only where basepoints enter from JSON (:func:`mixture_from_dict`);
+the mixture checks them but never normalizes or wraps them in a ``Point``
+again, since normalizing a unit row moves its last bit in about a third of
+rows.  :class:`BundleGaussian` and :class:`CovarianceMatrix` are the
+one-component API, one-pair or one-matrix calls of the array code.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -24,46 +28,57 @@ from .geometry import (
     ANTIPODE_TOL,
     MovingFrame,
     Point,
+    _unit_rows,
     build_reference_frame,
     frame_from_dict,
     frame_to_dict,
     frames_equal,
-    geodesic_distance,
     pairwise_geodesic,
 )
 
 
-class CovarianceMatrix:
-    """Symmetric positive semidefinite d x d matrix.
+def _check_covs(S) -> np.ndarray:
+    """The stack S (K, d, d) of covariances, checked and symmetric.
 
-    Inputs asymmetric beyond 1e-6 are rejected; smaller asymmetry is
-    symmetrized away.  Eigenvalues below -1e-10 are rejected, negative
-    roundoff above that is tolerated and clamped to zero where it matters
-    (square roots, Bures terms).
+    Asymmetry beyond 1e-6 is rejected and below it symmetrized away; an
+    exactly symmetric stack comes back as it is.  Eigenvalues below -1e-10,
+    from one stacked ``eigvalsh``, are rejected; smaller negative roundoff is
+    clamped to zero where it matters (square roots, Bures terms).
     """
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 3 or S.shape[1] != S.shape[2]:
+        raise ValueError("covariance must be a square matrix")
+    if not np.isfinite(S).all():
+        raise ValueError("covariance entries must be finite")
+    ST = np.swapaxes(S, 1, 2)
+    if np.max(np.abs(S - ST)) > 1e-6:
+        raise NotSymmetric("covariance asymmetry exceeds 1e-6")
+    if not np.array_equal(S, ST):
+        S = 0.5 * (S + ST)
+    if np.min(np.linalg.eigvalsh(S)) < -1e-10:
+        raise DegenerateMatrix("covariance has an eigenvalue below -1e-10")
+    return S
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if it is read-only, else a read-only copy."""
+    a = a.copy() if a.flags.writeable else a
+    a.setflags(write=False)
+    return a
+
+
+class CovarianceMatrix:
+    """Symmetric positive semidefinite d x d matrix, checked as
+    :func:`_check_covs` checks a stack."""
 
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        m = np.asarray(mat, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("covariance must be a square matrix")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("covariance entries must be finite")
-        if np.max(np.abs(m - m.T)) > 1e-6:
-            raise NotSymmetric("covariance asymmetry exceeds 1e-6")
-        m = 0.5 * (m + m.T)
-        if np.min(np.linalg.eigvalsh(m)) < -1e-10:
-            raise DegenerateMatrix("covariance has an eigenvalue below -1e-10")
-        self.mat = m
+        self.mat = _check_covs(np.array(mat, dtype=float)[None])[0]
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    @classmethod
-    def zero(cls, d: int) -> "CovarianceMatrix":
-        return cls(np.zeros((d, d)))
 
     def __repr__(self) -> str:
         return f"CovarianceMatrix({np.array2string(self.mat, precision=6)})"
@@ -73,16 +88,37 @@ def _as_cov(S) -> CovarianceMatrix:
     return S if isinstance(S, CovarianceMatrix) else CovarianceMatrix(S)
 
 
+def _psd_roots(S: np.ndarray) -> np.ndarray:
+    """PSD square roots (K, d, d) of the stack S, from one stacked ``eigh``."""
+    evals, evecs = np.linalg.eigh(S)
+    return (evecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]) @ np.swapaxes(evecs, 1, 2)
+
+
+def _bures(roots0: np.ndarray, S0: np.ndarray, S1: np.ndarray) -> np.ndarray:
+    """K0 x K1 Bures terms between the stacks S0 and S1, given the PSD
+    square roots of S0.  The cross terms S0^{1/2} S1 S0^{1/2} come from one
+    batched ``matmul``, O(K0 K1 d^3), and their eigenvalues from one stacked
+    ``eigvalsh``.  Identical pairs are exactly zero."""
+    tr0 = np.trace(S0, axis1=1, axis2=2)
+    tr1 = np.trace(S1, axis1=1, axis2=2)
+    inner = roots0[:, None] @ S1[None] @ roots0[:, None]
+    inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
+    cross = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum(axis=-1)
+    bures = np.clip(tr0[:, None] + tr1[None, :] - 2.0 * cross, 0.0, None)
+    # identical pairs are exactly at distance zero; zero them out so
+    # roundoff in the eigendecompositions cannot survive the final sqrt
+    bures[(S0[:, None] == S1[None]).all(axis=(-2, -1))] = 0.0
+    return bures
+
+
 def psd_sqrt(S) -> CovarianceMatrix:
     """Symmetric PSD square root via eigendecomposition.
 
     Negative eigenvalues from roundoff are clamped to zero, so the result
     squares back to ``S`` within 1e-8 relative Frobenius error.
     """
-    S = _as_cov(S)
-    evals, evecs = np.linalg.eigh(S.mat)
-    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
-    return CovarianceMatrix(0.5 * (root + root.T))
+    R = _psd_roots(_as_cov(S).mat[None])[0]
+    return CovarianceMatrix(0.5 * (R + R.T))
 
 
 def bures_term(S0, S1) -> float:
@@ -91,19 +127,11 @@ def bures_term(S0, S1) -> float:
     This is the covariance part of the Gaussian 2-Wasserstein distance; it
     is symmetric in its arguments and zero exactly when S0 = S1.
     """
-    S0 = _as_cov(S0)
-    S1 = _as_cov(S1)
-    if S0.dim != S1.dim:
-        raise DimensionMismatch(f"covariance dimensions differ: {S0.dim} vs {S1.dim}")
-    if np.array_equal(S0.mat, S1.mat):
-        return 0.0
-    A = psd_sqrt(S0).mat
-    inner = A @ S1.mat @ A
-    cross_evals = np.linalg.eigvalsh(0.5 * (inner + inner.T))
-    val = float(np.trace(S0.mat) + np.trace(S1.mat)) - 2.0 * float(
-        np.sqrt(np.clip(cross_evals, 0.0, None)).sum()
-    )
-    return max(val, 0.0)
+    S0 = _as_cov(S0).mat[None]
+    S1 = _as_cov(S1).mat[None]
+    if S0.shape != S1.shape:
+        raise DimensionMismatch(f"covariance dimensions differ: {S0.shape[1]} vs {S1.shape[1]}")
+    return float(_bures(_psd_roots(S0), S0, S1)[0, 0])
 
 
 class BundleGaussian:
@@ -120,11 +148,6 @@ class BundleGaussian:
         self.basepoint = basepoint
         self.cov = cov
 
-    @property
-    def dim(self) -> int:
-        """Fiber dimension d."""
-        return self.cov.dim
-
 
 def w2sq_bundle_gaussian(g0: BundleGaussian, g1: BundleGaussian) -> float:
     """Squared 2-Wasserstein distance between two bundle Gaussians.
@@ -136,8 +159,8 @@ def w2sq_bundle_gaussian(g0: BundleGaussian, g1: BundleGaussian) -> float:
     """
     if g0.basepoint.dim != g1.basepoint.dim:
         raise DimensionMismatch("bundle Gaussians live on spheres of different dimension")
-    base = geodesic_distance(g0.basepoint, g1.basepoint)
-    return base * base + bures_term(g0.cov, g1.cov)
+    base = pairwise_geodesic(g0.basepoint.coords[None], g1.basepoint.coords[None])[0, 0]
+    return float(base**2) + bures_term(g0.cov, g1.cov)
 
 
 def w2_bundle_gaussian(g0: BundleGaussian, g1: BundleGaussian) -> float:
@@ -145,37 +168,43 @@ def w2_bundle_gaussian(g0: BundleGaussian, g1: BundleGaussian) -> float:
 
 
 class GaussianMixture:
-    """Finite mixture of bundle Gaussians with a common moving frame.
+    """Finite mixture of bundle Gaussians in a common moving frame, as arrays.
 
-    ``weights`` must be a probability vector (nonnegative, summing to one
-    within 1e-10).  Every basepoint must lie off the puncture of the frame,
-    since covariances are interpreted in the frame transported to it.
+    ``weights`` (K,) must be a probability vector: finite, nonnegative and
+    summing to one within 1e-10.  ``means`` (K, D) must be unit rows within
+    1e-10, and are checked, not normalized again.  Every mean must lie off
+    the puncture of the frame, since the covariances ``covs`` (K, d, d) are
+    interpreted in the frame transported to it.  The three arrays are
+    stored read-only, so mixtures can share them.
     """
 
-    __slots__ = ("weights", "components", "frame")
+    __slots__ = ("weights", "means", "covs", "frame")
 
-    def __init__(self, weights, components: Sequence[BundleGaussian], frame: MovingFrame):
-        w = np.asarray(weights, dtype=float)
-        components = tuple(components)
-        if len(components) == 0:
+    def __init__(self, weights, means, covs, frame: MovingFrame):
+        S = np.asarray(covs, dtype=float)
+        if len(S) == 0:
             raise ValueError("a mixture needs at least one component")
-        if w.shape != (len(components),):
+        S = _check_covs(S)
+        M = np.asarray(means, dtype=float)
+        if M.shape != (len(S), frame.p.dim) or S.shape[1] != frame.dim:
+            raise DimensionMismatch("component dimension does not match the frame")
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (len(S),):
             raise ValueError("weights and components have different lengths")
-        if np.any(w < -1e-10) or abs(float(w.sum()) - 1.0) > 1e-10:
-            raise ValueError("weights must be a probability vector (sum 1 within 1e-10)")
-        d = frame.dim
-        for g in components:
-            if g.dim != d or g.basepoint.dim != frame.p.dim:
-                raise DimensionMismatch("component dimension does not match the frame")
-            if float(g.basepoint.coords @ frame.p.coords) <= -1.0 + ANTIPODE_TOL:
-                raise ValueError("component basepoint sits at the puncture of the frame")
-        self.weights = np.clip(w, 0.0, None)
-        self.components = components
+        if not np.isfinite(w).all() or np.any(w < -1e-10) or abs(float(w.sum()) - 1.0) > 1e-10:
+            raise ValueError("weights must be a finite probability vector (sum 1 within 1e-10)")
+        if not (np.abs(np.sqrt(np.vecdot(M, M)) - 1.0) <= 1e-10).all():
+            raise ValueError("component basepoints must be unit vectors")
+        if np.any(np.vecdot(M, frame.p.coords) <= -1.0 + ANTIPODE_TOL):
+            raise ValueError("component basepoint sits at the puncture of the frame")
+        self.weights = _frozen(np.clip(w, 0.0, None))
+        self.means = _frozen(M)
+        self.covs = _frozen(S)
         self.frame = frame
 
     @property
     def K(self) -> int:
-        return len(self.components)
+        return self.weights.size
 
     @property
     def dim(self) -> int:
@@ -194,35 +223,27 @@ def normalize_minimal_form(mix: GaussianMixture, tol: float = 1e-9) -> GaussianM
 
     Components whose basepoints are within geodesic distance ``tol`` and
     whose covariances are within Frobenius distance ``tol`` are merged by
-    summing their weights; the earliest component of each group supplies
-    the representative basepoint and covariance.
+    summing their weights in component order; the earliest component of
+    each group supplies the representative basepoint and covariance.
     """
-    reps: list[BundleGaussian] = []
+    near = pairwise_geodesic(mix.means) <= tol
+    flat = mix.covs.reshape(mix.K, -1)
+    reps: list[int] = []
     weights: list[float] = []
-    for wk, g in zip(mix.weights, mix.components):
-        for i, r in enumerate(reps):
-            if (
-                geodesic_distance(g.basepoint, r.basepoint) <= tol
-                and np.linalg.norm(g.cov.mat - r.cov.mat) <= tol
-            ):
-                weights[i] += float(wk)
-                break
+    for k, wk in enumerate(mix.weights):
+        diff = flat[reps] - flat[k]
+        match = near[k, reps] & (np.sqrt(np.vecdot(diff, diff)) <= tol)
+        if match.any():
+            weights[int(np.argmax(match))] += float(wk)
         else:
-            reps.append(g)
+            reps.append(k)
             weights.append(float(wk))
-    kept = [(w, g) for w, g in zip(weights, reps) if w > 1e-15]
+    kept = [(w, k) for w, k in zip(weights, reps) if w > 1e-15]
     if not kept:
         raise ValueError("all components have zero weight")
     w = np.array([k[0] for k in kept])
-    return GaussianMixture(w / w.sum(), [k[1] for k in kept], mix.frame)
-
-
-def _psd_roots(mix: GaussianMixture) -> np.ndarray:
-    """PSD square roots (K, d, d) of the covariances, from one stacked ``eigh``."""
-    evals, evecs = np.linalg.eigh(np.stack([g.cov.mat for g in mix.components]))
-    return (evecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]) @ np.transpose(
-        evecs, (0, 2, 1)
-    )
+    idx = [k[1] for k in kept]
+    return GaussianMixture(w / w.sum(), mix.means[idx], mix.covs[idx], mix.frame)
 
 
 def pairwise_w2sq(
@@ -230,15 +251,11 @@ def pairwise_w2sq(
 ) -> np.ndarray:
     """K0 x K1 matrix of squared W2 distances between all component pairs.
 
-    Batched equivalent of calling :func:`w2sq_bundle_gaussian` on the grid.
-    The square roots of mix0's covariances come from one stacked ``eigh``;
-    the K0 x K1 cross terms S0^{1/2} S1 S0^{1/2} come from one batched
-    ``matmul`` and their eigenvalues from one stacked ``eigvalsh``.
-    Identical covariances give an exactly zero Bures term.
-
-    ``roots0`` may hold those square roots, (K0, d, d), as ``_psd_roots``
-    computes them, so that a mixture paired with many others is factored
-    once; the result is the same bit for bit.
+    Batched equivalent of calling :func:`w2sq_bundle_gaussian` on the grid:
+    squared geodesic distances between the means plus :func:`_bures`.
+    ``roots0`` may hold the PSD square roots of mix0's covariances, as
+    ``_psd_roots`` computes them, so that a mixture paired with many others
+    is factored once; the result is the same bit for bit.
 
     Raises
     ------
@@ -247,24 +264,9 @@ def pairwise_w2sq(
     """
     check_same_frame(mix0, mix1)
     if roots0 is None:
-        roots0 = _psd_roots(mix0)
-    M0 = np.array([g.basepoint.coords for g in mix0.components])
-    M1 = np.array([g.basepoint.coords for g in mix1.components])
-    base = pairwise_geodesic(M0, M1) ** 2
-
-    S0 = np.stack([g.cov.mat for g in mix0.components])
-    S1 = np.stack([g.cov.mat for g in mix1.components])
-    tr0 = np.trace(S0, axis1=1, axis2=2)
-    tr1 = np.trace(S1, axis1=1, axis2=2)
-    # S0^{1/2} S1 S0^{1/2} for every pair by batched matmul, O(K0 K1 d^3)
-    inner = roots0[:, None] @ S1[None] @ roots0[:, None]
-    inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
-    cross = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum(axis=-1)
-    bures = np.clip(tr0[:, None] + tr1[None, :] - 2.0 * cross, 0.0, None)
-    # identical component pairs are exactly at distance zero; zero them out
-    # so roundoff in the eigendecompositions cannot survive the final sqrt
-    bures[(S0[:, None] == S1[None]).all(axis=(-2, -1))] = 0.0
-    return base + bures
+        roots0 = _psd_roots(mix0.covs)
+    base = pairwise_geodesic(mix0.means, mix1.means) ** 2
+    return base + _bures(roots0, mix0.covs, mix1.covs)
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +277,17 @@ def mixture_to_dict(mix: GaussianMixture) -> dict:
         "frame": frame_to_dict(mix.frame),
         "weights": mix.weights.tolist(),
         "components": [
-            {"basepoint": g.basepoint.coords.tolist(), "cov": g.cov.mat.tolist()}
-            for g in mix.components
+            {"basepoint": m, "cov": S} for m, S in zip(mix.means.tolist(), mix.covs.tolist())
         ],
     }
 
 
 def mixture_from_dict(data: dict) -> GaussianMixture:
+    """The mixture of a mixture.json dict; basepoints need not be unit."""
     frame = frame_from_dict(data["frame"])
-    comps = [
-        BundleGaussian(Point(c["basepoint"]), CovarianceMatrix(np.asarray(c["cov"], dtype=float)))
-        for c in data["components"]
-    ]
-    return GaussianMixture(data["weights"], comps, frame)
+    comps = data["components"]
+    means = _unit_rows([c["basepoint"] for c in comps])
+    return GaussianMixture(data["weights"], means, [c["cov"] for c in comps], frame)
 
 
 def save_mixture(path, mix: GaussianMixture) -> None:
@@ -303,4 +303,4 @@ def single_gaussian_mixture(g: BundleGaussian, frame=None) -> GaussianMixture:
     deterministic frame at the basepoint)."""
     if frame is None:
         frame = build_reference_frame(g.basepoint, rng_seed=0)
-    return GaussianMixture([1.0], [g], frame)
+    return GaussianMixture([1.0], g.basepoint.coords[None], g.cov.mat[None], frame)

@@ -106,24 +106,30 @@ class MovingFrame:
     __slots__ = ("p", "matrix")
 
     def __init__(self, p: Point, basis):
-        B = np.array(basis, dtype=float)
-        d = p.dim - 1
-        if B.shape != (d, p.dim):
-            raise ValueError(f"frame basis must be {d} x {p.dim}, got shape {B.shape}")
-        normal = np.vecdot(B, p.coords)
-        if np.any(np.abs(normal) > 1e-10 * np.maximum(1.0, _last_axis_norm(B))):
-            raise ValueError("frame basis vectors must be tangent at the frame point")
-        B -= np.outer(normal, p.coords)
-        if np.max(np.abs(B @ B.T - np.eye(d))) > 1e-10:
-            raise ValueError("frame basis is not orthonormal")
-        B.setflags(write=False)
         self.p = p
-        self.matrix = B
+        self.matrix = _tangent_basis(p.coords, basis)
 
     @property
     def dim(self) -> int:
         """Fiber dimension d = D - 1."""
         return self.matrix.shape[0]
+
+
+def _tangent_basis(p: np.ndarray, basis) -> np.ndarray:
+    """``basis`` checked and projected as :class:`MovingFrame` describes,
+    for the unit vector p; returned as a new read-only d x D array."""
+    B = np.array(basis, dtype=float)
+    d = p.size - 1
+    if B.shape != (d, p.size):
+        raise ValueError(f"frame basis must be {d} x {p.size}, got shape {B.shape}")
+    normal = np.vecdot(B, p)
+    if np.any(np.abs(normal) > 1e-10 * np.maximum(1.0, _last_axis_norm(B))):
+        raise ValueError("frame basis vectors must be tangent at the frame point")
+    B -= np.outer(normal, p)
+    if np.max(np.abs(B @ B.T - np.eye(d))) > 1e-10:
+        raise ValueError("frame basis is not orthonormal")
+    B.setflags(write=False)
+    return B
 
 
 def sphere_exp(p: Point, v: TangentVector) -> Point:
@@ -280,6 +286,15 @@ def transport_frame(frame: MovingFrame, m: Point) -> MovingFrame:
     if np.array_equal(frame.p.coords, m.coords):
         return frame
     return MovingFrame(m, transport_batch(frame.matrix, frame.p.coords, m.coords))
+
+
+def transported_basis(frame: MovingFrame, m: np.ndarray) -> np.ndarray:
+    """The basis of F(m) at the unit vector m, as a read-only d x D array:
+    bitwise ``transport_frame(frame, q).matrix`` for a Point q whose
+    coordinates are m, without building q."""
+    if np.array_equal(frame.p.coords, m):
+        return frame.matrix
+    return _tangent_basis(m, transport_batch(frame.matrix, frame.p.coords, m))
 
 
 def tangent_coordinates(frame: MovingFrame, v: TangentVector) -> np.ndarray:

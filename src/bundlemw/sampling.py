@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NoConvergence
 from .gauss import BundleGaussian, GaussianMixture
-from .geometry import MovingFrame, exp_batch, transport_frame
+from .geometry import MovingFrame, exp_batch, transported_basis
 
 _MAX_REDRAW_ROUNDS = 1000
 
@@ -37,16 +37,13 @@ def _cov_factor(cov: np.ndarray) -> np.ndarray:
     return evecs * np.sqrt(np.clip(evals, 0.0, None))
 
 
-def _draw_points(
-    g: BundleGaussian,
-    frame: MovingFrame,
-    n: int,
-    rng: np.random.Generator,
-    stats: Optional[dict] = None,
-) -> np.ndarray:
-    local = transport_frame(frame, g.basepoint)
-    L = _cov_factor(g.cov.mat)
-    d = g.dim
+def _draw_points(m: np.ndarray, cov: np.ndarray, frame: MovingFrame, n: int,
+                 rng: np.random.Generator, stats: Optional[dict] = None) -> np.ndarray:
+    """n points from the bundle Gaussian with unit basepoint m and frame
+    covariance cov."""
+    basis = transported_basis(frame, m)
+    L = _cov_factor(cov)
+    d = cov.shape[0]
     coords = rng.standard_normal((n, d)) @ L.T
     rejected = 0
     for _ in range(_MAX_REDRAW_ROUNDS):
@@ -61,8 +58,8 @@ def _draw_points(
     if stats is not None:
         stats["rejected"] = stats.get("rejected", 0) + rejected
         stats["accepted"] = stats.get("accepted", 0) + n
-    V = coords @ local.matrix
-    return exp_batch(g.basepoint.coords, V)
+    V = coords @ basis
+    return exp_batch(m, V)
 
 
 def sample_gaussian(
@@ -79,7 +76,7 @@ def sample_gaussian(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _draw_points(g, frame, n, _component_rng(seed, 0), stats)
+    return _draw_points(g.basepoint.coords, g.cov.mat, frame, n, _component_rng(seed, 0), stats)
 
 
 def sample_mixture(
@@ -105,7 +102,7 @@ def sample_mixture(
         if idx.size == 0:
             continue
         X[idx] = _draw_points(
-            mix.components[k], mix.frame, idx.size, _component_rng(seed, k), stats
+            mix.means[k], mix.covs[k], mix.frame, idx.size, _component_rng(seed, k), stats
         )
     return X, labels
 

@@ -262,7 +262,7 @@ def mw2(
 
 def _mw2_row(mixtures, i: int) -> list:
     """Distances from mixtures[i] to every later mixture, factoring it once."""
-    roots = _psd_roots(mixtures[i])
+    roots = _psd_roots(mixtures[i].covs)
     return [mw2(mixtures[i], mix, roots).distance for mix in mixtures[i + 1 :]]
 
 
@@ -285,7 +285,7 @@ def pairwise_mw2(mixtures) -> np.ndarray:
     # sharing one frame object turns the per-pair frame check into an identity test
     for k, mix in enumerate(mixtures[1:], 1):
         if frames_equal(mixtures[0].frame, mix.frame, tol=0.0):
-            mixtures[k] = GaussianMixture(mix.weights, mix.components, mixtures[0].frame)
+            mixtures[k] = GaussianMixture(mix.weights, mix.means, mix.covs, mixtures[0].frame)
     n = len(mixtures)
     D = np.zeros((n, n))
     for i in range(n - 1):

@@ -92,8 +92,10 @@ def _not_preshape(Z) -> np.ndarray:
     return (np.hypot(s.real, s.imag) > 1e-10) | (np.abs(_norms(Z) - 1.0) > 1e-10)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def preshape_batch(V) -> np.ndarray:
-    """The (n, 3) complex preshapes of (n, 3, 2) vertices."""
+    """The (n, 3) complex preshapes of (n, 3, 2) vertices; rows that overflow
+    fail its checks without a numpy warning."""
     z = V[..., 0] + 1j * V[..., 1]
     z = z - z.mean(axis=1, keepdims=True)
     norm = _norms(z)
@@ -128,9 +130,11 @@ def triangles_to_sphere(V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (Y, *_angles(Y))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sphere_to_triangles(theta, phi, psi) -> np.ndarray:
     """(n, 3, 2) triangles of the shapes given by (n,) arrays theta and phi;
-    psi picks the representative of each similarity class."""
+    psi picks the representative of each similarity class.  Non-finite
+    angles fail its checks without a numpy warning."""
     s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
     a, b = (psi + phi) / 2.0, (psi - phi) / 2.0
     V = np.empty((theta.size, 3, 2))

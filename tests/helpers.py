@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 
-from bundlemw.gauss import BundleGaussian, GaussianMixture
+from bundlemw.gauss import GaussianMixture
 from bundlemw.geometry import Point, build_reference_frame
 
 
@@ -18,12 +18,12 @@ def make_mixture(rng, K, D, frame=None, cov_scale=0.1):
     """Random mixture with basepoints scattered around the frame point."""
     if frame is None:
         frame = build_reference_frame(Point(np.eye(D)[-1]), rng_seed=17)
-    comps = []
+    means, covs = [], []
     for _ in range(K):
-        m = Point(frame.p.coords + 0.8 * rng.standard_normal(D))
-        comps.append(BundleGaussian(m, random_spd(rng, D - 1, cov_scale)))
+        means.append(Point(frame.p.coords + 0.8 * rng.standard_normal(D)).coords)
+        covs.append(random_spd(rng, D - 1, cov_scale))
     w = rng.random(K) + 0.1
-    return GaussianMixture(w / w.sum(), comps, frame)
+    return GaussianMixture(w / w.sum(), means, covs, frame)
 
 
 def broadcast_geodesic(X, Y):
@@ -104,3 +104,23 @@ def rowwise_save_sphere_points(path, Y, theta, phi):
         fh.write("theta,phi,x,y,z\n")
         for row in zip(theta.tolist(), phi.tolist(), *Y.T):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def loop_minimal_form(weights, means, covs, tol=1e-9):
+    """Weights, means and covariances of normalize_minimal_form by the
+    per-component loop it replaced, on lists of rows and matrices: each
+    component joins the first earlier representative within ``tol`` in
+    geodesic and Frobenius distance, weights are summed in component order,
+    and zero weights are dropped before renormalizing."""
+    reps, summed = [], []
+    for w, m, S in zip(weights, means, covs):
+        for i, (r, R) in enumerate(reps):
+            if broadcast_geodesic(m[None], r[None])[0, 0] <= tol and np.linalg.norm(S - R) <= tol:
+                summed[i] += float(w)
+                break
+        else:
+            reps.append((m, S))
+            summed.append(float(w))
+    kept = [(w, r) for w, r in zip(summed, reps) if w > 1e-15]
+    w = np.array([k[0] for k in kept])
+    return w / w.sum(), np.array([k[1][0] for k in kept]), np.array([k[1][1] for k in kept])

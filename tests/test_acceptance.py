@@ -33,6 +33,7 @@ from bundlemw.geometry import (
     standard_frame,
     tangent_from_coordinates,
     transport_frame,
+    transported_basis,
 )
 from bundlemw.sampling import sample_gaussian, sample_mixture
 from bundlemw.transport import mw2, mw2_distance, solve_transportation
@@ -47,13 +48,11 @@ from bundlemw.triangles import (
 
 def reexpress(mix, new_frame):
     """The same mixture in the coordinates of another moving frame."""
-    comps = []
-    for g in mix.components:
-        old_loc = transport_frame(mix.frame, g.basepoint)
-        new_loc = transport_frame(new_frame, g.basepoint)
-        R = new_loc.matrix @ old_loc.matrix.T
-        comps.append(BundleGaussian(g.basepoint, CovarianceMatrix(R @ g.cov.mat @ R.T)))
-    return GaussianMixture(mix.weights, comps, new_frame)
+    covs = []
+    for m, S in zip(mix.means, mix.covs):
+        R = transported_basis(new_frame, m) @ transported_basis(mix.frame, m).T
+        covs.append(R @ S @ R.T)
+    return GaussianMixture(mix.weights, mix.means, covs, new_frame)
 
 
 def test_01_bures_vs_empirical_optimal_transport():
@@ -148,26 +147,12 @@ def test_05_zero_covariance_reduces_to_basepoint_transport():
         K1 = int(rng.integers(2, 5))
 
         def mk(K):
-            comps = [
-                BundleGaussian(
-                    Point(frame.p.coords + 0.7 * rng.standard_normal(3)),
-                    np.zeros((2, 2)),
-                )
-                for _ in range(K)
-            ]
+            means = [Point(frame.p.coords + 0.7 * rng.standard_normal(3)).coords for _ in range(K)]
             w = rng.random(K) + 0.2
-            return GaussianMixture(w / w.sum(), comps, frame)
+            return GaussianMixture(w / w.sum(), means, np.zeros((K, 2, 2)), frame)
 
         m0, m1 = mk(K0), mk(K1)
-        base = np.array(
-            [
-                [
-                    geodesic_distance(g0.basepoint, g1.basepoint) ** 2
-                    for g1 in m1.components
-                ]
-                for g0 in m0.components
-            ]
-        )
+        base = pairwise_geodesic(m0.means, m1.means) ** 2
         ref = solve_transportation(base, m0.weights, m1.weights)
         assert mw2(m0, m1).distance_sq == ref.cost
 
@@ -182,7 +167,8 @@ def test_06_estimation_round_trip():
     assert np.min(seps[np.triu_indices(3, 1)]) >= 1.0
     truth = GaussianMixture(
         [0.4, 0.35, 0.25],
-        [BundleGaussian(m, CovarianceMatrix(0.01 * np.eye(2))) for m in means],
+        [m.coords for m in means],
+        [0.01 * np.eye(2)] * 3,
         frame,
     )
     points, _ = sample_mixture(truth, 1500, seed=3)
@@ -190,14 +176,14 @@ def test_06_estimation_round_trip():
     est = fit_mixture(points, clustering, frame)
 
     matched = []
-    for g in truth.components:
-        dists = [geodesic_distance(g.basepoint, h.basepoint) for h in est.components]
+    for m in truth.means:
+        dists = [geodesic_distance(Point(m), Point(h)) for h in est.means]
         matched.append(int(np.argmin(dists)))
     assert sorted(matched) == [0, 1, 2]
-    for k, g in enumerate(truth.components):
-        h = est.components[matched[k]]
+    for k, m in enumerate(truth.means):
+        h = est.means[matched[k]]
         assert abs(truth.weights[k] - est.weights[matched[k]]) <= 0.03
-        assert geodesic_distance(g.basepoint, h.basepoint) <= 0.05
+        assert geodesic_distance(Point(m), Point(h)) <= 0.05
     assert mw2_distance(truth, est) <= 0.1
     assert time.perf_counter() - start < 30.0
 
@@ -269,9 +255,7 @@ def test_09_changepoint_synthetic_sequence():
             m = sphere_exp(frame.p, tangent_from_coordinates(frame, v))
             s = 0.01 + 0.002 * rng.random()
             mixes.append(
-                GaussianMixture(
-                    [1.0], [BundleGaussian(m, CovarianceMatrix(s * np.eye(2)))], frame
-                )
+                GaussianMixture([1.0], [m.coords], [s * np.eye(2)], frame)
             )
         return mixes
 

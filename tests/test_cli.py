@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,7 +104,7 @@ class TestFit:
         mix = load_mixture(tmp / "fit" / "mixture.json")
         assert mix.K == 2
         basepoints = sorted(
-            tuple(np.round(g.basepoint.coords, 1)) for g in mix.components
+            tuple(np.round(m, 1)) for m in mix.means
         )
         assert np.allclose(basepoints[0], [0.0, 1.0, 0.0], atol=0.1)
         assert np.allclose(basepoints[1], [1.0, 0.0, 0.0], atol=0.1)
@@ -225,6 +229,50 @@ class TestMw2AndDistmat:
         assert echo["distance"] == 0.0
         plan = json.loads((tmp / "plan.json").read_text())
         assert plan["distance"] == 0.0
+
+    GOOD = {"basepoint": [0.0, 0.6, 0.8], "cov": [[0.01, 0.0], [0.0, 0.02]]}
+
+    @pytest.mark.parametrize(
+        "components, weights, code, error",
+        [
+            ([{"basepoint": [0.0, 0.6, 0.8], "cov": [[0.01, 0.5], [0.0, 0.02]]}],
+             [1.0], 2, "NotSymmetric"),
+            ([{"basepoint": [0.0, 0.6, 0.8], "cov": [[-1.0, 0.0], [0.0, 0.02]]}],
+             [1.0], 3, "DegenerateMatrix"),
+            ([{"basepoint": [-1.0, 0.0, 0.0], "cov": [[0.01, 0.0], [0.0, 0.02]]}],
+             [1.0], 2, "ValueError"),
+            ([{"basepoint": [0.0, 1.0], "cov": [[0.01, 0.0], [0.0, 0.02]]}],
+             [1.0], 2, "DimensionMismatch"),
+            ([{"basepoint": [0.0, 0.6, 0.8]}], [1.0], 2, "KeyError"),
+            ([GOOD, {"basepoint": [0.0, 0.6, 0.8], "cov": [[0.01, 0.5], [0.0, 0.02]]}],
+             [0.5, 0.5], 2, "NotSymmetric"),
+            ([GOOD, {"basepoint": [0.0, 0.6, 0.8], "cov": [[-1.0, 0.0], [0.0, 0.02]]}],
+             [0.5, 0.5], 3, "DegenerateMatrix"),
+            ([GOOD], [float("nan")], 2, "ValueError"),
+        ],
+        ids=["asymmetric", "negative-eigenvalue", "puncture", "short-basepoint", "missing-cov",
+             "second-asymmetric", "second-negative-eigenvalue", "nan-weight"],
+    )
+    def test_malformed_mixture_file(self, workspace, capsys, components, weights, code, error):
+        tmp, config = workspace
+        good, bad = tmp / "good.json", tmp / "bad.json"
+        good.write_text(json.dumps(
+            {"frame": config["frame"], "weights": [1.0], "components": [self.GOOD]}))
+        bad.write_text(json.dumps(
+            {"frame": config["frame"], "weights": weights, "components": components}))
+        assert run(["mw2", bad, good]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] == error
+
+    def test_non_unit_basepoints_accepted(self, workspace, capsys):
+        tmp, config = workspace
+        for name, point in (("a", [0.0, 0.6, 0.8]), ("b", [0.0, 3.0, 4.0])):
+            comp = {"basepoint": point, "cov": self.GOOD["cov"]}
+            (tmp / f"{name}.json").write_text(json.dumps(
+                {"frame": config["frame"], "weights": [1.0], "components": [comp]}))
+        assert run(["mw2", tmp / "a.json", tmp / "b.json"]) == 0
+        assert json.loads(capsys.readouterr().out)["distance"] == 0.0
 
     def test_distmat_shape_and_parallel_agreement(self, workspace, capsys):
         tmp, config = workspace
@@ -378,6 +426,28 @@ class TestTriangles:
         assert run(["triangles", tmp / "in.csv", "--mode", mode, "--out", tmp / "out.csv"]) == code
         assert json.loads(capsys.readouterr().err)["error"] == error
         assert not (tmp / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "mode, rows",
+        [
+            ("backward", "theta,phi\n0.5,inf\n"),
+            ("forward", "x11,x12,x21,x22,x31,x32\n0,0,1e200,0,0,1e200\n"),
+        ],
+        ids=["infinite-phi", "overflowing-vertices"],
+    )
+    def test_nonfinite_rows_print_one_stderr_line(self, workspace, mode, rows):
+        # numpy's RuntimeWarnings go to the real stderr, so run the console command
+        tmp, _ = workspace
+        (tmp / "in.csv").write_text(rows)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        res = subprocess.run(
+            [sys.executable, "-m", "bundlemw.cli", "triangles", "in.csv", "--mode", mode,
+             "--out", "out.csv"],
+            cwd=tmp, env=env, capture_output=True, text=True,
+        )
+        assert res.returncode == 2
+        assert res.stderr.count("\n") == 1
+        assert json.loads(res.stderr)["error"] == "ValueError"
 
     def test_mixed_angle_rows_take_psi_zero(self, workspace, capsys):
         tmp, _ = workspace

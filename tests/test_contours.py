@@ -226,12 +226,12 @@ class TestShapeStatistics:
         q = contour_to_srvf(circle_contour(), T=30)
         V, S = shape_statistics([q, SrvfShape(q.q.copy())], q)
         assert np.max(np.abs(V)) < 1e-12
-        assert np.max(np.abs(S.mat)) < 1e-20
+        assert np.max(np.abs(S)) < 1e-20
 
     def test_rank_bound(self):
         mean, aligned = self.setup_shapes()
         V, S = shape_statistics(aligned, mean)
-        evals = np.linalg.eigvalsh(S.mat)
+        evals = np.linalg.eigvalsh(S)
         n = len(aligned)
         assert np.sum(evals > 1e-14 * max(evals.max(), 1e-30)) <= n - 1
 
@@ -250,7 +250,7 @@ class TestShapeStatistics:
         total = sum(
             geodesic_distance(m, Point(s.flat)) ** 2 for s in aligned
         )
-        assert np.trace(S.mat) == pytest.approx(total / (len(aligned) - 1), abs=1e-10)
+        assert np.trace(S) == pytest.approx(total / (len(aligned) - 1), abs=1e-10)
 
     def test_needs_two_shapes(self):
         q = contour_to_srvf(circle_contour(), T=30)

@@ -14,7 +14,7 @@ from bundlemw.estimation import (
     riemannian_kmeans,
     save_clustering,
 )
-from bundlemw.gauss import BundleGaussian, GaussianMixture
+from bundlemw.gauss import GaussianMixture
 from bundlemw.geometry import (
     Point,
     build_reference_frame,
@@ -283,7 +283,7 @@ class TestFitMixture:
         )
         mix = fit_mixture(pts, clus, frame)
         assert mix.K == 1
-        cov = mix.components[0].cov.mat
+        cov = mix.covs[0]
         assert cov[0, 0] == pytest.approx(2 * a * a, abs=1e-12)
         assert abs(cov[0, 1]) < 1e-12 and abs(cov[1, 1]) < 1e-12
 
@@ -292,8 +292,8 @@ class TestFitMixture:
         p = Point([0.0, 1.0, 0.0])
         clus = Clustering(labels=np.zeros(4, dtype=int), sizes=[4], centers=[p.coords])
         mix = fit_mixture(np.array([p.coords] * 4), clus, frame)
-        assert np.allclose(mix.components[0].cov.mat, 0.0)
-        assert np.allclose(mix.components[0].basepoint.coords, p.coords)
+        assert np.allclose(mix.covs[0], 0.0)
+        assert np.allclose(mix.means[0], p.coords)
 
     def test_small_cluster_rejected(self):
         frame = build_reference_frame(Point([0.0, 0.0, 1.0]), rng_seed=0)
@@ -315,16 +315,14 @@ class TestFitMixture:
         mix = fit_mixture(pts, clus, frame)
         assert mix.weights[0] == pytest.approx(1.0)
         # mode point is used as the mean
-        assert np.array_equal(mix.components[0].basepoint.coords, pts[0])
+        assert np.array_equal(mix.means[0], pts[0])
 
     def test_round_trip_recovery(self):
         frame = build_reference_frame(Point([0.0, 0.0, 1.0]), rng_seed=1)
         truth = GaussianMixture(
             [0.5, 0.5],
-            [
-                BundleGaussian(Point([0.0, 0.0, 1.0]), 0.01 * np.eye(2)),
-                BundleGaussian(Point([1.0, 0.0, 0.0]), 0.01 * np.eye(2)),
-            ],
+            [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+            [0.01 * np.eye(2), 0.01 * np.eye(2)],
             frame,
         )
         pts, _ = sample_mixture(truth, 3000, seed=7)
@@ -332,12 +330,12 @@ class TestFitMixture:
         mix = fit_mixture(pts, clus, frame)
         assert mix.K == 2
         # match fitted components to truth by basepoint
-        for g in truth.components:
-            dists = [geodesic_distance(g.basepoint, h.basepoint) for h in mix.components]
+        for m in truth.means:
+            dists = [geodesic_distance(Point(m), Point(h)) for h in mix.means]
             j = int(np.argmin(dists))
             assert dists[j] < 0.05
             assert abs(mix.weights[j] - 0.5) < 0.03
-            rel = np.linalg.norm(mix.components[j].cov.mat - 0.01 * np.eye(2)) / 0.01 / np.sqrt(2)
+            rel = np.linalg.norm(mix.covs[j] - 0.01 * np.eye(2)) / 0.01 / np.sqrt(2)
             assert rel < 0.10
 
     def test_weights_form_simplex_and_covs_psd(self):
@@ -347,8 +345,8 @@ class TestFitMixture:
         clus = riemannian_kmeans(pts, 3, seed=1)
         mix = fit_mixture(pts, clus, frame)
         assert mix.weights.sum() == pytest.approx(1.0)
-        for g in mix.components:
-            assert np.min(np.linalg.eigvalsh(g.cov.mat)) > -1e-12
+        for S in mix.covs:
+            assert np.min(np.linalg.eigvalsh(S)) > -1e-12
 
 
 class TestClusteringIO:

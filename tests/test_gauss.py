@@ -25,9 +25,9 @@ from bundlemw.gauss import (
     w2_bundle_gaussian,
     w2sq_bundle_gaussian,
 )
-from bundlemw.geometry import Point, build_reference_frame, standard_frame
+from bundlemw.geometry import Point, _unit_rows, build_reference_frame, standard_frame
 
-from helpers import make_mixture, random_spd
+from helpers import loop_minimal_form, make_mixture, random_spd
 
 
 class TestCovarianceMatrix:
@@ -166,24 +166,49 @@ class TestGaussianMixture:
     def test_weight_validation(self):
         p = Point([0.0, 0.0, 1.0])
         f = build_reference_frame(p, rng_seed=0)
-        g = BundleGaussian(p, np.eye(2))
+        means, covs = [p.coords] * 2, [np.eye(2)] * 2
         with pytest.raises(ValueError):
-            GaussianMixture([0.5, 0.4], [g, g], f)
+            GaussianMixture([0.5, 0.4], means, covs, f)
         with pytest.raises(ValueError):
-            GaussianMixture([1.5, -0.5], [g, g], f)
-        GaussianMixture([0.5, 0.5], [g, g], f)
+            GaussianMixture([1.5, -0.5], means, covs, f)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                GaussianMixture([bad, 0.5], means, covs, f)
+        with pytest.raises(ValueError):
+            GaussianMixture([np.nan], means[:1], covs[:1], f)
+        GaussianMixture([0.5, 0.5], means, covs, f)
+
+    def test_means_checked_not_normalized(self):
+        f = standard_frame(3)
+        m = np.array([0.0, 0.6, 0.8 + 2e-16])
+        mix = GaussianMixture([1.0], [m], [np.eye(2)], f)
+        assert np.array_equal(mix.means[0], m)
+        with pytest.raises(ValueError):
+            GaussianMixture([1.0], [2.0 * m], [np.eye(2)], f)
+        with pytest.raises(ValueError):
+            GaussianMixture([1.0], [[np.nan, 0.0, 1.0]], [np.eye(2)], f)
+        with pytest.raises(DimensionMismatch):
+            GaussianMixture([1.0], [m], [np.eye(3)], f)
+
+    def test_arrays_read_only_and_shared(self):
+        rng = np.random.default_rng(3)
+        mix = make_mixture(rng, 2, 3)
+        for a in (mix.weights, mix.means, mix.covs):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        f2 = build_reference_frame(mix.frame.p, rng_seed=4)
+        other = GaussianMixture(mix.weights, mix.means, mix.covs, f2)
+        assert other.means is mix.means and other.covs is mix.covs
 
     def test_basepoint_at_puncture_rejected(self):
         f = standard_frame(3)
-        g = BundleGaussian(Point([-1.0, 0.0, 0.0]), np.eye(2))
         with pytest.raises(ValueError):
-            GaussianMixture([1.0], [g], f)
+            GaussianMixture([1.0], [[-1.0, 0.0, 0.0]], [np.eye(2)], f)
 
     def test_frame_dimension_checked(self):
         f = standard_frame(4)
-        g = BundleGaussian(Point([0.0, 0.0, 1.0]), np.eye(2))
         with pytest.raises(DimensionMismatch):
-            GaussianMixture([1.0], [g], f)
+            GaussianMixture([1.0], [[0.0, 0.0, 1.0]], [np.eye(2)], f)
 
     def test_check_same_frame(self):
         rng = np.random.default_rng(7)
@@ -191,7 +216,7 @@ class TestGaussianMixture:
         m1 = make_mixture(rng, 2, 3)
         check_same_frame(m0, m1)
         f2 = build_reference_frame(m0.frame.p, rng_seed=99)
-        m2 = GaussianMixture(m1.weights, m1.components, f2)
+        m2 = GaussianMixture(m1.weights, m1.means, m1.covs, f2)
         with pytest.raises(FrameMismatch):
             check_same_frame(m0, m2)
 
@@ -200,8 +225,7 @@ class TestNormalizeMinimalForm:
     def test_merges_duplicates(self):
         p = Point([0.0, 0.0, 1.0])
         f = build_reference_frame(p, rng_seed=0)
-        g = BundleGaussian(p, np.eye(2))
-        mix = GaussianMixture([0.5, 0.5], [g, g], f)
+        mix = GaussianMixture([0.5, 0.5], [p.coords] * 2, [np.eye(2)] * 2, f)
         out = normalize_minimal_form(mix)
         assert out.K == 1
         assert out.weights[0] == pytest.approx(1.0)
@@ -217,14 +241,10 @@ class TestNormalizeMinimalForm:
         p = Point([0.0, 0.0, 1.0])
         q = Point([1.0, 0.0, 0.0])
         f = build_reference_frame(p, rng_seed=0)
-        mix = GaussianMixture(
-            [1.0, 0.0],
-            [BundleGaussian(p, np.eye(2)), BundleGaussian(q, np.eye(2))],
-            f,
-        )
+        mix = GaussianMixture([1.0, 0.0], [p.coords, q.coords], [np.eye(2)] * 2, f)
         out = normalize_minimal_form(mix)
         assert out.K == 1
-        assert np.allclose(out.components[0].basepoint.coords, p.coords)
+        assert np.allclose(out.means[0], p.coords)
 
     def test_idempotent(self):
         rng = np.random.default_rng(9)
@@ -240,20 +260,48 @@ class TestNormalizeMinimalForm:
         rng = np.random.default_rng(10)
         mix = make_mixture(rng, 2, 3)
         f = mix.frame
-        g0, g1 = mix.components
         w0, w1 = mix.weights
-        split = GaussianMixture([w1, 0.5 * w0, 0.5 * w0], [g1, g0, g0], f)
+        order = [1, 0, 0]
+        split = GaussianMixture([w1, 0.5 * w0, 0.5 * w0], mix.means[order], mix.covs[order], f)
         out = normalize_minimal_form(split)
         assert out.K == 2
         pairs = {
-            (round(float(w), 12), tuple(np.round(g.basepoint.coords, 10)))
-            for w, g in zip(out.weights, out.components)
+            (round(float(w), 12), tuple(np.round(m, 10)))
+            for w, m in zip(out.weights, out.means)
         }
         expect = {
-            (round(float(w), 12), tuple(np.round(g.basepoint.coords, 10)))
-            for w, g in zip(mix.weights, mix.components)
+            (round(float(w), 12), tuple(np.round(m, 10)))
+            for w, m in zip(mix.weights, mix.means)
         }
         assert pairs == expect
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_former_loop_bit_for_bit(self, seed):
+        # duplicates 0.5e-9 (merged) and 2e-9 (kept) apart in basepoint and
+        # in covariance, zero weights, and a chain 10 -> 10.7 -> 11.4 (x 1e-9)
+        # whose third link is near the second but not the representative
+        rng = np.random.default_rng(seed)
+        f = standard_frame(3)
+        p, t = np.array([0.0, 0.6, 0.8]), np.array([0.0, 0.8, -0.6])
+        E = np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0)
+        S = random_spd(rng, 2)
+        spec = [(0.0, 0.0, 1.0), (0.5e-9, 0.0, 1.0), (0.0, 0.5e-9, 1.0), (0.0, 0.0, 0.0),
+                (2e-9, 0.0, 1.0), (0.0, 2e-9, 1.0), (10e-9, 0.0, 1.0), (10.7e-9, 0.0, 1.0),
+                (11.4e-9, 0.0, 1.0), (20e-9, 0.0, 0.0), (0.0, 0.0, 1.0)]
+        if seed:
+            spec = [spec[i] for i in rng.permutation(len(spec))]
+        means = _unit_rows([np.cos(a) * p + np.sin(a) * t for a, _, _ in spec])
+        covs = [S + e * E for _, e, _ in spec]
+        w = np.array([x for _, _, x in spec]) * rng.uniform(0.5, 1.5, len(spec))
+        mix = GaussianMixture(w / w.sum(), means, covs, f)
+        out = normalize_minimal_form(mix)
+        weights, M, C = loop_minimal_form(mix.weights, list(mix.means), list(mix.covs))
+        # in the listed order: one group at 0, one each at 2e-9, two on the chain
+        assert out.K == 5 if seed == 0 else out.K < mix.K
+        assert np.array_equal(out.weights, weights)
+        assert np.array_equal(out.means, M)
+        assert np.array_equal(out.covs, C)
 
 
 class TestPairwiseAndIO:
@@ -266,7 +314,10 @@ class TestPairwiseAndIO:
         assert P.shape == (3, 5)
         for i in range(3):
             for j in range(5):
-                exact = w2sq_bundle_gaussian(m0.components[i], m1.components[j])
+                exact = w2sq_bundle_gaussian(
+                    BundleGaussian(Point(m0.means[i]), m0.covs[i]),
+                    BundleGaussian(Point(m1.means[j]), m1.covs[j]),
+                )
                 assert P[i, j] == pytest.approx(exact, abs=1e-10)
 
     def test_pairwise_commuting_closed_form(self):
@@ -278,16 +329,12 @@ class TestPairwiseAndIO:
 
         def mix(K):
             evals = rng.uniform(0.1, 1.0, (K, d))
-            comps = [
-                BundleGaussian(Point(f.p.coords + 0.3 * rng.standard_normal(d + 1)),
-                               Q @ np.diag(a) @ Q.T)
-                for a in evals
-            ]
-            return GaussianMixture(np.full(K, 1.0 / K), comps, f), evals
+            means = [Point(f.p.coords + 0.3 * rng.standard_normal(d + 1)).coords for _ in evals]
+            covs = [Q @ np.diag(a) @ Q.T for a in evals]
+            return GaussianMixture(np.full(K, 1.0 / K), means, covs, f), evals
 
         (m0, a), (m1, b) = mix(3), mix(4)
-        M0 = np.array([g.basepoint.coords for g in m0.components])
-        M1 = np.array([g.basepoint.coords for g in m1.components])
+        M0, M1 = m0.means, m1.means
         geo = 2.0 * np.arcsin(0.5 * np.linalg.norm(M0[:, None] - M1[None], axis=-1))
         bures = ((np.sqrt(a)[:, None] - np.sqrt(b)[None]) ** 2).sum(axis=-1)
         expect = geo**2 + bures
@@ -297,7 +344,7 @@ class TestPairwiseAndIO:
         rng = np.random.default_rng(12)
         m0 = make_mixture(rng, 2, 3)
         f2 = build_reference_frame(m0.frame.p, rng_seed=5)
-        m1 = GaussianMixture(m0.weights, m0.components, f2)
+        m1 = GaussianMixture(m0.weights, m0.means, m0.covs, f2)
         with pytest.raises(FrameMismatch):
             pairwise_w2sq(m0, m1)
 
@@ -309,9 +356,8 @@ class TestPairwiseAndIO:
         back = load_mixture(path)
         assert back.K == mix.K
         assert np.allclose(back.weights, mix.weights)
-        for a, b in zip(back.components, mix.components):
-            assert np.allclose(a.basepoint.coords, b.basepoint.coords)
-            assert np.allclose(a.cov.mat, b.cov.mat)
+        assert np.allclose(back.means, mix.means)
+        assert np.allclose(back.covs, mix.covs)
         assert np.allclose(back.frame.matrix, mix.frame.matrix)
 
     def test_dict_keys(self):

@@ -81,16 +81,14 @@ class TestSampleGaussian:
 
 class TestSampleMixture:
     def make(self, frame, weights):
-        comps = [
-            BundleGaussian(Point([0.0, 0.0, 1.0]), 0.02 * np.eye(2)),
-            BundleGaussian(Point([1.0, 0.0, 0.0]), 0.01 * np.eye(2)),
-        ][: len(weights)]
-        return GaussianMixture(weights, comps, frame)
+        K = len(weights)
+        means = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]][:K]
+        return GaussianMixture(weights, means, [0.02 * np.eye(2), 0.01 * np.eye(2)][:K], frame)
 
     def test_single_component_matches_sample_gaussian(self, frame3):
         mix = self.make(frame3, [1.0])
         pts, labels = sample_mixture(mix, 40, seed=6)
-        ref = sample_gaussian(mix.components[0], frame3, 40, seed=6)
+        ref = sample_gaussian(BundleGaussian(Point(mix.means[0]), mix.covs[0]), frame3, 40, seed=6)
         assert labels.tolist() == [0] * 40
         for a, b in zip(pts, ref):
             assert np.array_equal(a, b)
@@ -122,7 +120,7 @@ class TestSampleMixture:
         mix = self.make(frame3, [0.5, 0.5])
         pts, labels = sample_mixture(mix, 400, seed=10)
         for p, lab in zip(pts, labels):
-            m = mix.components[lab].basepoint
+            m = Point(mix.means[lab])
             assert geodesic_distance(Point(p), m) < 1.0
 
 
@@ -130,10 +128,8 @@ class TestSamplesIO:
     def test_roundtrip(self, tmp_path, frame3):
         mix = GaussianMixture(
             [0.6, 0.4],
-            [
-                BundleGaussian(Point([0.0, 0.0, 1.0]), 0.02 * np.eye(2)),
-                BundleGaussian(Point([1.0, 0.0, 0.0]), 0.01 * np.eye(2)),
-            ],
+            [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+            [0.02 * np.eye(2), 0.01 * np.eye(2)],
             frame3,
         )
         pts, labels = sample_mixture(mix, 25, seed=11)

@@ -10,7 +10,7 @@ from bundlemw.gauss import (
     GaussianMixture,
     w2sq_bundle_gaussian,
 )
-from bundlemw.geometry import Point, build_reference_frame, geodesic_distance, standard_frame
+from bundlemw.geometry import Point, build_reference_frame, pairwise_geodesic, standard_frame
 from bundlemw.transport import (
     MW2Result,
     TransportPlan,
@@ -201,9 +201,13 @@ class TestMW2:
     def test_single_component_reduces_to_gaussian_w2(self):
         rng = np.random.default_rng(6)
         m0 = make_mixture(rng, 1, 3)
-        m1 = GaussianMixture([1.0], make_mixture(rng, 1, 3).components, m0.frame)
+        other = make_mixture(rng, 1, 3)
+        m1 = GaussianMixture([1.0], other.means, other.covs, m0.frame)
         res = mw2(m0, m1)
-        exact = w2sq_bundle_gaussian(m0.components[0], m1.components[0])
+        exact = w2sq_bundle_gaussian(
+            BundleGaussian(Point(m0.means[0]), m0.covs[0]),
+            BundleGaussian(Point(m1.means[0]), m1.covs[0]),
+        )
         assert res.distance_sq == pytest.approx(exact, abs=1e-12)
         assert res.distance == pytest.approx(np.sqrt(exact), abs=1e-12)
 
@@ -215,26 +219,13 @@ class TestMW2:
             K1 = int(rng.integers(2, 5))
             mk = lambda K: GaussianMixture(
                 np.full(K, 1.0 / K),
-                [
-                    BundleGaussian(
-                        Point(frame.p.coords + 0.7 * rng.standard_normal(3)),
-                        np.zeros((2, 2)),
-                    )
-                    for _ in range(K)
-                ],
+                [Point(frame.p.coords + 0.7 * rng.standard_normal(3)).coords for _ in range(K)],
+                np.zeros((K, 2, 2)),
                 frame,
             )
             m0, m1 = mk(K0), mk(K1)
             res = mw2(m0, m1)
-            base = np.array(
-                [
-                    [
-                        geodesic_distance(g0.basepoint, g1.basepoint) ** 2
-                        for g1 in m1.components
-                    ]
-                    for g0 in m0.components
-                ]
-            )
+            base = pairwise_geodesic(m0.means, m1.means) ** 2
             ref = solve_transportation(base, m0.weights, m1.weights)
             assert res.distance_sq == ref.cost
 
@@ -262,7 +253,7 @@ class TestMW2:
         rng = np.random.default_rng(10)
         m0 = make_mixture(rng, 2, 3)
         f2 = build_reference_frame(m0.frame.p, rng_seed=123)
-        m1 = GaussianMixture(m0.weights, m0.components, f2)
+        m1 = GaussianMixture(m0.weights, m0.means, m0.covs, f2)
         with pytest.raises(FrameMismatch):
             mw2(m0, m1)
 
@@ -319,6 +310,6 @@ class TestPairwiseMW2:
         f = build_reference_frame(Point(np.eye(3)[-1]), rng_seed=17)
         ms = [make_mixture(rng, 2, 3, frame=f) for _ in range(3)]
         f2 = build_reference_frame(f.p, rng_seed=123)
-        ms.append(GaussianMixture(ms[0].weights, ms[0].components, f2))
+        ms.append(GaussianMixture(ms[0].weights, ms[0].means, ms[0].covs, f2))
         with pytest.raises(FrameMismatch):
             pairwise_mw2(ms)
