@@ -283,11 +283,14 @@ def mixture_to_dict(mix: GaussianMixture) -> dict:
 
 
 def mixture_from_dict(data: dict) -> GaussianMixture:
-    """The mixture of a mixture.json dict; basepoints need not be unit."""
+    """The mixture of a mixture.json dict.  Basepoints need not be unit;
+    components of different sizes raise DimensionMismatch."""
     frame = frame_from_dict(data["frame"])
-    comps = data["components"]
-    means = _unit_rows([c["basepoint"] for c in comps])
-    return GaussianMixture(data["weights"], means, [c["cov"] for c in comps], frame)
+    means = [np.asarray(c["basepoint"], dtype=float) for c in data["components"]]
+    covs = [np.asarray(c["cov"], dtype=float) for c in data["components"]]
+    if len({m.shape for m in means}) > 1 or len({S.shape for S in covs}) > 1:
+        raise DimensionMismatch("mixture components differ in dimension")
+    return GaussianMixture(data["weights"], _unit_rows(means), covs, frame)
 
 
 def save_mixture(path, mix: GaussianMixture) -> None:

@@ -32,17 +32,13 @@ def _component_rng(seed: int, k: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
 
 
-def _cov_factor(cov: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(cov)
-    return evecs * np.sqrt(np.clip(evals, 0.0, None))
-
-
 def _draw_points(m: np.ndarray, cov: np.ndarray, frame: MovingFrame, n: int,
                  rng: np.random.Generator, stats: Optional[dict] = None) -> np.ndarray:
     """n points from the bundle Gaussian with unit basepoint m and frame
     covariance cov."""
     basis = transported_basis(frame, m)
-    L = _cov_factor(cov)
+    evals, evecs = np.linalg.eigh(cov)
+    L = evecs * np.sqrt(np.clip(evals, 0.0, None))
     d = cov.shape[0]
     coords = rng.standard_normal((n, d)) @ L.T
     rejected = 0
@@ -58,8 +54,7 @@ def _draw_points(m: np.ndarray, cov: np.ndarray, frame: MovingFrame, n: int,
     if stats is not None:
         stats["rejected"] = stats.get("rejected", 0) + rejected
         stats["accepted"] = stats.get("accepted", 0) + n
-    V = coords @ basis
-    return exp_batch(m, V)
+    return exp_batch(m, coords @ basis)
 
 
 def sample_gaussian(

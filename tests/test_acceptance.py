@@ -147,12 +147,13 @@ def test_05_zero_covariance_reduces_to_basepoint_transport():
         K1 = int(rng.integers(2, 5))
 
         def mk(K):
-            means = [Point(frame.p.coords + 0.7 * rng.standard_normal(3)).coords for _ in range(K)]
+            pts = [Point(frame.p.coords + 0.7 * rng.standard_normal(3)) for _ in range(K)]
             w = rng.random(K) + 0.2
-            return GaussianMixture(w / w.sum(), means, np.zeros((K, 2, 2)), frame)
+            mix = GaussianMixture(w / w.sum(), [p.coords for p in pts], np.zeros((K, 2, 2)), frame)
+            return mix, pts
 
-        m0, m1 = mk(K0), mk(K1)
-        base = pairwise_geodesic(m0.means, m1.means) ** 2
+        (m0, pts0), (m1, pts1) = mk(K0), mk(K1)
+        base = np.array([[geodesic_distance(p, q) ** 2 for q in pts1] for p in pts0])
         ref = solve_transportation(base, m0.weights, m1.weights)
         assert mw2(m0, m1).distance_sq == ref.cost
 

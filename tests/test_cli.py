@@ -249,9 +249,14 @@ class TestMw2AndDistmat:
             ([GOOD, {"basepoint": [0.0, 0.6, 0.8], "cov": [[-1.0, 0.0], [0.0, 0.02]]}],
              [0.5, 0.5], 3, "DegenerateMatrix"),
             ([GOOD], [float("nan")], 2, "ValueError"),
+            ([GOOD, {"basepoint": [0.0, 0.0, 0.6, 0.8], "cov": [[0.01, 0.0], [0.0, 0.02]]}],
+             [0.5, 0.5], 2, "DimensionMismatch"),
+            ([GOOD, {"basepoint": [0.0, 0.6, 0.8], "cov": np.diag([0.01, 0.02, 0.03]).tolist()}],
+             [0.5, 0.5], 2, "DimensionMismatch"),
         ],
         ids=["asymmetric", "negative-eigenvalue", "puncture", "short-basepoint", "missing-cov",
-             "second-asymmetric", "second-negative-eigenvalue", "nan-weight"],
+             "second-asymmetric", "second-negative-eigenvalue", "nan-weight",
+             "ragged-basepoints", "ragged-covs"],
     )
     def test_malformed_mixture_file(self, workspace, capsys, components, weights, code, error):
         tmp, config = workspace

@@ -10,7 +10,7 @@ from bundlemw.gauss import (
     GaussianMixture,
     w2sq_bundle_gaussian,
 )
-from bundlemw.geometry import Point, build_reference_frame, pairwise_geodesic, standard_frame
+from bundlemw.geometry import Point, build_reference_frame, geodesic_distance, standard_frame
 from bundlemw.transport import (
     MW2Result,
     TransportPlan,
@@ -217,15 +217,18 @@ class TestMW2:
         for _ in range(5):
             K0 = int(rng.integers(2, 5))
             K1 = int(rng.integers(2, 5))
-            mk = lambda K: GaussianMixture(
-                np.full(K, 1.0 / K),
-                [Point(frame.p.coords + 0.7 * rng.standard_normal(3)).coords for _ in range(K)],
-                np.zeros((K, 2, 2)),
+            draw = lambda K: [Point(frame.p.coords + 0.7 * rng.standard_normal(3)) for _ in range(K)]
+            pts0 = draw(K0)
+            pts1 = draw(K1)
+            mk = lambda pts: GaussianMixture(
+                np.full(len(pts), 1.0 / len(pts)),
+                [p.coords for p in pts],
+                np.zeros((len(pts), 2, 2)),
                 frame,
             )
-            m0, m1 = mk(K0), mk(K1)
+            m0, m1 = mk(pts0), mk(pts1)
             res = mw2(m0, m1)
-            base = pairwise_geodesic(m0.means, m1.means) ** 2
+            base = np.array([[geodesic_distance(p, q) ** 2 for q in pts1] for p in pts0])
             ref = solve_transportation(base, m0.weights, m1.weights)
             assert res.distance_sq == ref.cost
 
