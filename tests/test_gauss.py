@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import sqrtm
 from scipy.optimize import linear_sum_assignment
 
 from bundlemw.errors import (
@@ -25,7 +26,13 @@ from bundlemw.gauss import (
     w2_bundle_gaussian,
     w2sq_bundle_gaussian,
 )
-from bundlemw.geometry import Point, _unit_rows, build_reference_frame, standard_frame
+from bundlemw.geometry import (
+    Point,
+    _unit_rows,
+    build_reference_frame,
+    geodesic_distance,
+    standard_frame,
+)
 
 from helpers import loop_minimal_form, make_mixture, random_spd
 
@@ -319,6 +326,12 @@ class TestPairwiseAndIO:
                     BundleGaussian(Point(m1.means[j]), m1.covs[j]),
                 )
                 assert P[i, j] == pytest.approx(exact, abs=1e-10)
+                # independent of the batched kernels: scalar geodesic, scipy sqrtm
+                S0, S1 = m0.covs[i], m1.covs[j]
+                R0 = sqrtm(S0).real
+                bures = np.trace(S0 + S1 - 2.0 * sqrtm(R0 @ S1 @ R0).real)
+                base = geodesic_distance(Point(m0.means[i]), Point(m1.means[j])) ** 2
+                assert P[i, j] == pytest.approx(base + bures, abs=1e-10)
 
     def test_pairwise_commuting_closed_form(self):
         # S = Q diag(a) Q^T with one shared Q: Bures is sum (sqrt a - sqrt b)^2
