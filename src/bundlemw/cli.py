@@ -26,8 +26,8 @@ from ._jsonfile import write_json
 from .changepoint import e_divisive, save_report
 from .contours import (
     SrvfShape,
-    align_shape,
-    contour_to_srvf,
+    _align,
+    _srvf_stack,
     load_contour_dir,
     load_distmat,
     save_distmat,
@@ -250,25 +250,18 @@ def cmd_triangles(args) -> int:
 def cmd_contours(args) -> int:
     frames = load_contour_dir(args.contours)
     T = args.T
-    shapes = {
-        name: [contour_to_srvf(c, T) for c in cs] for name, cs in frames.items()
-    }
-    first = next(iter(shapes))
-    reference = shapes[first][0]
+    stacks = {name: _srvf_stack(cs, T) for name, cs in frames.items()}
+    reference = next(iter(stacks.values()))[0]
     sphere_frame = standard_frame(2 * T)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, qs in shapes.items():
-        aligned = [align_shape(reference, q) for q in qs]
-        mean = frechet_mean(np.array([q.flat for q in aligned]))
-        mean_shape = SrvfShape(mean.coords.reshape(2, T))
-        _, cov = shape_statistics(aligned, mean_shape, frame=sphere_frame)
+    for name, Q in stacks.items():
+        aligned, _ = _align(reference, Q, seam_search=True)
+        mean = frechet_mean(aligned.reshape(len(Q), -1))
+        _, cov = shape_statistics(aligned, SrvfShape(mean.coords.reshape(2, T)), sphere_frame)
         mix = GaussianMixture([1.0], mean.coords[None], cov[None], sphere_frame)
-        path = outdir / f"{name}.json"
-        save_mixture(path, mix)
-        written.append(str(path))
-    _emit({"frames": len(written), "T": T, "out": str(outdir)})
+        save_mixture(outdir / f"{name}.json", mix)
+    _emit({"frames": len(stacks), "T": T, "out": str(outdir)})
     return 0
 
 

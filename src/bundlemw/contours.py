@@ -4,14 +4,14 @@ A contour is resampled uniformly by arc length, differentiated cyclically,
 and mapped to its square-root velocity function q = b' / sqrt(|b'|), which
 after unit normalization lives on the sphere S^{2T-1}.  Translation
 disappears with the derivative and scale with the normalization, so only
-rotation and the choice of starting point (seam) remain; rotation is
-removed with a closed-form Procrustes alignment, the seam optionally by
-exhaustive search over all T circular shifts.
+rotation and the choice of starting point (seam) remain.  One kernel aligns
+an (n, 2, T) stack of SRVFs to a reference shape: rotation in closed form,
+and optionally the seam, scoring all T circular shifts at once.
 
-Shape distance is the arc length between aligned SRVFs on the sphere.
-Means and covariances reuse the sphere machinery: the mean is a Frechet
-mean of aligned shapes, covariances are fitted from shooting vectors in
-the standard frame at e_1.
+Shape distance is the arc length between aligned SRVFs on the sphere.  The
+mean of an (n, 2, T) stack is a Frechet mean of its aligned rows, and its
+covariance is fitted from shooting vectors in the standard frame at e_1.
+``Contour`` and ``SrvfShape`` are the one-row API over the same kernels.
 """
 
 from __future__ import annotations
@@ -23,12 +23,14 @@ import numpy as np
 from ._jsonfile import read_json, write_json
 from .errors import ClusterTooSmall, DegenerateContour, DimensionMismatch, NoConvergence
 from .geometry import (
+    _BLOCK_CELLS,
     MovingFrame,
     Point,
     _unit_rows,
     frechet_mean,
     geodesic_distance,
     log_batch,
+    pairwise_geodesic,
     standard_frame,
     transported_basis,
 )
@@ -67,12 +69,7 @@ class SrvfShape:
     __slots__ = ("q",)
 
     def __init__(self, q):
-        q = np.asarray(q, dtype=float)
-        if q.ndim != 2 or q.shape[0] != 2:
-            raise ValueError("SRVF samples must form a 2 x T matrix")
-        if abs(np.linalg.norm(q) - 1.0) > 1e-10:
-            raise ValueError("SRVF must have unit Frobenius norm")
-        self.q = q
+        self.q = _stack([q])[0]
 
     @property
     def T(self) -> int:
@@ -101,6 +98,34 @@ def _resample_closed(P: np.ndarray, T: int) -> np.ndarray:
     return np.vstack([x, y])
 
 
+def _srvf_stack(contours, T: int) -> np.ndarray:
+    """(n, 2, T) unit SRVFs of contours; only the resampling runs per contour."""
+    if T < 4:
+        raise ValueError("T must be at least 4")
+    B = np.array([_resample_closed(c.points, T) for c in contours])
+    deriv = 0.5 * (np.roll(B, -1, axis=2) - np.roll(B, 1, axis=2))
+    speed = np.linalg.norm(deriv, axis=1, keepdims=True)
+    scale = np.where(speed < 1e-12, 0.0, 1.0 / np.sqrt(np.where(speed < 1e-12, 1.0, speed)))
+    q = (deriv * scale).reshape(len(B), -1)
+    # a per-row dot product gives the bits np.linalg.norm gives one row
+    norms = np.sqrt(np.vecdot(q, q))
+    if np.any(norms < 1e-12):
+        raise DegenerateContour("SRVF vanished; contour is degenerate")
+    return (q / norms[:, None]).reshape(B.shape)
+
+
+def _stack(shapes) -> np.ndarray:
+    """The (n, 2, T) float array of a non-empty stack of unit 2 x T SRVFs."""
+    if len({np.shape(q) for q in shapes}) > 1:
+        raise DimensionMismatch("shapes have different sample counts")
+    Q = np.asarray(shapes, dtype=float)
+    if Q.ndim != 3 or Q.shape[1] != 2 or len(Q) == 0:
+        raise ValueError("SRVF samples must form 2 x T matrices")
+    if np.any(np.abs(np.linalg.norm(Q, axis=(1, 2)) - 1.0) > 1e-10):
+        raise ValueError("SRVF must have unit Frobenius norm")
+    return Q
+
+
 def contour_to_srvf(c: Contour, T: int = 100) -> SrvfShape:
     """SRVF of a contour after arc-length resampling to ``T`` points.
 
@@ -112,17 +137,47 @@ def contour_to_srvf(c: Contour, T: int = 100) -> SrvfShape:
     DegenerateContour
         If the contour has zero length (all points coincident).
     """
-    if T < 4:
-        raise ValueError("T must be at least 4")
-    B = _resample_closed(c.points, T)
-    deriv = 0.5 * (np.roll(B, -1, axis=1) - np.roll(B, 1, axis=1))
-    speed = np.linalg.norm(deriv, axis=0)
-    scale = np.where(speed < 1e-12, 0.0, 1.0 / np.sqrt(np.where(speed < 1e-12, 1.0, speed)))
-    q = deriv * scale
-    norm = np.linalg.norm(q)
-    if norm < 1e-12:
-        raise DegenerateContour("SRVF vanished; contour is degenerate")
-    return SrvfShape(q / norm)
+    return SrvfShape(_srvf_stack([c], T)[0])
+
+
+def _align(ref: np.ndarray, Q: np.ndarray, seam_search: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the (n, 2, T) stack Q aligned to the 2 x T ``ref``, and
+    their (n, 2, 2) rotations.
+
+    A row's rotation angle is atan2 of its net cross and dot products with
+    ``ref``.  With seam search all T circular shifts are scored at once by
+    the length of that (dot, cross) pair; a later shift wins only by more
+    than 1e-12, so earlier seams win roundoff-level ties and self-alignment
+    stays exact.  Blocks hold about ``_BLOCK_CELLS`` (shape, shift) pairs.
+    """
+    if Q.shape[1:] != ref.shape:
+        raise DimensionMismatch("SRVFs have different sample counts")
+    n, _, T = Q.shape
+    shifts = T if seam_search else 1
+    # row s gathers the samples of np.roll(q, s, axis=1), both coordinates
+    idx = (np.arange(T) - np.arange(shifts)[:, None]) % T
+    idx = np.concatenate([idx, idx + T], axis=1)
+    aligned, rotations = np.empty_like(Q), np.empty((n, 2, 2))
+    step = max(1, _BLOCK_CELLS // shifts)
+    for i in range(0, n, step):
+        # np.take keeps the products C-contiguous, so each sum runs along
+        # its row in the order np.sum of one 2 x T product uses
+        rolled = np.take(Q[i:i + step].reshape(-1, 2 * T), idx, axis=1)
+        dot = (rolled * ref.ravel()).sum(-1)
+        S = rolled.reshape(len(rolled), shifts, 2, T)
+        cross = (ref[1] * S[:, :, 0] - ref[0] * S[:, :, 1]).sum(-1)
+        val = np.hypot(dot, cross)
+        best, pick = np.full(len(rolled), -np.inf), np.zeros(len(rolled), dtype=int)
+        for shift in range(shifts):
+            wins = val[:, shift] > best + 1e-12
+            best[wins], pick[wins] = val[wins, shift], shift
+        rows = np.arange(len(rolled))
+        theta = np.arctan2(cross[rows, pick], dot[rows, pick])
+        c, s = np.cos(theta), np.sin(theta)
+        O = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+        aligned[i:i + step] = O @ S[rows, pick]
+        rotations[i:i + step] = O
+    return aligned, rotations
 
 
 def procrustes_rotation(q0: SrvfShape, q1: SrvfShape) -> np.ndarray:
@@ -131,58 +186,29 @@ def procrustes_rotation(q0: SrvfShape, q1: SrvfShape) -> np.ndarray:
     Closed form: the optimal angle is atan2 of the net cross and dot
     products of corresponding columns.
     """
-    if q0.T != q1.T:
-        raise DimensionMismatch("SRVFs have different sample counts")
-    a, b = q0.q, q1.q
-    dot = float(np.sum(a * b))
-    cross = float(np.sum(a[1] * b[0] - a[0] * b[1]))
-    theta = np.arctan2(cross, dot)
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-def _aligned_inner(q0: SrvfShape, q1: SrvfShape) -> tuple[float, int, np.ndarray]:
-    """Best Frobenius inner product of q1 against q0 over rotations only."""
-    O = procrustes_rotation(q0, q1)
-    return float(np.sum(q0.q * (O @ q1.q))), 0, O
-
-
-def _aligned_inner_seam(q0: SrvfShape, q1: SrvfShape) -> tuple[float, int, np.ndarray]:
-    """Best inner product over all circular shifts of q1 plus rotation."""
-    a = q0.q
-    best = (-np.inf, 0, np.eye(2))
-    for shift in range(q1.T):
-        b = np.roll(q1.q, shift, axis=1)
-        dot = float(np.sum(a * b))
-        cross = float(np.sum(a[1] * b[0] - a[0] * b[1]))
-        val = float(np.hypot(dot, cross))
-        # earlier seams win roundoff-level ties, keeping self-alignment exact
-        if val > best[0] + 1e-12:
-            theta = np.arctan2(cross, dot)
-            c, s = np.cos(theta), np.sin(theta)
-            best = (val, shift, np.array([[c, -s], [s, c]]))
-    return best
+    return _align(q0.q, q1.q[None], seam_search=False)[1][0]
 
 
 def align_shape(q0: SrvfShape, q1: SrvfShape, seam_search: bool = True) -> SrvfShape:
     """q1 rotated (and optionally re-seamed) to best match q0."""
-    _, shift, O = (_aligned_inner_seam if seam_search else _aligned_inner)(q0, q1)
-    return SrvfShape(O @ np.roll(q1.q, shift, axis=1))
+    return SrvfShape(_align(q0.q, q1.q[None], seam_search)[0][0])
 
 
 def shape_distance(q0: SrvfShape, q1: SrvfShape, seam_search: bool = True) -> float:
     """Geodesic shape distance in [0, pi] after rotation (and seam) alignment."""
-    aligned = align_shape(q0, q1, seam_search=seam_search)
-    return geodesic_distance(Point(q0.flat), Point(aligned.flat))
+    return float(pairwise_shape_distance([q0.q, q1.q], seam_search)[0, 1])
 
 
 def pairwise_shape_distance(shapes, seam_search: bool = True) -> np.ndarray:
-    """Symmetric matrix of shape distances with an exactly zero diagonal."""
-    n = len(shapes)
+    """Symmetric matrix of shape distances between the rows of an (n, 2, T)
+    stack, with an exactly zero diagonal; one alignment call per row."""
+    Q = _stack(shapes)
+    n = len(Q)
+    X = _unit_rows(Q.reshape(n, -1))
     D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            D[i, j] = D[j, i] = shape_distance(shapes[i], shapes[j], seam_search)
+    for i in range(n - 1):
+        aligned = _unit_rows(_align(Q[i], Q[i + 1:], seam_search)[0].reshape(n - i - 1, -1))
+        D[i, i + 1:] = D[i + 1:, i] = pairwise_geodesic(X[i:i + 1], aligned)[0]
     return D
 
 
@@ -191,8 +217,8 @@ def shape_frechet_mean(
     tol: float = 1e-9,
     max_iter: int = 100,
     seam_search: bool = False,
-) -> tuple[SrvfShape, list[SrvfShape]]:
-    """Frechet mean of shapes with alternating alignment.
+) -> tuple[SrvfShape, np.ndarray]:
+    """Frechet mean of the rows of an (n, 2, T) stack with alternating alignment.
 
     Each round aligns every shape to the current mean, then moves the mean
     to the Frechet mean of the aligned unit vectors on S^{2T-1}.  Stops
@@ -200,23 +226,17 @@ def shape_frechet_mean(
     off by default: re-seaming mid-iteration makes the objective piecewise
     and rarely changes well-sampled contours.
 
-    Returns the mean and the aligned copies of the inputs.
+    Returns the mean and the (n, 2, T) stack of aligned inputs.
     """
-    if len(shapes) == 0:
-        raise ValueError("need at least one shape")
-    T = shapes[0].T
-    for s in shapes:
-        if s.T != T:
-            raise DimensionMismatch("shapes have different sample counts")
-    mean = shapes[0]
-    aligned = list(shapes)
+    Q = _stack(shapes)
+    mean = Q[0]
     for _ in range(max_iter):
-        aligned = [align_shape(mean, s, seam_search=seam_search) for s in shapes]
-        new_flat = frechet_mean(np.array([s.flat for s in aligned]), tol=min(tol, 1e-10))
-        moved = geodesic_distance(Point(mean.flat), new_flat)
-        mean = SrvfShape(new_flat.coords.reshape(2, T))
+        aligned, _ = _align(mean, Q, seam_search)
+        new_flat = frechet_mean(aligned.reshape(len(Q), -1), tol=min(tol, 1e-10))
+        moved = geodesic_distance(Point(mean.ravel()), new_flat)
+        mean = new_flat.coords.reshape(mean.shape)
         if moved < tol:
-            return mean, aligned
+            return SrvfShape(mean), aligned
     raise NoConvergence(f"shape mean did not stabilize in {max_iter} rounds")
 
 
@@ -225,7 +245,7 @@ def shape_statistics(
     mean: SrvfShape,
     frame: MovingFrame = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shooting-vector coordinates and covariance of aligned shapes.
+    """Shooting-vector coordinates and covariance of an (n, 2, T) stack.
 
     Logs of the aligned shapes at the mean are expressed in ``frame``
     transported to the mean (default: the standard frame at e_1 on
@@ -233,15 +253,14 @@ def shape_statistics(
     a d x d array checked when it enters a mixture.  Its rank is at most
     n-1.
     """
-    if len(aligned) < 2:
+    X = _stack(aligned)
+    if len(X) < 2:
         raise ClusterTooSmall("need at least two shapes for a covariance")
-    T = mean.T
     if frame is None:
-        frame = standard_frame(2 * T)
+        frame = standard_frame(2 * mean.T)
     m = _unit_rows(mean.flat[None])[0]
-    X = np.array([s.flat for s in aligned])
-    V = log_batch(m, X) @ transported_basis(frame, m).T
-    return V, V.T @ V / (len(aligned) - 1)
+    V = log_batch(m, X.reshape(len(X), -1)) @ transported_basis(frame, m).T
+    return V, V.T @ V / (len(X) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -249,21 +268,20 @@ def shape_statistics(
 # .json holds a list of 2 x T' arrays, one file per observation window.
 
 def load_contour_file(path) -> list[Contour]:
+    """The contours of one frame file; a file without any raises ValueError."""
     path = Path(path)
     if path.suffix == ".json":
-        return [Contour(np.asarray(arr, dtype=float)) for arr in read_json(path)]
-    rows = np.loadtxt(path, delimiter=",", skiprows=_csv_header_rows(path), ndmin=2)
-    return [Contour(rows.T)]
-
-
-def _csv_header_rows(path) -> int:
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-    try:
-        [float(v) for v in first.strip().split(",")]
-        return 0
-    except ValueError:
-        return 1
+        arrays = read_json(path)
+    else:
+        rows = path.read_text(encoding="utf-8").splitlines()
+        try:
+            [float(v) for v in rows[0].split(",")]
+        except (IndexError, ValueError):
+            rows = rows[1:]
+        arrays = [np.loadtxt(rows, delimiter=",", ndmin=2).T] if any(map(str.strip, rows)) else []
+    if len(arrays) == 0:
+        raise ValueError(f"no contour in {path}")
+    return [Contour(np.asarray(a, dtype=float)) for a in arrays]
 
 
 def save_contours_json(path, contours) -> None:

@@ -18,10 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._jsonfile import read_json, write_json
+from ._jsonfile import write_json
 from .errors import InfeasibleWeights, NoConvergence
 from .gauss import GaussianMixture, _psd_roots, pairwise_w2sq
-from .geometry import frames_equal
 
 # perturbation added to marginals to break degenerate ties; plan entries at
 # or below the cleanup threshold are treated as exact zeros
@@ -271,10 +270,8 @@ def pairwise_mw2(mixtures) -> np.ndarray:
 
     Entry (i, j) equals ``mw2(mixtures[i], mixtures[j]).distance`` bit for
     bit for i < j, and the diagonal is exactly zero.  Each row mixture's
-    covariance square roots are computed once, not once per pair.  A frame
-    that equals the first mixture's exactly is checked only against it;
-    any other frame is checked pair by pair within tolerance, as
-    :func:`mw2` does, so the result never depends on which mixture is first.
+    covariance square roots are computed once, not once per pair.  Frames
+    are checked pair by pair within tolerance, as :func:`mw2` does.
 
     Raises
     ------
@@ -282,10 +279,6 @@ def pairwise_mw2(mixtures) -> np.ndarray:
         If two mixtures are expressed in different moving frames.
     """
     mixtures = list(mixtures)
-    # sharing one frame object turns the per-pair frame check into an identity test
-    for k, mix in enumerate(mixtures[1:], 1):
-        if frames_equal(mixtures[0].frame, mix.frame, tol=0.0):
-            mixtures[k] = GaussianMixture(mix.weights, mix.means, mix.covs, mixtures[0].frame)
     n = len(mixtures)
     D = np.zeros((n, n))
     for i in range(n - 1):
@@ -312,7 +305,3 @@ def result_to_dict(res: MW2Result) -> dict:
 
 def save_result(path, res: MW2Result) -> None:
     write_json(path, result_to_dict(res))
-
-
-def load_result(path) -> dict:
-    return read_json(path)

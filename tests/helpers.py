@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 
 from bundlemw.gauss import GaussianMixture
-from bundlemw.geometry import Point, build_reference_frame
+from bundlemw.geometry import Point, build_reference_frame, geodesic_distance
 
 
 def random_spd(rng, d, scale=1.0):
@@ -124,3 +124,58 @@ def loop_minimal_form(weights, means, covs, tol=1e-9):
     kept = [(w, r) for w, r in zip(summed, reps) if w > 1e-15]
     w = np.array([k[0] for k in kept])
     return w / w.sum(), np.array([k[1][0] for k in kept]), np.array([k[1][1] for k in kept])
+
+
+def loop_contour_to_srvf(points, T):
+    """2 x T SRVF of one 2 x T' contour by the per-contour code that the
+    stacked SRVF kernel replaced."""
+    from bundlemw.contours import _resample_closed
+
+    B = _resample_closed(points, T)
+    deriv = 0.5 * (np.roll(B, -1, axis=1) - np.roll(B, 1, axis=1))
+    speed = np.linalg.norm(deriv, axis=0)
+    scale = np.where(speed < 1e-12, 0.0, 1.0 / np.sqrt(np.where(speed < 1e-12, 1.0, speed)))
+    q = deriv * scale
+    return q / np.linalg.norm(q)
+
+
+def loop_procrustes_rotation(a, b):
+    """The rotation of 2 x T b onto a by the closed form the alignment kernel
+    replaced: atan2 of the net cross and dot products."""
+    dot = float(np.sum(a * b))
+    cross = float(np.sum(a[1] * b[0] - a[0] * b[1]))
+    theta = np.arctan2(cross, dot)
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def loop_aligned_inner(a, b):
+    O = loop_procrustes_rotation(a, b)
+    return float(np.sum(a * (O @ b))), 0, O
+
+
+def loop_aligned_inner_seam(a, q1):
+    """Best inner product over the circular shifts of q1, one np.roll per
+    shift; a later seam wins only by more than 1e-12."""
+    best = (-np.inf, 0, np.eye(2))
+    for shift in range(q1.shape[1]):
+        b = np.roll(q1, shift, axis=1)
+        dot = float(np.sum(a * b))
+        cross = float(np.sum(a[1] * b[0] - a[0] * b[1]))
+        val = float(np.hypot(dot, cross))
+        if val > best[0] + 1e-12:
+            theta = np.arctan2(cross, dot)
+            c, s = np.cos(theta), np.sin(theta)
+            best = (val, shift, np.array([[c, -s], [s, c]]))
+    return best
+
+
+def loop_align_shape(a, b, seam_search=True):
+    """2 x T b rotated (and re-seamed) onto a, one shape at a time."""
+    _, shift, O = (loop_aligned_inner_seam if seam_search else loop_aligned_inner)(a, b)
+    return O @ np.roll(b, shift, axis=1)
+
+
+def loop_shape_distance(a, b, seam_search=True):
+    aligned = loop_align_shape(a, b, seam_search)
+    return geodesic_distance(Point(a.ravel()), Point(aligned.ravel()))

@@ -2,25 +2,34 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bundlemw import cli
-from bundlemw.contours import load_distmat, save_distmat
+from bundlemw.contours import (
+    SrvfShape,
+    load_contour_dir,
+    load_distmat,
+    save_distmat,
+    shape_statistics,
+)
 from bundlemw.changepoint import load_report
-from bundlemw.gauss import load_mixture
+from bundlemw.gauss import GaussianMixture, load_mixture, save_mixture
 from bundlemw.geometry import (
     Point,
     build_reference_frame,
     frame_to_dict,
     frames_equal,
+    frechet_mean,
     save_frame,
     standard_frame,
 )
 from bundlemw.sampling import load_samples, save_samples
 from bundlemw.triangles import Triangle, hopf_backward, load_triangles, save_triangles
+from helpers import loop_align_shape, loop_contour_to_srvf
 
 
 @pytest.fixture
@@ -527,6 +536,42 @@ class TestContours:
         empty.mkdir()
         assert run(["contours", empty, "--out", tmp / "out"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [("a0.json", "[]\n"), ("z9.json", "[]\n"), ("z9.csv", "x,y\n")],
+        ids=["empty-first-json", "empty-later-json", "header-only-csv"],
+    )
+    def test_frame_without_contours(self, workspace, capsys, name, text):
+        tmp, _ = workspace
+        fdir = self.make_frames(tmp)
+        (fdir / name).write_text(text)
+        out = tmp / "mixes"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["contours", fdir, "--T", "30", "--out", out]) == 2
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and name in json.loads(err[0])["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_mixtures_equal_per_shape_reference(self, workspace, capsys, seed):
+        tmp, _ = workspace
+        fdir = self.make_frames(tmp, n_frames=3, per_frame=4, seed=seed)
+        assert run(["contours", fdir, "--T", "30", "--out", tmp / "mixes"]) == 0
+        capsys.readouterr()
+        frame = standard_frame(60)
+        frames = load_contour_dir(fdir)
+        shapes = {n: [loop_contour_to_srvf(c.points, 30) for c in cs] for n, cs in frames.items()}
+        reference = shapes["t0"][0]
+        for name, qs in shapes.items():
+            aligned = np.array([loop_align_shape(reference, q) for q in qs])
+            mean = frechet_mean(aligned.reshape(len(qs), -1))
+            _, cov = shape_statistics(aligned, SrvfShape(mean.coords.reshape(2, 30)), frame)
+            mix = GaussianMixture([1.0], mean.coords[None], cov[None], frame)
+            save_mixture(tmp / "ref.json", mix)
+            assert (tmp / "mixes" / f"{name}.json").read_bytes() == (tmp / "ref.json").read_bytes()
 
 
 class TestArgErrors:

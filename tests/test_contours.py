@@ -10,6 +10,8 @@ from bundlemw.errors import (
 from bundlemw.contours import (
     Contour,
     SrvfShape,
+    _align,
+    _srvf_stack,
     align_shape,
     contour_to_srvf,
     load_contour_dir,
@@ -24,6 +26,12 @@ from bundlemw.contours import (
     shape_statistics,
 )
 from bundlemw.geometry import Point, geodesic_distance, sphere_log
+from helpers import (
+    loop_align_shape,
+    loop_contour_to_srvf,
+    loop_procrustes_rotation,
+    loop_shape_distance,
+)
 
 
 def circle_contour(n=200, r=1.0, center=(0.0, 0.0), phase=0.0):
@@ -168,48 +176,121 @@ class TestShapeDistance:
             contour_to_srvf(square_contour(), T=60),
             contour_to_srvf(ellipse_contour(), T=60),
         ]
-        D = pairwise_shape_distance(shapes)
+        D = pairwise_shape_distance([s.q for s in shapes])
         assert np.array_equal(D, D.T)
         assert np.all(np.diag(D) == 0.0)
         assert D[0, 1] > 0.1 and D[0, 2] > 0.01
 
 
+def polygon_contours():
+    """Regular 4- to 15-gons: their circular shifts tie exactly."""
+    out = []
+    for k in range(4, 16):
+        t = np.arange(k) * (2 * np.pi / k)
+        out.append(Contour(np.vstack([np.cos(t), np.sin(t)])))
+    return out
+
+
+def noisy_ellipses(rng, n=12, samples=80):
+    """Contours shaped like a contour change-point frame: jittered ellipses."""
+    t = np.linspace(0, 2 * np.pi, samples, endpoint=False)
+    return [
+        Contour(
+            np.vstack([(1.3 + 0.05 * rng.standard_normal()) * np.cos(t), np.sin(t)])
+            + 0.02 * rng.standard_normal((2, samples))
+        )
+        for _ in range(n)
+    ]
+
+
+def srvf_families(T):
+    """Four (n, 2, T) stacks built by the per-contour reference: polygons,
+    rolled copies of one shape, random SRVFs and noisy ellipses."""
+    rng = np.random.default_rng(T)
+    polygons = np.array([loop_contour_to_srvf(c.points, T) for c in polygon_contours()])
+    ellipses = np.array([loop_contour_to_srvf(c.points, T) for c in noisy_ellipses(rng)])
+    rolled = np.array([np.roll(ellipses[0], s, axis=1) for s in range(0, T, max(1, T // 10))])
+    noise = rng.standard_normal((10, 2, T))
+    noise /= np.linalg.norm(noise, axis=(1, 2), keepdims=True)
+    return {"polygons": polygons, "rolled": rolled, "random": noise, "ellipses": ellipses}
+
+
+@pytest.mark.parametrize("T", [8, 30, 100])
+class TestAlignmentKernelMatchesPerShapeLoop:
+    """The stacked kernels give the bits of the per-shape code they replaced."""
+
+    def test_srvf_stack(self, T):
+        rng = np.random.default_rng(T)
+        for contours in (polygon_contours(), noisy_ellipses(rng)):
+            Q = _srvf_stack(contours, T)
+            for c, q in zip(contours, Q):
+                expect = loop_contour_to_srvf(c.points, T)
+                assert np.array_equal(q, expect)
+                assert np.array_equal(contour_to_srvf(c, T).q, expect)
+
+    @pytest.mark.parametrize("seam_search", [True, False])
+    def test_aligned_stacks(self, T, seam_search):
+        for Q in srvf_families(T).values():
+            for ref in Q:
+                aligned, rotations = _align(ref, Q, seam_search)
+                for q, got, O in zip(Q, aligned, rotations):
+                    expect = loop_align_shape(ref, q, seam_search)
+                    assert np.array_equal(got, expect)
+                    one = align_shape(SrvfShape(ref), SrvfShape(q), seam_search)
+                    assert np.array_equal(one.q, expect)
+                    if not seam_search:
+                        assert np.array_equal(O, loop_procrustes_rotation(ref, q))
+                        assert np.array_equal(
+                            procrustes_rotation(SrvfShape(ref), SrvfShape(q)), O
+                        )
+
+    @pytest.mark.parametrize("seam_search", [True, False])
+    def test_pairwise_entries_are_shape_distances(self, T, seam_search):
+        for Q in srvf_families(T).values():
+            D = pairwise_shape_distance(Q, seam_search)
+            for i in range(len(Q)):
+                for j in range(i + 1, len(Q)):
+                    d = shape_distance(SrvfShape(Q[i]), SrvfShape(Q[j]), seam_search)
+                    assert D[i, j] == D[j, i] == d
+                    assert d == loop_shape_distance(Q[i], Q[j], seam_search)
+
+
 class TestShapeMean:
     def test_identical_shapes(self):
         q = contour_to_srvf(ellipse_contour(), T=50)
-        shapes = [SrvfShape(q.q.copy()) for _ in range(4)]
+        shapes = [q.q.copy() for _ in range(4)]
         mean, aligned = shape_frechet_mean(shapes)
         assert geodesic_distance(Point(mean.flat), Point(q.flat)) < 1e-12
         for s in aligned:
-            assert np.max(np.abs(s.q - q.q)) < 1e-12
+            assert np.max(np.abs(s - q.q)) < 1e-12
 
     def test_two_shapes_midpoint(self):
         q0 = contour_to_srvf(circle_contour(), T=60)
         q1 = contour_to_srvf(ellipse_contour(1.5, 1.0), T=60)
         q1 = align_shape(q0, q1)
-        mean, aligned = shape_frechet_mean([q0, q1])
-        d0 = geodesic_distance(Point(mean.flat), Point(aligned[0].flat))
-        d1 = geodesic_distance(Point(mean.flat), Point(aligned[1].flat))
+        mean, aligned = shape_frechet_mean([q0.q, q1.q])
+        d0 = geodesic_distance(Point(mean.flat), Point(aligned[0].ravel()))
+        d1 = geodesic_distance(Point(mean.flat), Point(aligned[1].ravel()))
         assert d0 == pytest.approx(d1, abs=1e-8)
-        total = geodesic_distance(Point(aligned[0].flat), Point(aligned[1].flat))
+        total = geodesic_distance(Point(aligned[0].ravel()), Point(aligned[1].ravel()))
         assert d0 + d1 == pytest.approx(total, abs=1e-8)
 
     def test_mean_is_fixed_point(self):
         shapes = [
-            contour_to_srvf(circle_contour(), T=40),
-            contour_to_srvf(ellipse_contour(1.3, 1.0), T=40),
-            contour_to_srvf(ellipse_contour(1.0, 1.4), T=40),
+            contour_to_srvf(circle_contour(), T=40).q,
+            contour_to_srvf(ellipse_contour(1.3, 1.0), T=40).q,
+            contour_to_srvf(ellipse_contour(1.0, 1.4), T=40).q,
         ]
         mean, aligned = shape_frechet_mean(shapes, tol=1e-12)
-        mean2, _ = shape_frechet_mean([mean], tol=1e-12)
+        mean2, _ = shape_frechet_mean([mean.q], tol=1e-12)
         assert geodesic_distance(Point(mean.flat), Point(mean2.flat)) < 1e-10
 
     def test_mismatched_T_rejected(self):
         with pytest.raises(DimensionMismatch):
             shape_frechet_mean(
                 [
-                    contour_to_srvf(circle_contour(), T=40),
-                    contour_to_srvf(circle_contour(), T=50),
+                    contour_to_srvf(circle_contour(), T=40).q,
+                    contour_to_srvf(circle_contour(), T=50).q,
                 ]
             )
 
@@ -217,14 +298,14 @@ class TestShapeMean:
 class TestShapeStatistics:
     def setup_shapes(self):
         shapes = [
-            contour_to_srvf(ellipse_contour(1.0 + 0.2 * k, 1.0), T=30)
+            contour_to_srvf(ellipse_contour(1.0 + 0.2 * k, 1.0), T=30).q
             for k in range(5)
         ]
         return shape_frechet_mean(shapes)
 
     def test_zero_covariance_for_identical(self):
         q = contour_to_srvf(circle_contour(), T=30)
-        V, S = shape_statistics([q, SrvfShape(q.q.copy())], q)
+        V, S = shape_statistics([q.q, q.q.copy()], q)
         assert np.max(np.abs(V)) < 1e-12
         assert np.max(np.abs(S)) < 1e-20
 
@@ -240,7 +321,7 @@ class TestShapeStatistics:
         V, _ = shape_statistics(aligned, mean)
         m = Point(mean.flat)
         for i, s in enumerate(aligned):
-            expect = sphere_log(m, Point(s.flat)).norm()
+            expect = sphere_log(m, Point(s.ravel())).norm()
             assert np.linalg.norm(V[i]) == pytest.approx(expect, abs=1e-10)
 
     def test_trace_identity(self):
@@ -248,14 +329,14 @@ class TestShapeStatistics:
         V, S = shape_statistics(aligned, mean)
         m = Point(mean.flat)
         total = sum(
-            geodesic_distance(m, Point(s.flat)) ** 2 for s in aligned
+            geodesic_distance(m, Point(s.ravel())) ** 2 for s in aligned
         )
         assert np.trace(S) == pytest.approx(total / (len(aligned) - 1), abs=1e-10)
 
     def test_needs_two_shapes(self):
         q = contour_to_srvf(circle_contour(), T=30)
         with pytest.raises(ClusterTooSmall):
-            shape_statistics([q], q)
+            shape_statistics([q.q], q)
 
 
 class TestContourIO:
