@@ -198,6 +198,8 @@ def _parse_weights(text, k, flag):
 
 
 def cmd_transport(args) -> int:
+    if not Path(args.cost).read_text(encoding="utf-8").strip():
+        raise ValueError(f"cost file {args.cost} has no data")
     cost = np.loadtxt(args.cost, delimiter=",", ndmin=2)
     w0 = _parse_weights(args.w0, cost.shape[0], "--w0")
     w1 = _parse_weights(args.w1, cost.shape[1], "--w1")

@@ -1,7 +1,9 @@
 """Exact discrete transportation problem and the mixture-Wasserstein distance.
 
 The solver is a transportation simplex: least-cost start, spanning tree
-duals, and Dantzig's rule, which enters the most negative reduced cost.  A
+duals, and Dantzig's rule, which enters the most negative reduced cost.  One
+basis tree is kept for the whole solve and swaps one edge per pivot; one walk
+of it gives the duals and the parent pointers that close the pivot cycle.  A
 tiny perturbation of the marginals keeps every basis nondegenerate, so each
 pivot strictly lowers the cost and the simplex cannot cycle.
 Exactness (up to arithmetic) matters downstream: change-point statistics
@@ -92,56 +94,64 @@ def _least_cost_start(C: np.ndarray, a: np.ndarray, b: np.ndarray):
     return x, basis
 
 
-def _tree_potentials(cost: np.ndarray, basis, K0: int, K1: int):
-    """Dual variables from the spanning tree of basis cells, u[0] = 0."""
-    adj: dict[int, list[tuple[int, int, int]]] = {}
-    for i, j in basis:
-        adj.setdefault(i, []).append((K0 + j, i, j))
-        adj.setdefault(K0 + j, []).append((i, i, j))
-    u = np.full(K0, np.nan)
-    v = np.full(K1, np.nan)
-    u[0] = 0.0
+def _cell(node: int, other: int, K0: int):
+    """Basis cell of the tree edge between a node and its neighbour."""
+    return (node, other - K0) if node < K0 else (other, node - K0)
+
+
+def _tree_walk(costs, adj, K0: int):
+    """Potentials, parents and depths of the basis tree rooted at row 0.
+
+    Nodes are rows 0..K0-1 and then columns.  The root's potential is 0 and
+    every other is its edge's cost minus its parent's potential, so each one
+    is a signed sum along its path from the root, whatever the visit order.
+    """
+    n = len(adj)
+    pot, parent, depth = [0.0] * n, [-1] * n, [0] * n
     stack = [0]
-    seen = {0}
     while stack:
         node = stack.pop()
-        for nxt, i, j in adj.get(node, ()):
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if nxt >= K0:
-                v[nxt - K0] = cost[i, j] - u[i]
-            else:
-                u[nxt] = cost[i, j] - v[j]
-            stack.append(nxt)
-    return u, v
+        for nxt in adj[node]:
+            if nxt != parent[node]:
+                i, j = _cell(node, nxt, K0)
+                pot[nxt] = costs[i][j] - pot[node]
+                parent[nxt], depth[nxt] = node, depth[node] + 1
+                stack.append(nxt)
+    return pot, parent, depth
 
 
-def _tree_solve(basis, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Basic solution over the spanning tree `basis` for the given marginals.
+def _tree_path(parent, depth, start: int, goal: int, K0: int):
+    """Cells along the unique tree path from node start to node goal."""
+    up, down = [], []
+    while start != goal:
+        if depth[start] >= depth[goal]:
+            up.append(_cell(start, parent[start], K0))
+            start = parent[start]
+        else:
+            down.append(_cell(goal, parent[goal], K0))
+            goal = parent[goal]
+    return up + down[::-1]
 
-    Peels leaves of the tree, so every entry is a signed sum of marginal
-    weights with no other roundoff; degenerate cells whose mass cancels to
-    a tiny negative are clamped to zero while the signed remainder keeps
-    propagating, which preserves the row and column sums.
+
+def _tree_solve(adj, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Basic solution over the spanning tree `adj` for the given marginals.
+
+    Peels leaves of the tree, which it empties, in node order, so every entry
+    is a signed sum of marginal weights with no other roundoff; degenerate
+    cells whose mass cancels to a tiny negative are clamped to zero while the
+    signed remainder keeps propagating, which preserves the row and column
+    sums.
     """
-    K0, K1 = a.size, b.size
-    x = np.zeros((K0, K1))
+    K0 = a.size
+    x = np.zeros((K0, b.size))
     rem = np.concatenate([a, b])
-    adj: dict[int, set[int]] = {node: set() for node in range(K0 + K1)}
-    cell_of = {}
-    for i, j in basis:
-        adj[i].add(K0 + j)
-        adj[K0 + j].add(i)
-        cell_of[(i, K0 + j)] = (i, j)
-    leaves = [node for node, nbrs in adj.items() if len(nbrs) == 1]
+    leaves = [node for node, nbrs in enumerate(adj) if len(nbrs) == 1]
     while leaves:
         node = leaves.pop()
         if not adj[node]:
             continue
         (other,) = adj[node]
-        i, j = cell_of[(node, other) if node < K0 else (other, node)]
-        x[i, j] = max(rem[node], 0.0)
+        x[_cell(node, other, K0)] = max(rem[node], 0.0)
         rem[other] -= rem[node]
         rem[node] = 0.0
         adj[node].clear()
@@ -149,31 +159,6 @@ def _tree_solve(basis, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if len(adj[other]) == 1:
             leaves.append(other)
     return x
-
-
-def _tree_path(basis, start: int, goal: int, K0: int):
-    """Cells along the unique tree path between two nodes of the basis."""
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for i, j in basis:
-        adj.setdefault(i, []).append((K0 + j, (i, j)))
-        adj.setdefault(K0 + j, []).append((i, (i, j)))
-    parent: dict[int, tuple[int, tuple[int, int]]] = {start: (-1, (-1, -1))}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for nxt, cell in adj.get(node, ()):
-            if nxt not in parent:
-                parent[nxt] = (node, cell)
-                stack.append(nxt)
-    path = []
-    node = goal
-    while node != start:
-        prev, cell = parent[node]
-        path.append(cell)
-        node = prev
-    return path[::-1]
 
 
 def solve_transportation(cost, w0, w1) -> TransportPlan:
@@ -207,33 +192,46 @@ def solve_transportation(cost, w0, w1) -> TransportPlan:
     b = b.copy()
     b[-1] += K0 * _EPS_PERTURB
 
+    # one spanning tree for the whole solve: neighbour sets over the row
+    # nodes 0..K0-1 and the column nodes K0.., and a mask of its cells
     x, basis = _least_cost_start(C, a, b)
+    adj = [set() for _ in range(K0 + K1)]
+    basic = np.zeros((K0, K1), dtype=bool)
+    for i, j in basis:
+        adj[i].add(K0 + j)
+        adj[K0 + j].add(i)
+        basic[i, j] = True
+    costs = C.tolist()
     max_iter = 200 * (K0 + K1) ** 2 + 1000
     for _ in range(max_iter):
-        u, v = _tree_potentials(C, basis, K0, K1)
+        pot, parent, depth = _tree_walk(costs, adj, K0)
+        u, v = np.array(pot[:K0]), np.array(pot[K0:])
         reduced = C - u[:, None] - v[None, :]
-        reduced[tuple(zip(*basis))] = np.inf
+        reduced[basic] = np.inf
         flat = int(np.argmin(reduced))
         if not reduced.flat[flat] < -1e-12:
             break
-        entering = divmod(flat, K1)
-        path = _tree_path(basis, entering[0], K0 + entering[1], K0)
-        cycle = [entering] + path
-        minus = cycle[1::2]
+        ei, ej = entering = divmod(flat, K1)
+        path = _tree_path(parent, depth, ei, K0 + ej, K0)
+        minus = path[0::2]
         theta = min(x[c] for c in minus)
-        leaving = min(c for c in minus if x[c] <= theta)
-        for c in cycle[0::2]:
+        li, lj = leaving = min(c for c in minus if x[c] <= theta)
+        for c in [entering] + path[1::2]:
             x[c] += theta
         for c in minus:
             x[c] -= theta
         x[leaving] = 0.0
-        basis = [entering if c == leaving else c for c in basis]
+        adj[li].discard(K0 + lj)
+        adj[K0 + lj].discard(li)
+        adj[ei].add(K0 + ej)
+        adj[K0 + ej].add(ei)
+        basic[leaving], basic[entering] = False, True
     else:
         raise NoConvergence("transportation simplex exceeded its iteration budget")
 
     # the optimal basis does not depend on the perturbation, so re-solve the
     # tree against the original marginals for an exactly feasible plan
-    x = _tree_solve(basis, a0, b0)
+    x = _tree_solve(adj, a0, b0)
     x[x <= _CLEANUP] = 0.0
     return TransportPlan(x, float(np.sum(x * C)), (u, v))
 

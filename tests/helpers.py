@@ -179,3 +179,117 @@ def loop_align_shape(a, b, seam_search=True):
 def loop_shape_distance(a, b, seam_search=True):
     aligned = loop_align_shape(a, b, seam_search)
     return geodesic_distance(Point(a.ravel()), Point(aligned.ravel()))
+
+
+def _ref_tree_potentials(cost, basis, K0, K1):
+    adj = {}
+    for i, j in basis:
+        adj.setdefault(i, []).append((K0 + j, i, j))
+        adj.setdefault(K0 + j, []).append((i, i, j))
+    u = np.full(K0, np.nan)
+    v = np.full(K1, np.nan)
+    u[0] = 0.0
+    stack = [0]
+    seen = {0}
+    while stack:
+        node = stack.pop()
+        for nxt, i, j in adj.get(node, ()):
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            if nxt >= K0:
+                v[nxt - K0] = cost[i, j] - u[i]
+            else:
+                u[nxt] = cost[i, j] - v[j]
+            stack.append(nxt)
+    return u, v
+
+
+def _ref_tree_solve(basis, a, b):
+    K0, K1 = a.size, b.size
+    x = np.zeros((K0, K1))
+    rem = np.concatenate([a, b])
+    adj = {node: set() for node in range(K0 + K1)}
+    cell_of = {}
+    for i, j in basis:
+        adj[i].add(K0 + j)
+        adj[K0 + j].add(i)
+        cell_of[(i, K0 + j)] = (i, j)
+    leaves = [node for node, nbrs in adj.items() if len(nbrs) == 1]
+    while leaves:
+        node = leaves.pop()
+        if not adj[node]:
+            continue
+        (other,) = adj[node]
+        i, j = cell_of[(node, other) if node < K0 else (other, node)]
+        x[i, j] = max(rem[node], 0.0)
+        rem[other] -= rem[node]
+        rem[node] = 0.0
+        adj[node].clear()
+        adj[other].discard(node)
+        if len(adj[other]) == 1:
+            leaves.append(other)
+    return x
+
+
+def _ref_tree_path(basis, start, goal, K0):
+    adj = {}
+    for i, j in basis:
+        adj.setdefault(i, []).append((K0 + j, (i, j)))
+        adj.setdefault(K0 + j, []).append((i, (i, j)))
+    parent = {start: (-1, (-1, -1))}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            break
+        for nxt, cell in adj.get(node, ()):
+            if nxt not in parent:
+                parent[nxt] = (node, cell)
+                stack.append(nxt)
+    path = []
+    node = goal
+    while node != start:
+        prev, cell = parent[node]
+        path.append(cell)
+        node = prev
+    return path[::-1]
+
+
+def reference_transportation(cost, w0, w1):
+    """Plan, cost and (u, v) of the transportation simplex that rebuilt the
+    basis tree from its list of cells at every pivot: one adjacency for the
+    potentials, another for the entering cycle and a third for the final
+    leaf peel.  Validation, the perturbation and the least-cost start are
+    the solver's own; problems must have K0, K1 >= 2."""
+    from bundlemw.transport import _CLEANUP, _EPS_PERTURB, _least_cost_start, _validate_simplex
+
+    C = np.clip(np.asarray(cost, dtype=float), 0.0, None)
+    K0, K1 = C.shape
+    a0 = _validate_simplex(w0, K0, "w0")
+    b0 = _validate_simplex(w1, K1, "w1")
+    a = a0 + _EPS_PERTURB
+    b = b0.copy()
+    b[-1] += K0 * _EPS_PERTURB
+    x, basis = _least_cost_start(C, a, b)
+    while True:
+        u, v = _ref_tree_potentials(C, basis, K0, K1)
+        reduced = C - u[:, None] - v[None, :]
+        reduced[tuple(zip(*basis))] = np.inf
+        flat = int(np.argmin(reduced))
+        if not reduced.flat[flat] < -1e-12:
+            break
+        entering = divmod(flat, K1)
+        cycle = [entering] + _ref_tree_path(basis, entering[0], K0 + entering[1], K0)
+        minus = cycle[1::2]
+        theta = min(x[c] for c in minus)
+        leaving = min(c for c in minus if x[c] <= theta)
+        for c in cycle[0::2]:
+            x[c] += theta
+        for c in minus:
+            x[c] -= theta
+        x[leaving] = 0.0
+        basis = [entering if c == leaving else c for c in basis]
+    x = _ref_tree_solve(basis, a0, b0)
+    x[x <= _CLEANUP] = 0.0
+    return x, float(np.sum(x * C)), (u, v)

@@ -354,6 +354,27 @@ class TestTransport:
         assert run(["transport", tmp / "cost.csv", "--w0", "0.5"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("text", ["", "\n\n\n"], ids=["empty", "blank"])
+    def test_cost_file_without_data(self, workspace, capsys, text):
+        tmp, _ = workspace
+        (tmp / "cost.csv").write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["transport", tmp / "cost.csv", "--out", tmp / "plan.json"]) == 2
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(tmp / "cost.csv") in json.loads(err[0])["message"]
+        assert not (tmp / "plan.json").exists()
+
+    @pytest.mark.parametrize("w0, code", [("0.5,0.500000005", 0), ("0.5,0.50000002", 2)])
+    def test_marginal_tolerance(self, workspace, capsys, w0, code):
+        # marginals must sum to 1 within 1e-8
+        tmp, _ = workspace
+        np.savetxt(tmp / "cost.csv", np.eye(2), delimiter=",")
+        assert run(["transport", tmp / "cost.csv", "--w0", w0]) == code
+        if code:
+            assert json.loads(capsys.readouterr().err)["error"] == "InfeasibleWeights"
+
 
 class TestChangepoint:
     def test_block_matrix_detection(self, workspace, capsys):

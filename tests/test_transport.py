@@ -8,6 +8,7 @@ from bundlemw.errors import FrameMismatch, InfeasibleWeights
 from bundlemw.gauss import (
     BundleGaussian,
     GaussianMixture,
+    pairwise_w2sq,
     w2sq_bundle_gaussian,
 )
 from bundlemw.geometry import Point, build_reference_frame, geodesic_distance, standard_frame
@@ -22,7 +23,7 @@ from bundlemw.transport import (
     solve_transportation,
 )
 
-from helpers import make_mixture
+from helpers import make_mixture, reference_transportation
 
 
 def linprog_cost(C, w0, w1):
@@ -188,6 +189,55 @@ class TestSolveTransportation:
         plan = solve_transportation(C, w, w)
         assert plan.cost == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(plan.matrix, np.eye(3) / 3.0, atol=1e-8)
+
+
+def continuous_problems(rng, n, k_max):
+    """Uniform costs in [0, 10) with random marginals bounded away from 0."""
+    problems = []
+    for _ in range(n):
+        K0, K1 = (int(k) for k in rng.integers(2, k_max + 1, size=2))
+        w0 = rng.random(K0) + 0.05
+        w1 = rng.random(K1) + 0.05
+        problems.append((rng.random((K0, K1)) * 10.0, w0 / w0.sum(), w1 / w1.sum()))
+    return problems
+
+
+def mixture_problems(rng, n):
+    """Pairwise squared W2 costs between S^2 mixtures of 6 to 16 components."""
+    f = build_reference_frame(Point(np.eye(3)[-1]), rng_seed=17)
+    problems = []
+    for _ in range(n):
+        m0, m1 = (make_mixture(rng, int(rng.integers(6, 17)), 3, frame=f) for _ in range(2))
+        problems.append((pairwise_w2sq(m0, m1), m0.weights, m1.weights))
+    return problems
+
+
+class TestMatchesRebuildingReference:
+    """The solver keeps one basis tree across pivots; its plans, costs and
+    potentials equal bit for bit those of the reference that rebuilds the
+    tree from the basis cells at every pivot."""
+
+    @pytest.mark.parametrize(
+        "problems",
+        [
+            pytest.param(lambda: mixture_problems(np.random.default_rng(20), 30), id="mixtures"),
+            pytest.param(lambda: continuous_problems(np.random.default_rng(21), 25, 40),
+                         id="continuous"),
+            pytest.param(lambda: tie_heavy_problems(np.random.default_rng(22), 40, 40),
+                         id="tie_heavy"),
+            pytest.param(lambda: [(np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 2.0], [3.0, 2.0, 1.0]]),
+                                   np.full(3, 1.0 / 3.0), np.full(3, 1.0 / 3.0))],
+                         id="degenerate"),
+        ],
+    )
+    def test_bit_identical(self, problems):
+        for C, w0, w1 in problems():
+            plan = solve_transportation(C, w0, w1)
+            x, cost, (u, v) = reference_transportation(C, w0, w1)
+            assert np.array_equal(plan.matrix, x)
+            assert plan.cost == cost
+            assert np.array_equal(plan.potentials[0], u)
+            assert np.array_equal(plan.potentials[1], v)
 
 
 class TestMW2:
