@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csvfile import read_table
 from ._jsonfile import write_json
 from .changepoint import e_divisive, save_report
 from .contours import (
@@ -198,9 +199,7 @@ def _parse_weights(text, k, flag):
 
 
 def cmd_transport(args) -> int:
-    if not Path(args.cost).read_text(encoding="utf-8").strip():
-        raise ValueError(f"cost file {args.cost} has no data")
-    cost = np.loadtxt(args.cost, delimiter=",", ndmin=2)
+    _, cost = read_table(args.cost)
     w0 = _parse_weights(args.w0, cost.shape[0], "--w0")
     w1 = _parse_weights(args.w1, cost.shape[1], "--w1")
     plan = solve_transportation(cost, w0, w1)

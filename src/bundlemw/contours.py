@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csvfile import read_table, write_table
 from ._jsonfile import read_json, write_json
 from .errors import ClusterTooSmall, DegenerateContour, DimensionMismatch, NoConvergence
 from .geometry import (
@@ -270,15 +271,7 @@ def shape_statistics(
 def load_contour_file(path) -> list[Contour]:
     """The contours of one frame file; a file without any raises ValueError."""
     path = Path(path)
-    if path.suffix == ".json":
-        arrays = read_json(path)
-    else:
-        rows = path.read_text(encoding="utf-8").splitlines()
-        try:
-            [float(v) for v in rows[0].split(",")]
-        except (IndexError, ValueError):
-            rows = rows[1:]
-        arrays = [np.loadtxt(rows, delimiter=",", ndmin=2).T] if any(map(str.strip, rows)) else []
+    arrays = read_json(path) if path.suffix == ".json" else [read_table(path)[1].T]
     if len(arrays) == 0:
         raise ValueError(f"no contour in {path}")
     return [Contour(np.asarray(a, dtype=float)) for a in arrays]
@@ -302,27 +295,10 @@ def load_contour_dir(path) -> dict[str, list[Contour]]:
 
 def save_distmat(path, D: np.ndarray, names=None) -> None:
     """distmat.csv: optional name header column plus the matrix rows."""
-    D = np.asarray(D, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        if names is not None:
-            fh.write("," + ",".join(str(n) for n in names) + "\n")
-        for i, row in enumerate(D):
-            prefix = f"{names[i]}," if names is not None else ""
-            fh.write(prefix + ",".join(f"{v:.17g}" for v in row) + "\n")
+    header = None if names is None else "," + ",".join(str(n) for n in names)
+    write_table(path, D, header, names)
 
 
 def load_distmat(path) -> tuple[np.ndarray, list[str]]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    names: list[str] = []
-    rows = []
-    start = 0
-    if lines and lines[0].startswith(","):
-        names = lines[0].split(",")[1:]
-        start = 1
-    for ln in lines[start:]:
-        parts = ln.split(",")
-        if names:
-            parts = parts[1:]
-        rows.append([float(v) for v in parts])
-    return np.array(rows), names
+    header, D = read_table(path)
+    return D, header[1:] if header and header[0] == "" else []

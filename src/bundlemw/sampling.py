@@ -16,11 +16,11 @@ other components received, and a K=1 mixture reproduces
 
 from __future__ import annotations
 
-import csv
 from typing import Optional
 
 import numpy as np
 
+from ._csvfile import read_table, write_table
 from .errors import NoConvergence
 from .gauss import BundleGaussian, GaussianMixture
 from .geometry import MovingFrame, exp_batch, transported_basis
@@ -107,22 +107,12 @@ def sample_mixture(
 
 def save_samples(path, X, labels=None) -> None:
     X = np.asarray(X, dtype=float)
-    if labels is None:
-        labels = [-1] * len(X)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(X.shape[1])] + ["label"])
-        for row, lab in zip(X, labels):
-            writer.writerow([f"{v:.17g}" for v in row] + [int(lab)])
+    labels = np.full(len(X), -1) if labels is None else np.asarray(labels).astype(int)
+    header = ",".join([f"x{i}" for i in range(X.shape[1])] + ["label"])
+    write_table(path, np.column_stack([X, labels]), header, end="\r\n")
 
 
 def load_samples(path) -> tuple[np.ndarray, np.ndarray]:
     """Read samples.csv back as (coords array, label array)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows and rows[0] and rows[0][-1] == "label":
-        rows = rows[1:]
-    if not rows:
-        raise ValueError("samples file contains no data rows")
-    data = np.array([[float(v) for v in row] for row in rows])
+    _, data = read_table(path)
     return data[:, :-1], data[:, -1].astype(int)

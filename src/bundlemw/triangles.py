@@ -28,10 +28,9 @@ error of its first row that fails a check.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
+from ._csvfile import read_table, write_table
 from .errors import DegenerateTriangle
 from .geometry import Point, _unit_rows, geodesic_distance
 
@@ -192,37 +191,21 @@ def triangle_shape_distance(t0: Triangle, t1: Triangle) -> float:
 
 # ---------------------------------------------------------------------------
 # triangles.csv: one triangle per row, columns x11 x12 x21 x22 x31 x32, rows
-# ended by \r\n as csv.writer ends them; sphere points end rows by \n.
-
-def _save_rows(path, header: str, X: np.ndarray, end: str) -> None:
-    line = ",".join(["%.17g"] * X.shape[1]) + end
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + end + (line * len(X)) % tuple(X.ravel().tolist()))
-
+# ended by \r\n; sphere points end rows by \n.
 
 def save_triangles(path, triangles) -> None:
     """Write (n, 3, 2) vertices or a sequence of ``Triangle``."""
     V = np.asarray(triangles, dtype=float).reshape(-1, 6)
-    _save_rows(path, "x11,x12,x21,x22,x31,x32", V, "\r\n")
+    write_table(path, V, "x11,x12,x21,x22,x31,x32", end="\r\n")
 
 
 def load_vertices(path) -> np.ndarray:
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows and rows[0] and rows[0][0] == "x11":
-        rows = rows[1:]
-    if not rows:
-        raise ValueError("triangle file contains no data rows")
-    out = []
-    for row in rows:
-        vals = [float(v) for v in row]
-        if len(vals) != 6:
-            raise ValueError("each triangle row needs six values")
-        out.append(vals)
-    V = np.array(out).reshape(-1, 3, 2)
+    _, V = read_table(path)
+    if V.shape[1] != 6:
+        raise ValueError(f"{path}: each triangle row needs six values")
     if not np.isfinite(V).all():
         raise ValueError("triangle vertices must be finite")
-    return V
+    return V.reshape(-1, 3, 2)
 
 
 def load_triangles(path) -> list[Triangle]:
@@ -230,25 +213,16 @@ def load_triangles(path) -> list[Triangle]:
 
 
 def save_sphere_points(path, Y, theta, phi) -> None:
-    _save_rows(path, SPHERE_HEADER, np.column_stack([theta, phi, Y]), "\n")
+    write_table(path, np.column_stack([theta, phi, Y]), SPHERE_HEADER)
 
 
 def load_angles(path) -> np.ndarray:
     """(n, 3) theta, phi, psi of theta,phi[,psi] rows, psi = 0 where absent,
     or of the theta,phi,x,y,z rows that the forward map writes."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    header, rows = read_table(path, ragged=True)
     widths, why = (2, 3), "theta,phi or theta,phi,psi"
-    if lines[:1] == [SPHERE_HEADER]:
+    if header and [c.strip() for c in header] == SPHERE_HEADER.split(","):
         widths, why = (5,), SPHERE_HEADER
-    if lines and lines[0].lstrip("#").split(",")[0].strip() in ("theta", "psi"):
-        lines = lines[1:]
-    if not lines:
-        raise ValueError("angle file contains no data rows")
-    rows = []
-    for ln in lines:
-        vals = [float(v) for v in ln.split(",")]
-        if len(vals) not in widths:
-            raise ValueError(f"each row needs {why}")
-        rows.append(vals[:3] if len(vals) == 3 else vals[:2] + [0.0])
-    return np.array(rows)
+    if any(len(row) not in widths for row in rows):
+        raise ValueError(f"{path}: each row needs {why}")
+    return np.array([row[:3] if len(row) == 3 else row[:2] + [0.0] for row in rows])

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bundlemw import cli
+from bundlemw import cli, errors
 from bundlemw.contours import (
     SrvfShape,
     load_contour_dir,
@@ -354,7 +354,8 @@ class TestTransport:
         assert run(["transport", tmp / "cost.csv", "--w0", "0.5"]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("text", ["", "\n\n\n"], ids=["empty", "blank"])
+    @pytest.mark.parametrize("text", ["", "\n\n\n", "# costs\n"],
+                             ids=["empty", "blank", "comment"])
     def test_cost_file_without_data(self, workspace, capsys, text):
         tmp, _ = workspace
         (tmp / "cost.csv").write_text(text)
@@ -607,3 +608,11 @@ class TestArgErrors:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_every_package_error_has_one_exit_code(self):
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, errors.BundleMWError)
+                   and c is not errors.BundleMWError]
+        assert len(classes) >= 13
+        for c in classes:
+            assert (c in cli._NUMERICAL_ERRORS) + (c in cli._VALIDATION_ERRORS) == 1, c
