@@ -9,228 +9,49 @@ the Hopf map, closed contours via square-root velocity functions), and
 change-point detection over distance matrices.
 """
 
-from .changepoint import (
-    ChangePoint,
-    ChangePointReport,
-    best_split,
-    e_divisive,
-    energy_statistic,
-    load_report,
-    report_from_dict,
-    report_to_dict,
-    save_report,
-)
-from .contours import (
-    Contour,
-    SrvfShape,
-    align_shape,
-    contour_to_srvf,
-    load_contour_dir,
-    load_contour_file,
-    load_distmat,
-    pairwise_shape_distance,
-    procrustes_rotation,
-    save_contours_json,
-    save_distmat,
-    shape_distance,
-    shape_frechet_mean,
-    shape_statistics,
-)
-from .errors import (
-    AntipodalPoint,
-    BundleMWError,
-    ClusterTooSmall,
-    DegenerateContour,
-    DegenerateFrame,
-    DegenerateMatrix,
-    DegenerateTriangle,
-    DimensionMismatch,
-    EmptyCluster,
-    FrameMismatch,
-    InfeasibleWeights,
-    NoConvergence,
-    NotSymmetric,
-    SegmentTooSmall,
-)
-from .estimation import (
-    OUTLIER,
-    Clustering,
-    clustering_from_dict,
-    clustering_to_dict,
-    fit_mixture,
-    kmodes_cluster,
-    load_clustering,
-    riemannian_kmeans,
-    save_clustering,
-)
-from .gauss import (
-    BundleGaussian,
-    CovarianceMatrix,
-    GaussianMixture,
-    bures_term,
-    check_same_frame,
-    load_mixture,
-    mixture_from_dict,
-    mixture_to_dict,
-    normalize_minimal_form,
-    pairwise_w2sq,
-    psd_sqrt,
-    save_mixture,
-    single_gaussian_mixture,
-    w2_bundle_gaussian,
-    w2sq_bundle_gaussian,
-)
-from .geometry import (
-    MovingFrame,
-    Point,
-    TangentVector,
-    build_reference_frame,
-    exp_batch,
-    frame_from_dict,
-    frame_to_dict,
-    frames_equal,
-    frechet_mean,
-    geodesic_distance,
-    load_frame,
-    log_batch,
-    pairwise_geodesic,
-    parallel_transport,
-    save_frame,
-    sphere_exp,
-    sphere_log,
-    standard_frame,
-    tangent_coordinates,
-    tangent_from_coordinates,
-    transport_batch,
-    transport_frame,
-)
-from .sampling import load_samples, sample_gaussian, sample_mixture, save_samples
-from .transport import (
-    MW2Result,
-    TransportPlan,
-    mw2,
-    mw2_distance,
-    pairwise_mw2,
-    result_to_dict,
-    save_result,
-    solve_transportation,
-)
-from .triangles import (
-    Triangle,
-    TrianglePreshape,
-    hopf_backward,
-    hopf_forward,
-    load_triangles,
-    point_to_angles,
-    save_triangles,
-    triangle_preshape,
-    triangle_shape_distance,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AntipodalPoint",
-    "BundleGaussian",
-    "BundleMWError",
-    "ChangePoint",
-    "ChangePointReport",
-    "Clustering",
-    "ClusterTooSmall",
-    "Contour",
-    "CovarianceMatrix",
-    "DegenerateContour",
-    "DegenerateFrame",
-    "DegenerateMatrix",
-    "DegenerateTriangle",
-    "DimensionMismatch",
-    "EmptyCluster",
-    "FrameMismatch",
-    "GaussianMixture",
-    "InfeasibleWeights",
-    "MovingFrame",
-    "MW2Result",
-    "NoConvergence",
-    "NotSymmetric",
-    "OUTLIER",
-    "Point",
-    "SegmentTooSmall",
-    "SrvfShape",
-    "TangentVector",
-    "TransportPlan",
-    "Triangle",
-    "TrianglePreshape",
-    "align_shape",
-    "best_split",
-    "build_reference_frame",
-    "bures_term",
-    "check_same_frame",
-    "clustering_from_dict",
-    "clustering_to_dict",
-    "contour_to_srvf",
-    "e_divisive",
-    "energy_statistic",
-    "exp_batch",
-    "fit_mixture",
-    "frame_from_dict",
-    "frame_to_dict",
-    "frames_equal",
-    "frechet_mean",
-    "geodesic_distance",
-    "hopf_backward",
-    "hopf_forward",
-    "kmodes_cluster",
-    "load_clustering",
-    "load_contour_dir",
-    "load_contour_file",
-    "load_distmat",
-    "load_frame",
-    "load_mixture",
-    "load_report",
-    "load_samples",
-    "load_triangles",
-    "log_batch",
-    "mixture_from_dict",
-    "mixture_to_dict",
-    "mw2",
-    "mw2_distance",
-    "normalize_minimal_form",
-    "pairwise_geodesic",
-    "pairwise_mw2",
-    "pairwise_shape_distance",
-    "pairwise_w2sq",
-    "parallel_transport",
-    "point_to_angles",
-    "procrustes_rotation",
-    "psd_sqrt",
-    "report_from_dict",
-    "report_to_dict",
-    "riemannian_kmeans",
-    "sample_gaussian",
-    "sample_mixture",
-    "save_clustering",
-    "save_contours_json",
-    "save_distmat",
-    "save_frame",
-    "save_mixture",
-    "save_report",
-    "save_result",
-    "save_samples",
-    "save_triangles",
-    "shape_distance",
-    "shape_frechet_mean",
-    "shape_statistics",
-    "single_gaussian_mixture",
-    "solve_transportation",
-    "sphere_exp",
-    "sphere_log",
-    "standard_frame",
-    "tangent_coordinates",
-    "tangent_from_coordinates",
-    "transport_batch",
-    "transport_frame",
-    "triangle_preshape",
-    "triangle_shape_distance",
-    "w2_bundle_gaussian",
-    "w2sq_bundle_gaussian",
-]
+# module -> the public names it defines: the one list of what bundlemw exports.
+# A name's module is imported on first access, so `import bundlemw` loads none.
+_TABLE = {
+    "changepoint": """ChangePoint ChangePointReport best_split e_divisive energy_statistic
+        load_report report_from_dict report_to_dict save_report""",
+    "contours": """Contour SrvfShape align_shape contour_to_srvf load_contour_dir
+        load_contour_file load_distmat pairwise_shape_distance procrustes_rotation
+        save_contours_json save_distmat shape_distance shape_frechet_mean shape_statistics""",
+    "errors": """AntipodalPoint BundleMWError ClusterTooSmall DegenerateContour DegenerateFrame
+        DegenerateMatrix DegenerateTriangle DimensionMismatch EmptyCluster FrameMismatch
+        InfeasibleWeights NoConvergence NotSymmetric SegmentTooSmall""",
+    "estimation": """OUTLIER Clustering clustering_from_dict clustering_to_dict fit_mixture
+        kmodes_cluster load_clustering riemannian_kmeans save_clustering""",
+    "gauss": """BundleGaussian CovarianceMatrix GaussianMixture bures_term check_same_frame
+        load_mixture mixture_from_dict mixture_to_dict normalize_minimal_form pairwise_w2sq
+        psd_sqrt save_mixture single_gaussian_mixture w2_bundle_gaussian w2sq_bundle_gaussian""",
+    "geometry": """MovingFrame Point TangentVector build_reference_frame exp_batch
+        frame_from_dict frame_to_dict frames_equal frechet_mean geodesic_distance load_frame
+        log_batch pairwise_geodesic parallel_transport save_frame sphere_exp sphere_log
+        standard_frame tangent_coordinates tangent_from_coordinates transport_batch
+        transport_frame""",
+    "sampling": "load_samples sample_gaussian sample_mixture save_samples",
+    "transport": """MW2Result TransportPlan mw2 mw2_distance pairwise_mw2 result_to_dict
+        save_result solve_transportation""",
+    "triangles": """Triangle TrianglePreshape hopf_backward hopf_forward load_triangles
+        point_to_angles save_triangles triangle_preshape triangle_shape_distance""",
+}
+_HOME = {name: module for module, names in _TABLE.items() for name in names.split()}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    """Import the home module of a public name, and keep the value here."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _HOME.keys())

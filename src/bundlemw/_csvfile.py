@@ -2,9 +2,10 @@
 
 Values are written with ``%.17g``, which round-trips every float.  Reading
 skips blank lines and ``#`` lines.  The first remaining line is a header when
-one of its cells is not a number, even with a ``#`` comment cut off; a header
-whose first cell is empty marks a column of row names, dropped unread, so a
-named row is never a comment.
+its first cell is empty, or when none of its cells is a number even with a
+``#`` comment cut off; any other line with a cell that is not a number is an
+error.  A header whose first cell is empty marks a column of row names,
+dropped unread, so a named row is never a comment.
 """
 
 import numpy as np
@@ -21,10 +22,10 @@ def write_table(path, X, header=None, names=None, end="\n") -> None:
         fh.write(("" if header is None else header + end) + (row * len(X)) % tuple(cells))
 
 
-def _numbers(cells) -> bool:
-    """Whether every cell is a number once a ``#`` comment is cut off."""
+def _number(cell) -> bool:
+    """Whether the cell is a number once a ``#`` comment is cut off."""
     try:
-        [float(c.partition("#")[0]) for c in cells]
+        float(cell.partition("#")[0])
     except ValueError:
         return False
     return True
@@ -47,7 +48,7 @@ def read_table(path, ragged=False):
             try:
                 values = list(map(float, cells[1:] if named else cells))
             except ValueError as exc:
-                if header is None and not rows and not _numbers(cells):
+                if header is None and not rows and (cells[0] == "" or not any(map(_number, cells))):
                     header, named = cells, cells[0] == ""
                     continue
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None

@@ -10,30 +10,16 @@ Every command is deterministic given --seed.  Exit codes: 0 on success,
 2 for validation problems (bad files, bad flags, malformed inputs), 3 for
 numerical failures (non-convergence, degenerate geometry).  Failures print
 a one-line JSON object to stderr with the error class and message.
+Each command imports the modules it uses, so a process loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from ._csvfile import read_table
-from ._jsonfile import write_json
-from .changepoint import e_divisive, save_report
-from .contours import (
-    SrvfShape,
-    _align,
-    _srvf_stack,
-    load_contour_dir,
-    load_distmat,
-    save_distmat,
-    shape_statistics,
-)
 from .errors import (
     AntipodalPoint,
     ClusterTooSmall,
@@ -49,22 +35,8 @@ from .errors import (
     NotSymmetric,
     SegmentTooSmall,
 )
-from .estimation import KMODES_MAX_POINTS, fit_mixture, kmodes_cluster, riemannian_kmeans
-from .estimation import save_clustering
-from .gauss import GaussianMixture, load_mixture, mixture_from_dict, save_mixture
-from .geometry import _unit_rows, frechet_mean, load_frame, pairwise_geodesic, standard_frame
-from .sampling import load_samples, sample_mixture, save_samples
-from .transport import mw2, pairwise_mw2, save_result, solve_transportation
 # bench/traced.py looks up this name and times the rows of distmat by it
 from .transport import _mw2_row as _mw2_pair  # noqa: F401
-from .triangles import (
-    load_angles,
-    load_vertices,
-    save_sphere_points,
-    save_triangles,
-    sphere_to_triangles,
-    triangles_to_sphere,
-)
 
 _NUMERICAL_ERRORS = (
     NoConvergence,
@@ -99,6 +71,11 @@ def _config_error(field, why):
 
 
 def cmd_simulate(args) -> int:
+    import hashlib
+
+    from .gauss import mixture_from_dict
+    from .sampling import sample_mixture, save_samples
+
     raw = Path(args.config).read_bytes()
     try:
         cfg = json.loads(raw)
@@ -136,6 +113,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .estimation import KMODES_MAX_POINTS, fit_mixture, kmodes_cluster, riemannian_kmeans
+    from .estimation import save_clustering
+    from .gauss import save_mixture
+    from .geometry import _unit_rows, load_frame, pairwise_geodesic
+    from .sampling import load_samples
+
     X, _ = load_samples(args.samples)
     frame = load_frame(args.frame)
     if args.method == "kmeans":
@@ -165,6 +148,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_mw2(args) -> int:
+    from .gauss import load_mixture
+    from .transport import mw2, save_result
+
     mix0 = load_mixture(args.mixture_a)
     mix1 = load_mixture(args.mixture_b)
     res = mw2(mix0, mix1)
@@ -175,6 +161,10 @@ def cmd_mw2(args) -> int:
 
 
 def cmd_distmat(args) -> int:
+    from .contours import save_distmat
+    from .gauss import load_mixture
+    from .transport import pairwise_mw2
+
     indir = Path(args.mixtures)
     paths = sorted(indir.glob("*.json"))
     if len(paths) < 2:
@@ -187,6 +177,8 @@ def cmd_distmat(args) -> int:
 
 
 def _parse_weights(text, k, flag):
+    import numpy as np
+
     if text is None:
         return np.full(k, 1.0 / k)
     try:
@@ -199,6 +191,12 @@ def _parse_weights(text, k, flag):
 
 
 def cmd_transport(args) -> int:
+    import numpy as np
+
+    from ._csvfile import read_table
+    from ._jsonfile import write_json
+    from .transport import solve_transportation
+
     _, cost = read_table(args.cost)
     w0 = _parse_weights(args.w0, cost.shape[0], "--w0")
     w1 = _parse_weights(args.w1, cost.shape[1], "--w1")
@@ -216,6 +214,9 @@ def cmd_transport(args) -> int:
 
 
 def cmd_changepoint(args) -> int:
+    from .changepoint import e_divisive, save_report
+    from .contours import load_distmat
+
     D, _names = load_distmat(args.distmat)
     report = e_divisive(
         D,
@@ -238,6 +239,15 @@ def cmd_changepoint(args) -> int:
 
 
 def cmd_triangles(args) -> int:
+    from .triangles import (
+        load_angles,
+        load_vertices,
+        save_sphere_points,
+        save_triangles,
+        sphere_to_triangles,
+        triangles_to_sphere,
+    )
+
     if args.mode == "forward":
         Y, theta, phi = triangles_to_sphere(load_vertices(args.input))
         save_sphere_points(args.out, Y, theta, phi)
@@ -249,6 +259,10 @@ def cmd_triangles(args) -> int:
 
 
 def cmd_contours(args) -> int:
+    from .contours import SrvfShape, _align, _srvf_stack, load_contour_dir, shape_statistics
+    from .gauss import GaussianMixture, save_mixture
+    from .geometry import frechet_mean, standard_frame
+
     frames = load_contour_dir(args.contours)
     T = args.T
     stacks = {name: _srvf_stack(cs, T) for name, cs in frames.items()}

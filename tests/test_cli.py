@@ -151,7 +151,7 @@ class TestFit:
         def refuse(*args):
             raise AssertionError("the distance matrix must not be built")
 
-        monkeypatch.setattr(cli, "pairwise_geodesic", refuse)
+        monkeypatch.setattr("bundlemw.geometry.pairwise_geodesic", refuse)
         code = run(
             ["fit", tmp / "big.csv", "--frame", tmp / "frame.json",
              "--method", "kmodes", "--out", tmp / "fitkm"]
@@ -169,7 +169,7 @@ class TestFit:
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 8.94 GiB")
 
-        monkeypatch.setattr(cli, "riemannian_kmeans", exhausted)
+        monkeypatch.setattr("bundlemw.estimation.riemannian_kmeans", exhausted)
         code = run(
             ["fit", tmp / "samples.csv", "--frame", tmp / "frame.json",
              "--method", "kmeans", "--K", "2", "--out", tmp / "fit"]

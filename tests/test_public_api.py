@@ -1,4 +1,12 @@
-"""The public names of ``bundlemw``: moving code between modules keeps every one."""
+"""The public names of ``bundlemw``: moving code between modules keeps every one,
+and importing the package or running one subcommand loads only the modules it needs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import bundlemw
 
@@ -19,7 +27,7 @@ PUBLIC = [
     "mw2_distance", "normalize_minimal_form", "pairwise_geodesic", "pairwise_mw2",
     "pairwise_shape_distance", "pairwise_w2sq", "parallel_transport", "point_to_angles",
     "procrustes_rotation", "psd_sqrt", "report_from_dict", "report_to_dict",
-    "riemannian_kmeans", "sample_gaussian", "sample_mixture", "save_clustering",
+    "result_to_dict", "riemannian_kmeans", "sample_gaussian", "sample_mixture", "save_clustering",
     "save_contours_json", "save_distmat", "save_frame", "save_mixture", "save_report",
     "save_result", "save_samples", "save_triangles", "shape_distance", "shape_frechet_mean",
     "shape_statistics", "single_gaussian_mixture", "solve_transportation", "sphere_exp",
@@ -30,7 +38,48 @@ PUBLIC = [
 
 
 def test_every_public_name_is_exported():
-    assert len(PUBLIC) == 103
+    assert len(PUBLIC) == 104
     assert set(bundlemw.__all__) == set(PUBLIC)
     for name in PUBLIC:
         assert hasattr(bundlemw, name), name
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from bundlemw import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(bundlemw.__all__)
+
+
+def test_dir_lists_every_public_name():
+    assert set(bundlemw.__all__) <= set(dir(bundlemw))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bundlemw.no_such_name
+
+
+def loaded_modules(statements, cwd):
+    """The bundlemw submodules, and numpy, held by a fresh interpreter after the statements."""
+    script = f"""import sys
+{statements}
+print(*[m for m in sys.modules if m == "numpy" or m.startswith("bundlemw.")])"""
+    env = dict(os.environ, PYTHONPATH=str(Path(bundlemw.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                         capture_output=True, text=True, check=True)
+    return set(res.stdout.splitlines()[-1].split())
+
+
+def test_importing_the_package_loads_no_module(tmp_path):
+    assert loaded_modules("import bundlemw", tmp_path) == set()
+
+
+def test_triangles_loads_none_of_the_other_pipelines(tmp_path):
+    (tmp_path / "tri.csv").write_text("0,0,1,0,0,1\n0,0,2,0,1,1.7\n")
+    loaded = loaded_modules("from bundlemw import cli\n"
+                            'assert cli.main(["triangles", "tri.csv", "--out", "out.csv"]) == 0',
+                            tmp_path)
+    assert "bundlemw.triangles" in loaded
+    for module in ("contours", "estimation", "sampling", "changepoint"):
+        assert f"bundlemw.{module}" not in loaded

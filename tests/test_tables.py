@@ -93,6 +93,10 @@ ACCEPTED = {
     "distmat-no-names": (
         load_distmat, "0,0.5\n0.5,0\n", ([[0.0, 0.5], [0.5, 0.0]], []),
     ),
+    "distmat-numeric-names": (
+        load_distmat, ",001,002\n001,0,0.5\n002,0.5,0\n",
+        ([[0.0, 0.5], [0.5, 0.0]], ["001", "002"]),
+    ),
     "contour-header": (
         contour, "x,y\n0,0\n1,0\n1,1\n0,1\n", (SQUARE,),
     ),
@@ -178,6 +182,10 @@ MALFORMED = {
     "distmat-text": ("changepoint", "0,1\n1,zero\n"),
     "cost-ragged": ("transport", "0,1\n1\n"),
     "cost-text": ("transport", "0,1\n1,x\n"),
+    # a first row with a number in it is data, so its typo is no header
+    "cost-text-first-row": ("transport", "0,x\n1,0\n2,5\n"),
+    "samples-text-first-row": ("fit", "0.5,-l,2\n0.5,-1,2\n1e-3,0,-1\n"),
+    "samples-header-with-numbers": ("fit", "0,1,label\n0.5,-1,2\n1e-3,0,-1\n"),
     "triangles-ragged": ("triangles", "0,0,1,0,0,1\n0,0,1,0\n"),
 }
 
