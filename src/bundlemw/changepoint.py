@@ -22,7 +22,8 @@ def check_distmat(D):
     """Validate a distance matrix and return it exactly symmetrized.
 
     It must be square, nonempty, finite, symmetric to 1e-8 (else
-    NotSymmetric), nonnegative, and zero on the diagonal to 1e-12.
+    NotSymmetric), nonnegative, and zero on the diagonal to 1e-12.  An exactly
+    symmetric float64 array is returned uncopied.
     """
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
@@ -38,6 +39,8 @@ def check_distmat(D):
         raise ValueError("distance matrix has negative entries")
     if np.max(np.abs(np.diag(D))) > 1e-12:
         raise ValueError("distance matrix diagonal must be zero")
+    if not S.any():
+        return D
     return np.multiply(np.add(D, D.T, out=S), 0.5, out=S)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._jsonfile import read_json, write_json
 from .changepoint import check_distmat
-from .errors import ClusterTooSmall, EmptyCluster
+from .errors import ClusterTooSmall, DimensionMismatch, EmptyCluster
 from .gauss import GaussianMixture, normalize_minimal_form
 from .geometry import (
     _BLOCK_CELLS,
@@ -35,7 +35,7 @@ from .geometry import (
 )
 
 OUTLIER = -1
-# Largest n that `fit --method kmodes` takes; it peaks near 25 n^2 bytes.
+# Largest n that `fit --method kmodes` takes; it peaks near 16 n^2 bytes.
 KMODES_MAX_POINTS = 10_000
 
 
@@ -154,8 +154,8 @@ def kmodes_cluster(distmat, q: float = 0.1) -> Clustering:
     the cluster modes.  If every pairwise distance is zero the matrix
     carries no structure and all points form one cluster around mode 0.
 
-    Memory beyond the input peaks at two n x n float arrays, the validated
-    copy and its off-diagonal entries; the ascent runs in row blocks.
+    Memory beyond the input peaks at one n x n float array, the
+    off-diagonal entries; the ascent runs in row blocks.
     """
     D = check_distmat(distmat)
     n = D.shape[0]
@@ -198,8 +198,14 @@ def fit_mixture(X, clustering: Clustering, frame: MovingFrame) -> GaussianMixtur
     ------
     ClusterTooSmall
         If any cluster has fewer than two members.
+    DimensionMismatch
+        If the rows of X do not lie in the frame's ambient dimension.
     """
     X = _unit_rows(X)
+    if X.shape[1] != frame.p.dim:
+        raise DimensionMismatch(
+            f"samples have {X.shape[1]} coordinates but the frame has {frame.p.dim}"
+        )
     if X.shape[0] != clustering.labels.size:
         raise ValueError("points and clustering labels have different lengths")
     total = int(np.sum(clustering.labels != OUTLIER))

@@ -37,13 +37,14 @@ from .geometry import (
 )
 
 
-def _check_covs(S) -> np.ndarray:
-    """The stack S (K, d, d) of covariances, checked and symmetric.
+def _check_covs(S) -> tuple[np.ndarray, np.ndarray]:
+    """The stack S (K, d, d) of covariances, checked and symmetric, and its
+    PSD square roots.
 
     Asymmetry beyond 1e-6 is rejected and below it symmetrized away; an
     exactly symmetric stack comes back as it is.  Eigenvalues below -1e-10,
-    from one stacked ``eigvalsh``, are rejected; smaller negative roundoff is
-    clamped to zero where it matters (square roots, Bures terms).
+    from one stacked ``eigh``, are rejected; the roots come from the same
+    ``eigh``, with smaller negative roundoff clamped to zero.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 3 or S.shape[1] != S.shape[2]:
@@ -55,9 +56,11 @@ def _check_covs(S) -> np.ndarray:
         raise NotSymmetric("covariance asymmetry exceeds 1e-6")
     if not np.array_equal(S, ST):
         S = 0.5 * (S + ST)
-    if np.min(np.linalg.eigvalsh(S)) < -1e-10:
+    evals, evecs = np.linalg.eigh(S)
+    if np.min(evals) < -1e-10:
         raise DegenerateMatrix("covariance has an eigenvalue below -1e-10")
-    return S
+    roots = evecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]
+    return S, roots @ np.swapaxes(evecs, 1, 2)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -68,13 +71,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class CovarianceMatrix:
-    """Symmetric positive semidefinite d x d matrix, checked as
-    :func:`_check_covs` checks a stack."""
+    """Symmetric positive semidefinite d x d matrix ``mat``, checked as
+    :func:`_check_covs` checks a stack, with its PSD square root ``root``."""
 
-    __slots__ = ("mat",)
+    __slots__ = ("mat", "root")
 
     def __init__(self, mat):
-        self.mat = _check_covs(np.array(mat, dtype=float)[None])[0]
+        S, roots = _check_covs(np.array(mat, dtype=float)[None])
+        self.mat, self.root = S[0], roots[0]
 
     @property
     def dim(self) -> int:
@@ -88,20 +92,14 @@ def _as_cov(S) -> CovarianceMatrix:
     return S if isinstance(S, CovarianceMatrix) else CovarianceMatrix(S)
 
 
-def _psd_roots(S: np.ndarray) -> np.ndarray:
-    """PSD square roots (K, d, d) of the stack S, from one stacked ``eigh``."""
-    evals, evecs = np.linalg.eigh(S)
-    return (evecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]) @ np.swapaxes(evecs, 1, 2)
-
-
-def _bures(roots0: np.ndarray, S0: np.ndarray, S1: np.ndarray) -> np.ndarray:
+def _bures(roots: np.ndarray, S0: np.ndarray, S1: np.ndarray) -> np.ndarray:
     """K0 x K1 Bures terms between the stacks S0 and S1, given the PSD
     square roots of S0.  The cross terms S0^{1/2} S1 S0^{1/2} come from one
     batched ``matmul``, O(K0 K1 d^3), and their eigenvalues from one stacked
     ``eigvalsh``.  Identical pairs are exactly zero."""
     tr0 = np.trace(S0, axis1=1, axis2=2)
     tr1 = np.trace(S1, axis1=1, axis2=2)
-    inner = roots0[:, None] @ S1[None] @ roots0[:, None]
+    inner = roots[:, None] @ S1[None] @ roots[:, None]
     inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
     cross = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum(axis=-1)
     bures = np.clip(tr0[:, None] + tr1[None, :] - 2.0 * cross, 0.0, None)
@@ -117,7 +115,7 @@ def psd_sqrt(S) -> CovarianceMatrix:
     Negative eigenvalues from roundoff are clamped to zero, so the result
     squares back to ``S`` within 1e-8 relative Frobenius error.
     """
-    R = _psd_roots(_as_cov(S).mat[None])[0]
+    R = _as_cov(S).root
     return CovarianceMatrix(0.5 * (R + R.T))
 
 
@@ -127,11 +125,11 @@ def bures_term(S0, S1) -> float:
     This is the covariance part of the Gaussian 2-Wasserstein distance; it
     is symmetric in its arguments and zero exactly when S0 = S1.
     """
-    S0 = _as_cov(S0).mat[None]
-    S1 = _as_cov(S1).mat[None]
-    if S0.shape != S1.shape:
-        raise DimensionMismatch(f"covariance dimensions differ: {S0.shape[1]} vs {S1.shape[1]}")
-    return float(_bures(_psd_roots(S0), S0, S1)[0, 0])
+    S0 = _as_cov(S0)
+    S1 = _as_cov(S1)
+    if S0.dim != S1.dim:
+        raise DimensionMismatch(f"covariance dimensions differ: {S0.dim} vs {S1.dim}")
+    return float(_bures(S0.root[None], S0.mat[None], S1.mat[None])[0, 0])
 
 
 class BundleGaussian:
@@ -174,17 +172,18 @@ class GaussianMixture:
     summing to one within 1e-10.  ``means`` (K, D) must be unit rows within
     1e-10, and are checked, not normalized again.  Every mean must lie off
     the puncture of the frame, since the covariances ``covs`` (K, d, d) are
-    interpreted in the frame transported to it.  The three arrays are
-    stored read-only, so mixtures can share them.
+    interpreted in the frame transported to it; ``roots`` (K, d, d) holds
+    their PSD square roots.  The arrays are stored read-only, so mixtures
+    can share them.
     """
 
-    __slots__ = ("weights", "means", "covs", "frame")
+    __slots__ = ("weights", "means", "covs", "roots", "frame")
 
     def __init__(self, weights, means, covs, frame: MovingFrame):
         S = np.asarray(covs, dtype=float)
         if len(S) == 0:
             raise ValueError("a mixture needs at least one component")
-        S = _check_covs(S)
+        S, roots = _check_covs(S)
         M = np.asarray(means, dtype=float)
         if M.shape != (len(S), frame.p.dim) or S.shape[1] != frame.dim:
             raise DimensionMismatch("component dimension does not match the frame")
@@ -200,6 +199,8 @@ class GaussianMixture:
         self.weights = _frozen(np.clip(w, 0.0, None))
         self.means = _frozen(M)
         self.covs = _frozen(S)
+        roots.setflags(write=False)
+        self.roots = roots
         self.frame = frame
 
     @property
@@ -246,16 +247,12 @@ def normalize_minimal_form(mix: GaussianMixture, tol: float = 1e-9) -> GaussianM
     return GaussianMixture(w / w.sum(), mix.means[idx], mix.covs[idx], mix.frame)
 
 
-def pairwise_w2sq(
-    mix0: GaussianMixture, mix1: GaussianMixture, roots0: np.ndarray | None = None
-) -> np.ndarray:
+def pairwise_w2sq(mix0: GaussianMixture, mix1: GaussianMixture) -> np.ndarray:
     """K0 x K1 matrix of squared W2 distances between all component pairs.
 
     Batched equivalent of calling :func:`w2sq_bundle_gaussian` on the grid:
-    squared geodesic distances between the means plus :func:`_bures`.
-    ``roots0`` may hold the PSD square roots of mix0's covariances, as
-    ``_psd_roots`` computes them, so that a mixture paired with many others
-    is factored once; the result is the same bit for bit.
+    squared geodesic distances between the means plus :func:`_bures` from
+    mix0's stored square roots.
 
     Raises
     ------
@@ -263,10 +260,8 @@ def pairwise_w2sq(
         If the mixtures are expressed in different moving frames.
     """
     check_same_frame(mix0, mix1)
-    if roots0 is None:
-        roots0 = _psd_roots(mix0.covs)
     base = pairwise_geodesic(mix0.means, mix1.means) ** 2
-    return base + _bures(roots0, mix0.covs, mix1.covs)
+    return base + _bures(mix0.roots, mix0.covs, mix1.covs)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._jsonfile import write_json
 from .errors import InfeasibleWeights, NoConvergence
-from .gauss import GaussianMixture, _psd_roots, pairwise_w2sq
+from .gauss import GaussianMixture, pairwise_w2sq
 
 # perturbation added to marginals to break degenerate ties; plan entries at
 # or below the cleanup threshold are treated as exact zeros
@@ -236,40 +236,35 @@ def solve_transportation(cost, w0, w1) -> TransportPlan:
     return TransportPlan(x, float(np.sum(x * C)), (u, v))
 
 
-def mw2(
-    mix0: GaussianMixture, mix1: GaussianMixture, roots0: Optional[np.ndarray] = None
-) -> MW2Result:
+def mw2(mix0: GaussianMixture, mix1: GaussianMixture) -> MW2Result:
     """Mixture-Wasserstein distance between two Gaussian mixtures.
 
     Builds the matrix of pairwise squared component distances, solves the
     transportation problem between the weight vectors, and reports the
-    square root of the optimum together with the optimal plan.  ``roots0``
-    is passed on to :func:`~bundlemw.gauss.pairwise_w2sq`.
+    square root of the optimum together with the optimal plan.
 
     Raises
     ------
     FrameMismatch
         If the mixtures are expressed in different moving frames.
     """
-    pairwise = pairwise_w2sq(mix0, mix1, roots0)
+    pairwise = pairwise_w2sq(mix0, mix1)
     plan = solve_transportation(pairwise, mix0.weights, mix1.weights)
     dsq = max(plan.cost, 0.0)
     return MW2Result(float(np.sqrt(dsq)), dsq, plan, pairwise)
 
 
 def _mw2_row(mixtures, i: int) -> list:
-    """Distances from mixtures[i] to every later mixture, factoring it once."""
-    roots = _psd_roots(mixtures[i].covs)
-    return [mw2(mixtures[i], mix, roots).distance for mix in mixtures[i + 1 :]]
+    """Distances from mixtures[i] to every later mixture."""
+    return [mw2(mixtures[i], m).distance for m in mixtures[i + 1 :]]
 
 
 def pairwise_mw2(mixtures) -> np.ndarray:
     """Symmetric N x N matrix of mixture-Wasserstein distances.
 
     Entry (i, j) equals ``mw2(mixtures[i], mixtures[j]).distance`` bit for
-    bit for i < j, and the diagonal is exactly zero.  Each row mixture's
-    covariance square roots are computed once, not once per pair.  Frames
-    are checked pair by pair within tolerance, as :func:`mw2` does.
+    bit for i < j, and the diagonal is exactly zero.  Frames are checked
+    pair by pair within tolerance, as :func:`mw2` does.
 
     Raises
     ------

@@ -14,6 +14,13 @@ def random_spd(rng, d, scale=1.0):
     return scale * (A @ A.T) + 0.05 * np.eye(d)
 
 
+def eigh_roots(S):
+    """PSD square roots (K, d, d) of the stack S from one stacked ``eigh``,
+    by the formula the mixture's roots must follow bit for bit."""
+    evals, evecs = np.linalg.eigh(S)
+    return (evecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]) @ np.swapaxes(evecs, 1, 2)
+
+
 def make_mixture(rng, K, D, frame=None, cov_scale=0.1):
     """Random mixture with basepoints scattered around the frame point."""
     if frame is None:

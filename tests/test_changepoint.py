@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from bundlemw.changepoint import (
     ChangePoint,
     ChangePointReport,
     best_split,
+    check_distmat,
     e_divisive,
     energy_statistic,
     load_report,
@@ -36,6 +39,28 @@ def brute_energy(D, split, lo, hi, alpha):
     wx = np.mean([D[i, j] ** alpha for i in X for j in X if i != j])
     wy = np.mean([D[i, j] ** alpha for i in Y for j in Y if i != j])
     return (m * n / (m + n)) * (2 * cross - wx - wy)
+
+
+class TestCheckDistmat:
+    def test_symmetric_input_comes_back_uncopied(self):
+        D = null_distmat(np.random.default_rng(1), 12)
+        assert check_distmat(D) is D
+
+    def test_small_asymmetry_is_symmetrized_into_a_new_array(self):
+        D = null_distmat(np.random.default_rng(2), 12)
+        D[0, 5] += 1e-12
+        before = D.copy()
+        out = check_distmat(D)
+        assert out is not D
+        assert np.array_equal(out, out.T)
+        assert np.array_equal(D, before)
+
+    def test_huge_symmetric_entries_unchanged_without_warning(self):
+        D = np.array([[0.0, 1e308, 1.0], [1e308, 0.0, 1e308], [1.0, 1e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = check_distmat(D)
+        assert np.array_equal(out, D)
 
 
 class TestEnergyStatistic:

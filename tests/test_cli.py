@@ -212,6 +212,22 @@ class TestFit:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("method", ["kmeans", "kmodes"])
+    def test_frame_of_another_dimension_rejected(self, workspace, capsys, method):
+        tmp, _ = workspace
+        run(["simulate", tmp / "config.json", "--out", tmp / "samples.csv"])
+        save_frame(tmp / "frame4.json", standard_frame(4))
+        capsys.readouterr()
+        code = run(
+            ["fit", tmp / "samples.csv", "--frame", tmp / "frame4.json",
+             "--method", method, "--K", "2", "--q", "0.3", "--out", tmp / "fit"]
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "DimensionMismatch"
+        assert not (tmp / "fit").exists()
+
     def test_degenerate_cluster_is_numerical_failure(self, workspace, capsys):
         tmp, _ = workspace
         (tmp / "tiny.csv").write_text(

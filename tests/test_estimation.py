@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bundlemw.errors import ClusterTooSmall, EmptyCluster
+from bundlemw.errors import ClusterTooSmall, DimensionMismatch, EmptyCluster
 from bundlemw.estimation import (
     OUTLIER,
     Clustering,
@@ -246,10 +246,10 @@ class TestKmodes:
         assert out.modes == modes
         assert out.sizes == sizes
 
-    def test_memory_is_two_matrices(self):
+    def test_memory_is_one_matrix(self):
         n = 2000
         D = pairwise_geodesic(unit_rows(np.random.default_rng(13), n, 3))
-        assert peak_alloc_bytes(kmodes_cluster, D, q=0.1) <= 2 * 8 * n * n + 4 * 2**20
+        assert peak_alloc_bytes(kmodes_cluster, D, q=0.1) <= 8 * n * n + 4 * 2**20
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, bad):
@@ -304,6 +304,13 @@ class TestFitMixture:
         )
         pts = np.array([[0.0, 0.1, 1.0], [0.1, 0.0, 1.0], [1.0, 0.1, 0.0]])
         with pytest.raises(ClusterTooSmall):
+            fit_mixture(pts, clus, frame)
+
+    def test_sample_dimension_must_match_the_frame(self):
+        frame = build_reference_frame(Point([0.0, 0.0, 0.0, 1.0]), rng_seed=0)
+        pts = cap_samples(np.random.default_rng(8), [0.0, 0.0, 1.0], 0.05, 6)
+        clus = Clustering(labels=np.zeros(6, dtype=int), sizes=[6], centers=[[0.0, 0.0, 1.0]])
+        with pytest.raises(DimensionMismatch, match="3.*4"):
             fit_mixture(pts, clus, frame)
 
     def test_outliers_excluded_from_weights(self):

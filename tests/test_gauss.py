@@ -13,6 +13,7 @@ from bundlemw.gauss import (
     BundleGaussian,
     CovarianceMatrix,
     GaussianMixture,
+    _bures,
     bures_term,
     check_same_frame,
     load_mixture,
@@ -31,10 +32,11 @@ from bundlemw.geometry import (
     _unit_rows,
     build_reference_frame,
     geodesic_distance,
+    pairwise_geodesic,
     standard_frame,
 )
 
-from helpers import loop_minimal_form, make_mixture, random_spd
+from helpers import eigh_roots, loop_minimal_form, make_mixture, random_spd
 
 
 class TestCovarianceMatrix:
@@ -57,6 +59,28 @@ class TestCovarianceMatrix:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             CovarianceMatrix(np.zeros((2, 3)))
+
+
+class TestRoots:
+    """The roots a mixture or a matrix keeps are the eigh roots, bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 5, 59])
+    @pytest.mark.parametrize("rank", [None, 1])
+    def test_roots_are_eigh_roots(self, d, rank):
+        rng = np.random.default_rng(d)
+        if rank is None:
+            S = np.array([random_spd(rng, d) for _ in range(3)])
+        else:
+            # rank 1: the other eigenvalues are zero or roundoff, some below zero
+            F = rng.standard_normal((3, d, rank))
+            S = F @ np.swapaxes(F, 1, 2)
+            S = 0.5 * (S + np.swapaxes(S, 1, 2))
+        f = standard_frame(d + 1)
+        mix = GaussianMixture(np.full(3, 1.0 / 3), np.tile(f.p.coords, (3, 1)), S, f)
+        assert np.array_equal(mix.roots, eigh_roots(mix.covs))
+        for k in range(3):
+            cov = CovarianceMatrix(S[k])
+            assert np.array_equal(cov.root, eigh_roots(cov.mat[None])[0])
 
 
 class TestPsdSqrt:
@@ -200,7 +224,7 @@ class TestGaussianMixture:
     def test_arrays_read_only_and_shared(self):
         rng = np.random.default_rng(3)
         mix = make_mixture(rng, 2, 3)
-        for a in (mix.weights, mix.means, mix.covs):
+        for a in (mix.weights, mix.means, mix.covs, mix.roots):
             with pytest.raises(ValueError):
                 a[0] = 0.0
         f2 = build_reference_frame(mix.frame.p, rng_seed=4)
@@ -332,6 +356,15 @@ class TestPairwiseAndIO:
                 bures = np.trace(S0 + S1 - 2.0 * sqrtm(R0 @ S1 @ R0).real)
                 base = geodesic_distance(Point(m0.means[i]), Point(m1.means[j])) ** 2
                 assert P[i, j] == pytest.approx(base + bures, abs=1e-10)
+
+    def test_pairwise_is_geodesic_plus_bures_of_eigh_roots(self):
+        rng = np.random.default_rng(16)
+        m0 = make_mixture(rng, 3, 6)
+        m1 = make_mixture(rng, 4, 6, frame=m0.frame)
+        expect = pairwise_geodesic(m0.means, m1.means) ** 2 + _bures(
+            eigh_roots(m0.covs), m0.covs, m1.covs
+        )
+        assert np.array_equal(pairwise_w2sq(m0, m1), expect)
 
     def test_pairwise_commuting_closed_form(self):
         # S = Q diag(a) Q^T with one shared Q: Bures is sum (sqrt a - sqrt b)^2
