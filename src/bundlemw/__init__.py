@@ -26,15 +26,14 @@ _TABLE = {
         InfeasibleWeights NoConvergence NotSymmetric SegmentTooSmall""",
     "estimation": """OUTLIER Clustering clustering_from_dict clustering_to_dict fit_mixture
         kmodes_cluster load_clustering riemannian_kmeans save_clustering""",
-    "gauss": """BundleGaussian CovarianceMatrix GaussianMixture bures_term check_same_frame
-        load_mixture mixture_from_dict mixture_to_dict normalize_minimal_form pairwise_w2sq
-        psd_sqrt save_mixture single_gaussian_mixture w2_bundle_gaussian w2sq_bundle_gaussian""",
+    "gauss": """CovarianceMatrix GaussianMixture bures_term check_same_frame load_mixture
+        mixture_from_dict mixture_to_dict normalize_minimal_form pairwise_w2sq save_mixture""",
     "geometry": """MovingFrame Point TangentVector build_reference_frame exp_batch
         frame_from_dict frame_to_dict frames_equal frechet_mean geodesic_distance load_frame
         log_batch pairwise_geodesic parallel_transport save_frame sphere_exp sphere_log
         standard_frame tangent_coordinates tangent_from_coordinates transport_batch
         transport_frame""",
-    "sampling": "load_samples sample_gaussian sample_mixture save_samples",
+    "sampling": "load_samples sample_mixture save_samples",
     "transport": """MW2Result TransportPlan mw2 mw2_distance pairwise_mw2 result_to_dict
         save_result solve_transportation""",
     "triangles": """Triangle TrianglePreshape hopf_backward hopf_forward load_triangles

@@ -8,9 +8,11 @@ representations.
 
 Every command is deterministic given --seed.  Exit codes: 0 on success,
 2 for validation problems (bad files, bad flags, malformed inputs), 3 for
-numerical failures (non-convergence, degenerate geometry).  Failures print
-a one-line JSON object to stderr with the error class and message.
-Each command imports the modules it uses, so a process loads only those.
+numerical failures (non-convergence, degenerate geometry, floating-point
+overflow, division by zero and invalid operations).  Failures print a
+one-line JSON object to stderr with the error class and message.  Each
+command imports the modules it uses, so a process loads only those, and
+``--help`` loads no numpy.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from .errors import (
     NotSymmetric,
     SegmentTooSmall,
 )
-# bench/traced.py looks up this name and times the rows of distmat by it
-from .transport import _mw2_row as _mw2_pair  # noqa: F401
 
 _NUMERICAL_ERRORS = (
     NoConvergence,
@@ -48,6 +48,7 @@ _NUMERICAL_ERRORS = (
     DegenerateTriangle,
     DegenerateContour,
     MemoryError,
+    FloatingPointError,
 )
 _VALIDATION_ERRORS = (
     ValueError,
@@ -60,6 +61,17 @@ _VALIDATION_ERRORS = (
     FrameMismatch,
     SegmentTooSmall,
 )
+
+
+def __getattr__(name):
+    """``_mw2_pair``: bench/traced.py looks up this name and times the rows
+    of distmat by it.  It is imported on lookup, so importing this module
+    loads no numpy."""
+    if name != "_mw2_pair":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .transport import _mw2_row
+
+    return _mw2_row
 
 
 def _emit(obj) -> None:
@@ -353,8 +365,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    import numpy as np
+
     try:
-        return args.func(args)
+        # overflow, invalid operations and division by zero raise
+        # FloatingPointError, exit 3, instead of warning past a wrong number
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except _NUMERICAL_ERRORS as exc:
         _fail(exc)
         return 3

@@ -14,8 +14,8 @@ mixtures from different frames can be rejected early.  Means are scaled to
 unit length only where basepoints enter from JSON (:func:`mixture_from_dict`);
 the mixture checks them but never normalizes or wraps them in a ``Point``
 again, since normalizing a unit row moves its last bit in about a third of
-rows.  :class:`BundleGaussian` and :class:`CovarianceMatrix` are the
-one-component API, one-pair or one-matrix calls of the array code.
+rows.  A single bundle Gaussian is a mixture with K = 1;
+:class:`CovarianceMatrix` checks one covariance and holds its square root.
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ from .errors import DegenerateMatrix, DimensionMismatch, FrameMismatch, NotSymme
 from .geometry import (
     ANTIPODE_TOL,
     MovingFrame,
-    Point,
     _unit_rows,
-    build_reference_frame,
     frame_from_dict,
     frame_to_dict,
     frames_equal,
@@ -109,16 +107,6 @@ def _bures(roots: np.ndarray, S0: np.ndarray, S1: np.ndarray) -> np.ndarray:
     return bures
 
 
-def psd_sqrt(S) -> CovarianceMatrix:
-    """Symmetric PSD square root via eigendecomposition.
-
-    Negative eigenvalues from roundoff are clamped to zero, so the result
-    squares back to ``S`` within 1e-8 relative Frobenius error.
-    """
-    R = _as_cov(S).root
-    return CovarianceMatrix(0.5 * (R + R.T))
-
-
 def bures_term(S0, S1) -> float:
     """tr(S0 + S1 - 2 (S0^{1/2} S1 S0^{1/2})^{1/2}), clamped to be >= 0.
 
@@ -130,39 +118,6 @@ def bures_term(S0, S1) -> float:
     if S0.dim != S1.dim:
         raise DimensionMismatch(f"covariance dimensions differ: {S0.dim} vs {S1.dim}")
     return float(_bures(S0.root[None], S0.mat[None], S1.mat[None])[0, 0])
-
-
-class BundleGaussian:
-    """A basepoint on the sphere plus a tangent covariance in frame coordinates."""
-
-    __slots__ = ("basepoint", "cov")
-
-    def __init__(self, basepoint: Point, cov):
-        cov = _as_cov(cov)
-        if cov.dim != basepoint.dim - 1:
-            raise DimensionMismatch(
-                f"covariance is {cov.dim}x{cov.dim} but the tangent space has dimension {basepoint.dim - 1}"
-            )
-        self.basepoint = basepoint
-        self.cov = cov
-
-
-def w2sq_bundle_gaussian(g0: BundleGaussian, g1: BundleGaussian) -> float:
-    """Squared 2-Wasserstein distance between two bundle Gaussians.
-
-    Both covariances must be expressed in the same transported frame
-    family; under that convention the frame change between the basepoints
-    drops out and the distance splits into a squared geodesic base term
-    plus a Bures covariance term.
-    """
-    if g0.basepoint.dim != g1.basepoint.dim:
-        raise DimensionMismatch("bundle Gaussians live on spheres of different dimension")
-    base = pairwise_geodesic(g0.basepoint.coords[None], g1.basepoint.coords[None])[0, 0]
-    return float(base**2) + bures_term(g0.cov, g1.cov)
-
-
-def w2_bundle_gaussian(g0: BundleGaussian, g1: BundleGaussian) -> float:
-    return float(np.sqrt(w2sq_bundle_gaussian(g0, g1)))
 
 
 class GaussianMixture:
@@ -250,9 +205,9 @@ def normalize_minimal_form(mix: GaussianMixture, tol: float = 1e-9) -> GaussianM
 def pairwise_w2sq(mix0: GaussianMixture, mix1: GaussianMixture) -> np.ndarray:
     """K0 x K1 matrix of squared W2 distances between all component pairs.
 
-    Batched equivalent of calling :func:`w2sq_bundle_gaussian` on the grid:
-    squared geodesic distances between the means plus :func:`_bures` from
-    mix0's stored square roots.
+    Entry (i, j) is the squared W2 distance between components i and j:
+    the squared geodesic distance between their means plus :func:`_bures`
+    from mix0's stored square roots.
 
     Raises
     ------
@@ -295,10 +250,3 @@ def save_mixture(path, mix: GaussianMixture) -> None:
 def load_mixture(path) -> GaussianMixture:
     return mixture_from_dict(read_json(path))
 
-
-def single_gaussian_mixture(g: BundleGaussian, frame=None) -> GaussianMixture:
-    """Wrap one bundle Gaussian as a K=1 mixture (frame defaults to a
-    deterministic frame at the basepoint)."""
-    if frame is None:
-        frame = build_reference_frame(g.basepoint, rng_seed=0)
-    return GaussianMixture([1.0], g.basepoint.coords[None], g.cov.mat[None], frame)

@@ -173,11 +173,9 @@ def _last_axis_norm(A: np.ndarray) -> np.ndarray:
 
 
 def geodesic_distance(p: Point, q: Point) -> float:
-    """Great-circle distance arccos(<p, q>) in [0, pi]."""
-    c = float(np.sum(p.coords * q.coords))
-    chord = float(_last_axis_norm(p.coords - q.coords))
-    cochord = float(_last_axis_norm(p.coords + q.coords))
-    return float(_angle_from_chords(c, chord, cochord))
+    """Great-circle distance arccos(<p, q>) in [0, pi], a one-row call of
+    :func:`pairwise_geodesic`."""
+    return float(pairwise_geodesic(p.coords[None], q.coords[None])[0, 0])
 
 
 def parallel_transport(v: TangentVector, q: Point) -> TangentVector:
@@ -319,7 +317,8 @@ def standard_frame(D: int) -> MovingFrame:
 
 # ---------------------------------------------------------------------------
 # Batch kernels over coordinate arrays.  Rows are points / tangent vectors;
-# sphere_exp, sphere_log and parallel_transport are one-row calls of these.
+# sphere_exp, sphere_log, parallel_transport and geodesic_distance are one-row
+# calls of these.
 
 def exp_batch(m: np.ndarray, V: np.ndarray) -> np.ndarray:
     """exp_m applied to each row of the tangent array V (n x D)."""

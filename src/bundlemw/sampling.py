@@ -7,11 +7,10 @@ so they are rejected and redrawn; the rejection count is reported through
 the optional ``stats`` argument since it signals a covariance too large
 for the wrapped model to be trustworthy.
 
-Every sampler is deterministic given its seed.  Mixture sampling uses one
+Sampling is deterministic given the seed.  Mixture sampling uses one
 independent child stream per component (plus one for the labels), so the
 points generated for component k do not depend on how many samples the
-other components received, and a K=1 mixture reproduces
-:func:`sample_gaussian` exactly.
+other components received.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 
 from ._csvfile import read_table, write_table
 from .errors import NoConvergence
-from .gauss import BundleGaussian, GaussianMixture
+from .gauss import GaussianMixture
 from .geometry import MovingFrame, exp_batch, transported_basis
 
 _MAX_REDRAW_ROUNDS = 1000
@@ -57,23 +56,6 @@ def _draw_points(m: np.ndarray, cov: np.ndarray, frame: MovingFrame, n: int,
     return exp_batch(m, coords @ basis)
 
 
-def sample_gaussian(
-    g: BundleGaussian,
-    frame: MovingFrame,
-    n: int,
-    seed: int,
-    stats: Optional[dict] = None,
-) -> np.ndarray:
-    """Draw ``n`` points from one bundle Gaussian, as the rows of an n x D array.
-
-    ``stats``, if given, accumulates the keys ``accepted`` and ``rejected``
-    counting tangent draws kept and redrawn at the cut locus.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return _draw_points(g.basepoint.coords, g.cov.mat, frame, n, _component_rng(seed, 0), stats)
-
-
 def sample_mixture(
     mix: GaussianMixture,
     n: int,
@@ -84,7 +66,9 @@ def sample_mixture(
     (n,) array of true labels.
 
     Components are chosen i.i.d. from the mixture weights using a label
-    stream separate from the per-component coordinate streams.
+    stream separate from the per-component coordinate streams.  ``stats``,
+    if given, accumulates the keys ``accepted`` and ``rejected`` counting
+    tangent draws kept and redrawn at the cut locus.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -15,13 +15,7 @@ from helpers import make_mixture
 from bundlemw.changepoint import e_divisive
 from bundlemw.estimation import fit_mixture, riemannian_kmeans
 from bundlemw.contours import Contour, contour_to_srvf, shape_distance
-from bundlemw.gauss import (
-    BundleGaussian,
-    CovarianceMatrix,
-    GaussianMixture,
-    bures_term,
-    w2sq_bundle_gaussian,
-)
+from bundlemw.gauss import CovarianceMatrix, GaussianMixture, bures_term
 from bundlemw.geometry import (
     Point,
     build_reference_frame,
@@ -35,7 +29,7 @@ from bundlemw.geometry import (
     transport_frame,
     transported_basis,
 )
-from bundlemw.sampling import sample_gaussian, sample_mixture
+from bundlemw.sampling import sample_mixture
 from bundlemw.transport import mw2, mw2_distance, solve_transportation
 from bundlemw.triangles import (
     hopf_backward,
@@ -60,11 +54,13 @@ def test_01_bures_vs_empirical_optimal_transport():
     start = time.perf_counter()
     frame = standard_frame(3)
     m = frame.p
-    g0 = BundleGaussian(m, CovarianceMatrix(np.eye(2)))
-    g1 = BundleGaussian(m, CovarianceMatrix(np.diag([4.0, 1.0])))
-    closed = w2sq_bundle_gaussian(g0, g1)
+    S0 = CovarianceMatrix(np.eye(2))
+    S1 = CovarianceMatrix(np.diag([4.0, 1.0]))
+    M0 = GaussianMixture([1.0], [m.coords], [S0.mat], frame)
+    M1 = GaussianMixture([1.0], [m.coords], [S1.mat], frame)
+    closed = mw2(M0, M1).distance_sq
     assert closed == pytest.approx(1.0, abs=1e-12)
-    assert closed == pytest.approx(bures_term(g0.cov, g1.cov), abs=1e-15)
+    assert closed == pytest.approx(bures_term(S0, S1), abs=1e-15)
 
     # empirical check: one 2000-sample discrete-OT estimate in d=2 has
     # seed-to-seed spread comparable to the 5% bound, so average a few
@@ -292,8 +288,8 @@ def test_10_sampler_statistics():
     frame = build_reference_frame(Point([0.0, 0.0, 1.0]), rng_seed=9)
     m = sphere_exp(frame.p, tangent_from_coordinates(frame, np.array([0.7, 0.0])))
     cov = 0.01 * np.eye(2)
-    g = BundleGaussian(m, CovarianceMatrix(cov))
-    points = sample_gaussian(g, frame, 5000, seed=11)
+    mix = GaussianMixture([1.0], [m.coords], [CovarianceMatrix(cov).mat], frame)
+    points, _ = sample_mixture(mix, 5000, seed=11)
 
     mean = frechet_mean(points)
     assert geodesic_distance(mean, m) <= 0.05

@@ -343,6 +343,31 @@ class TestMw2AndDistmat:
         assert run(["distmat", mixdir, "--out", tmp / "d.csv"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "FrameMismatch"
 
+    @pytest.mark.parametrize(
+        "args",
+        [["mw2", "big.json", "small.json"], ["mw2", "big.json", "big.json"],
+         ["distmat", "mixes"]],
+        ids=["mw2-big-small", "mw2-big-big", "distmat"],
+    )
+    def test_overflow_exits_3(self, workspace, args):
+        # numpy's RuntimeWarnings go to the real stderr, so run the console command
+        tmp, config = workspace
+        (tmp / "mixes").mkdir()
+        for name, cov in (("big", [[1e308, 0.0], [0.0, 1e308]]), ("small", self.GOOD["cov"])):
+            text = json.dumps({"frame": config["frame"], "weights": [1.0],
+                               "components": [{"basepoint": self.GOOD["basepoint"], "cov": cov}]})
+            (tmp / f"{name}.json").write_text(text)
+            (tmp / "mixes" / f"{name}.json").write_text(text)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        res = subprocess.run(
+            [sys.executable, "-m", "bundlemw.cli", *args, "--out", "out"],
+            cwd=tmp, env=env, capture_output=True, text=True,
+        )
+        assert res.returncode == 3
+        assert res.stderr.count("\n") == 1
+        assert json.loads(res.stderr)["error"] == "FloatingPointError"
+        assert not (tmp / "out").exists()
+
     def test_distmat_needs_two_mixtures(self, workspace, capsys):
         tmp, _ = workspace
         empty = tmp / "empty"

@@ -22,7 +22,7 @@ from bundlemw.geometry import (
     geodesic_distance,
     pairwise_geodesic,
 )
-from bundlemw.sampling import sample_gaussian, sample_mixture
+from bundlemw.sampling import sample_mixture
 from helpers import broadcast_geodesic, peak_alloc_bytes, unit_rows
 
 

@@ -10,7 +10,6 @@ from bundlemw.errors import (
     NotSymmetric,
 )
 from bundlemw.gauss import (
-    BundleGaussian,
     CovarianceMatrix,
     GaussianMixture,
     _bures,
@@ -21,11 +20,7 @@ from bundlemw.gauss import (
     mixture_to_dict,
     normalize_minimal_form,
     pairwise_w2sq,
-    psd_sqrt,
     save_mixture,
-    single_gaussian_mixture,
-    w2_bundle_gaussian,
-    w2sq_bundle_gaussian,
 )
 from bundlemw.geometry import (
     Point,
@@ -35,6 +30,7 @@ from bundlemw.geometry import (
     pairwise_geodesic,
     standard_frame,
 )
+from bundlemw.transport import mw2
 
 from helpers import eigh_roots, loop_minimal_form, make_mixture, random_spd
 
@@ -85,25 +81,25 @@ class TestRoots:
 
 class TestPsdSqrt:
     def test_identity(self):
-        R = psd_sqrt(np.eye(3))
-        assert np.allclose(R.mat, np.eye(3))
+        R = CovarianceMatrix(np.eye(3)).root
+        assert np.allclose(R, np.eye(3))
 
     def test_diagonal(self):
-        R = psd_sqrt(np.diag([4.0, 9.0]))
-        assert np.allclose(R.mat, np.diag([2.0, 3.0]))
+        R = CovarianceMatrix(np.diag([4.0, 9.0])).root
+        assert np.allclose(R, np.diag([2.0, 3.0]))
 
     def test_square_recovers_input(self):
         rng = np.random.default_rng(0)
         for d in (2, 3, 6):
             S = random_spd(rng, d)
-            R = psd_sqrt(S).mat
+            R = CovarianceMatrix(S).root
             rel = np.linalg.norm(R @ R - S) / np.linalg.norm(S)
             assert rel < 1e-8
 
     def test_rank_deficient_input(self):
         S = np.diag([1.0, 0.0])
-        R = psd_sqrt(S)
-        assert np.allclose(R.mat @ R.mat, S, atol=1e-12)
+        R = CovarianceMatrix(S).root
+        assert np.allclose(R @ R, S, atol=1e-12)
 
 
 class TestBuresTerm:
@@ -161,36 +157,43 @@ class TestBuresTerm:
         assert abs(emp - exact) / exact < 0.05
 
 
+def gaussian(m, S, frame):
+    """One bundle Gaussian: the K = 1 mixture at unit basepoint m."""
+    return GaussianMixture([1.0], [m], [S], frame)
+
+
 class TestBundleGaussianW2:
     def test_zero_for_identical(self):
-        g = BundleGaussian(Point([0.0, 0.0, 1.0]), np.eye(2))
-        assert w2sq_bundle_gaussian(g, g) == 0.0
+        g = gaussian([0.0, 0.0, 1.0], np.eye(2), standard_frame(3))
+        assert mw2(g, g).distance_sq == 0.0
 
     def test_pure_base_term(self):
-        g0 = BundleGaussian(Point([0.0, 0.0, 1.0]), np.zeros((2, 2)))
-        g1 = BundleGaussian(Point([1.0, 0.0, 0.0]), np.zeros((2, 2)))
-        assert w2sq_bundle_gaussian(g0, g1) == pytest.approx((np.pi / 2) ** 2, abs=1e-12)
+        f = standard_frame(3)
+        g0 = gaussian([0.0, 0.0, 1.0], np.zeros((2, 2)), f)
+        g1 = gaussian([1.0, 0.0, 0.0], np.zeros((2, 2)), f)
+        assert mw2(g0, g1).distance_sq == pytest.approx((np.pi / 2) ** 2, abs=1e-12)
 
     def test_pure_bures_term(self):
-        p = Point([0.0, 0.0, 1.0])
-        g0 = BundleGaussian(p, np.eye(2))
-        g1 = BundleGaussian(p, 4.0 * np.eye(2))
-        assert w2sq_bundle_gaussian(g0, g1) == pytest.approx(2.0, abs=1e-12)
-        assert w2_bundle_gaussian(g0, g1) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        f = standard_frame(3)
+        g0 = gaussian([0.0, 0.0, 1.0], np.eye(2), f)
+        g1 = gaussian([0.0, 0.0, 1.0], 4.0 * np.eye(2), f)
+        assert mw2(g0, g1).distance_sq == pytest.approx(2.0, abs=1e-12)
+        assert mw2(g0, g1).distance == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_symmetry_and_separation(self):
         rng = np.random.default_rng(6)
+        f = standard_frame(4)
         for _ in range(10):
-            g0 = BundleGaussian(Point(rng.standard_normal(4)), random_spd(rng, 3))
-            g1 = BundleGaussian(Point(rng.standard_normal(4)), random_spd(rng, 3))
-            a = w2sq_bundle_gaussian(g0, g1)
-            b = w2sq_bundle_gaussian(g1, g0)
+            g0 = gaussian(Point(rng.standard_normal(4)).coords, random_spd(rng, 3), f)
+            g1 = gaussian(Point(rng.standard_normal(4)).coords, random_spd(rng, 3), f)
+            a = mw2(g0, g1).distance_sq
+            b = mw2(g1, g0).distance_sq
             assert a == pytest.approx(b, abs=1e-8)
             assert a > 1e-4
 
     def test_cov_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
-            BundleGaussian(Point([0.0, 0.0, 1.0]), np.eye(3))
+            GaussianMixture([1.0], [[0.0, 0.0, 1.0]], [np.eye(3)], standard_frame(3))
 
 
 class TestGaussianMixture:
@@ -345,11 +348,6 @@ class TestPairwiseAndIO:
         assert P.shape == (3, 5)
         for i in range(3):
             for j in range(5):
-                exact = w2sq_bundle_gaussian(
-                    BundleGaussian(Point(m0.means[i]), m0.covs[i]),
-                    BundleGaussian(Point(m1.means[j]), m1.covs[j]),
-                )
-                assert P[i, j] == pytest.approx(exact, abs=1e-10)
                 # independent of the batched kernels: scalar geodesic, scipy sqrtm
                 S0, S1 = m0.covs[i], m1.covs[j]
                 R0 = sqrtm(S0).real
@@ -414,8 +412,3 @@ class TestPairwiseAndIO:
         assert set(d["components"][0]) == {"basepoint", "cov"}
         back = mixture_from_dict(d)
         assert back.K == 2
-
-    def test_single_gaussian_wrapper(self):
-        g = BundleGaussian(Point([0.0, 0.0, 1.0]), 0.5 * np.eye(2))
-        mix = single_gaussian_mixture(g)
-        assert mix.K == 1 and mix.weights[0] == 1.0

@@ -400,6 +400,28 @@ class TestBatchKernels:
         X, Y = unit_rows(rng, n, D), unit_rows(rng, m, D)
         assert np.array_equal(pairwise_geodesic(X, Y), broadcast_geodesic(X, Y))
 
+    @pytest.mark.parametrize("D", [2, 3, 4, 10, 60])
+    def test_distance_bitwise_equals_pairwise_and_scalar_formula(self, D):
+        def scalar(p, q):
+            c, diff, summ = np.sum(p * q), p - q, p + q
+            if c >= 0.0:
+                return 2.0 * np.arcsin(np.clip(0.5 * np.sqrt(np.sum(diff * diff)), 0.0, 1.0))
+            return np.pi - 2.0 * np.arcsin(np.clip(0.5 * np.sqrt(np.sum(summ * summ)), 0.0, 1.0))
+
+        rng = np.random.default_rng(D)
+        X, Y = unit_rows(rng, 200, D), unit_rows(rng, 200, D)
+        Y[:40] = X[:40]  # identical pairs
+        Y[40:80] = -X[40:80]  # antipodal pairs
+        Y[80:120] = unit_rows(rng, 1, D)[0] * 1e-9 - X[80:120]  # near-antipodal pairs
+        Y[80:120] /= np.linalg.norm(Y[80:120], axis=1, keepdims=True)
+        Y[120:160] = X[120:160] + 1e-9 * unit_rows(rng, 40, D)  # near-identical pairs
+        Y[120:160] /= np.linalg.norm(Y[120:160], axis=1, keepdims=True)
+        ps, qs = [Point(x) for x in X], [Point(y) for y in Y]
+        P = pairwise_geodesic(np.array([p.coords for p in ps]), np.array([q.coords for q in qs]))
+        for i, (p, q) in enumerate(zip(ps, qs)):
+            assert geodesic_distance(p, q) == P[i, i] == scalar(p.coords, q.coords)
+        assert np.all(np.diag(P)[:40] == 0.0)
+
     def test_pairwise_geodesic_duplicate_rows_exactly_zero(self):
         rng = np.random.default_rng(8)
         X = unit_rows(rng, 40, 5)[rng.integers(40, size=300)]

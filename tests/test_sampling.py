@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bundlemw.gauss import BundleGaussian, GaussianMixture
+from bundlemw.gauss import GaussianMixture
 from bundlemw.geometry import (
     Point,
     build_reference_frame,
@@ -12,7 +12,6 @@ from bundlemw.geometry import (
 )
 from bundlemw.sampling import (
     load_samples,
-    sample_gaussian,
     sample_mixture,
     save_samples,
 )
@@ -23,35 +22,37 @@ def frame3():
     return build_reference_frame(Point([0.0, 0.0, 1.0]), rng_seed=0)
 
 
+def sample_one(m, cov, frame, n, seed, stats=None):
+    """n points from the bundle Gaussian at unit basepoint m: a K = 1 mixture."""
+    mix = GaussianMixture([1.0], [m], [cov], frame)
+    return sample_mixture(mix, n, seed, stats=stats)[0]
+
+
 class TestSampleGaussian:
     def test_zero_covariance_returns_basepoint(self, frame3):
         m = Point([0.0, 1.0, 0.0])
-        g = BundleGaussian(m, np.zeros((2, 2)))
-        pts = sample_gaussian(g, frame3, 7, seed=1)
+        pts = sample_one(m.coords, np.zeros((2, 2)), frame3, 7, seed=1)
         assert len(pts) == 7
         for p in pts:
             assert np.allclose(p, m.coords, atol=1e-15)
 
     def test_deterministic_given_seed(self, frame3):
-        g = BundleGaussian(Point([0.0, 0.0, 1.0]), 0.05 * np.eye(2))
-        a = sample_gaussian(g, frame3, 50, seed=9)
-        b = sample_gaussian(g, frame3, 50, seed=9)
+        a = sample_one([0.0, 0.0, 1.0], 0.05 * np.eye(2), frame3, 50, seed=9)
+        b = sample_one([0.0, 0.0, 1.0], 0.05 * np.eye(2), frame3, 50, seed=9)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
-        c = sample_gaussian(g, frame3, 50, seed=10)
+        c = sample_one([0.0, 0.0, 1.0], 0.05 * np.eye(2), frame3, 50, seed=10)
         assert not np.allclose(a[0], c[0])
 
     def test_outputs_unit_norm(self, frame3):
-        g = BundleGaussian(Point([0.0, 0.0, 1.0]), 0.5 * np.eye(2))
-        pts = sample_gaussian(g, frame3, 200, seed=2)
+        pts = sample_one([0.0, 0.0, 1.0], 0.5 * np.eye(2), frame3, 200, seed=2)
         for p in pts:
             assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-12)
 
     def test_statistical_recovery(self, frame3):
         m = Point([0.0, 0.0, 1.0])
         sigma = 0.01 * np.eye(2)
-        g = BundleGaussian(m, sigma)
-        pts = sample_gaussian(g, frame3, 5000, seed=3)
+        pts = sample_one(m.coords, sigma, frame3, 5000, seed=3)
         mean = frechet_mean(pts)
         assert geodesic_distance(mean, m) < 0.05
         local = transport_frame(frame3, mean)
@@ -61,22 +62,19 @@ class TestSampleGaussian:
 
     def test_truncation_stats_recorded(self, frame3):
         # enormous covariance forces redraws at the cut locus
-        g = BundleGaussian(Point([0.0, 0.0, 1.0]), 4.0 * np.eye(2))
         stats = {}
-        sample_gaussian(g, frame3, 500, seed=4, stats=stats)
+        sample_one([0.0, 0.0, 1.0], 4.0 * np.eye(2), frame3, 500, seed=4, stats=stats)
         assert stats["accepted"] == 500
         assert stats["rejected"] > 0
 
     def test_small_covariance_no_rejections(self, frame3):
-        g = BundleGaussian(Point([0.0, 0.0, 1.0]), 0.01 * np.eye(2))
         stats = {}
-        sample_gaussian(g, frame3, 500, seed=5, stats=stats)
+        sample_one([0.0, 0.0, 1.0], 0.01 * np.eye(2), frame3, 500, seed=5, stats=stats)
         assert stats == {"rejected": 0, "accepted": 500}
 
     def test_n_validation(self, frame3):
-        g = BundleGaussian(Point([0.0, 0.0, 1.0]), np.eye(2))
         with pytest.raises(ValueError):
-            sample_gaussian(g, frame3, 0, seed=0)
+            sample_one([0.0, 0.0, 1.0], np.eye(2), frame3, 0, seed=0)
 
 
 class TestSampleMixture:
@@ -84,14 +82,6 @@ class TestSampleMixture:
         K = len(weights)
         means = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]][:K]
         return GaussianMixture(weights, means, [0.02 * np.eye(2), 0.01 * np.eye(2)][:K], frame)
-
-    def test_single_component_matches_sample_gaussian(self, frame3):
-        mix = self.make(frame3, [1.0])
-        pts, labels = sample_mixture(mix, 40, seed=6)
-        ref = sample_gaussian(BundleGaussian(Point(mix.means[0]), mix.covs[0]), frame3, 40, seed=6)
-        assert labels.tolist() == [0] * 40
-        for a, b in zip(pts, ref):
-            assert np.array_equal(a, b)
 
     def test_degenerate_weights_all_one_label(self, frame3):
         mix = self.make(frame3, [1.0, 0.0])
@@ -141,8 +131,7 @@ class TestSamplesIO:
         assert np.max(np.abs(X - pts)) == 0.0
 
     def test_header_written(self, tmp_path, frame3):
-        g = BundleGaussian(Point([0.0, 0.0, 1.0]), 0.01 * np.eye(2))
-        pts = sample_gaussian(g, frame3, 3, seed=12)
+        pts = sample_one([0.0, 0.0, 1.0], 0.01 * np.eye(2), frame3, 3, seed=12)
         path = tmp_path / "samples.csv"
         save_samples(path, pts)
         first = path.read_text().splitlines()[0]

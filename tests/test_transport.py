@@ -5,12 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from bundlemw.errors import FrameMismatch, InfeasibleWeights
-from bundlemw.gauss import (
-    BundleGaussian,
-    GaussianMixture,
-    pairwise_w2sq,
-    w2sq_bundle_gaussian,
-)
+from bundlemw.gauss import GaussianMixture, bures_term, pairwise_w2sq
 from bundlemw.geometry import Point, build_reference_frame, geodesic_distance, standard_frame
 from bundlemw.transport import (
     MW2Result,
@@ -254,10 +249,8 @@ class TestMW2:
         other = make_mixture(rng, 1, 3)
         m1 = GaussianMixture([1.0], other.means, other.covs, m0.frame)
         res = mw2(m0, m1)
-        exact = w2sq_bundle_gaussian(
-            BundleGaussian(Point(m0.means[0]), m0.covs[0]),
-            BundleGaussian(Point(m1.means[0]), m1.covs[0]),
-        )
+        base = geodesic_distance(Point(m0.means[0]), Point(m1.means[0]))
+        exact = base**2 + bures_term(m0.covs[0], m1.covs[0])
         assert res.distance_sq == pytest.approx(exact, abs=1e-12)
         assert res.distance == pytest.approx(np.sqrt(exact), abs=1e-12)
 
