@@ -16,32 +16,37 @@ import numpy as np
 
 from ._jsonfile import read_json, write_json
 from .errors import NotSymmetric, SegmentTooSmall
+from .geometry import _BLOCK_CELLS
 
 
 def check_distmat(D):
     """Validate a distance matrix and return it exactly symmetrized.
 
     It must be square, nonempty, finite, symmetric to 1e-8 (else
-    NotSymmetric), nonnegative, and zero on the diagonal to 1e-12.  An exactly
-    symmetric float64 array is returned uncopied.
+    NotSymmetric), nonnegative, and zero on the diagonal to 1e-12.  Checked in
+    row blocks of about 2^14 cells, an exactly symmetric float64 array comes
+    back uncopied with no n x n temporary, any other as a new (D + D.T) / 2.
     """
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {D.shape}")
     if D.size == 0:
         raise ValueError("distance matrix is empty")
-    if not np.all(np.isfinite(D)):
+    rows = max(1, _BLOCK_CELLS // D.shape[0])
+    blocks = [slice(i, i + rows) for i in range(0, D.shape[0], rows)]
+    if not all(np.isfinite(D[b]).all() for b in blocks):
         raise ValueError("distance matrix contains non-finite entries")
-    S = D - D.T
-    if np.max(np.abs(S, out=S)) > 1e-8:
+    with np.errstate(over="ignore"):  # an infinite difference is asymmetric
+        gap = max(np.max(np.abs(D[b] - D[:, b].T)) for b in blocks)
+    if gap > 1e-8:
         raise NotSymmetric("distance matrix is asymmetric beyond 1e-8")
     if np.min(D) < 0:
         raise ValueError("distance matrix has negative entries")
     if np.max(np.abs(np.diag(D))) > 1e-12:
         raise ValueError("distance matrix diagonal must be zero")
-    if not S.any():
+    if gap == 0.0:
         return D
-    return np.multiply(np.add(D, D.T, out=S), 0.5, out=S)
+    return np.multiply(S := D + D.T, 0.5, out=S)
 
 
 def _check_alpha(alpha):

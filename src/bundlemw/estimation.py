@@ -35,7 +35,7 @@ from .geometry import (
 )
 
 OUTLIER = -1
-# Largest n that `fit --method kmodes` takes; it peaks near 16 n^2 bytes.
+# Largest n that `fit --method kmodes` takes; it peaks near 12 n^2 bytes.
 KMODES_MAX_POINTS = 10_000
 
 
@@ -144,6 +144,19 @@ def riemannian_kmeans(
     return Clustering(labels=labels, sizes=sizes, centers=C, converged=converged)
 
 
+def _offdiag_quantile(upper, q):
+    """``np.quantile`` of an exactly symmetric matrix's off-diagonal entries
+    from its strict upper triangle ``upper``, partitioned in place.  Sorted,
+    the k-th off-diagonal entry is the (k // 2)-th upper one, so numpy's own
+    interpolation between the two around the virtual index gives its bits."""
+    N = 2 * upper.size
+    h = (N - 1) * q
+    lo = int(h)
+    ks = [lo // 2, min(lo + 1, N - 1) // 2]
+    upper.partition(ks)
+    return float(np.quantile(upper[ks], h - lo))
+
+
 def kmodes_cluster(distmat, q: float = 0.1) -> Clustering:
     """Cluster from a distance matrix by neighbor-count ascent.
 
@@ -154,18 +167,18 @@ def kmodes_cluster(distmat, q: float = 0.1) -> Clustering:
     the cluster modes.  If every pairwise distance is zero the matrix
     carries no structure and all points form one cluster around mode 0.
 
-    Memory beyond the input peaks at one n x n float array, the
-    off-diagonal entries; the ascent runs in row blocks.
+    Memory beyond the input peaks at one copy of the strict upper triangle,
+    for the quantile; the ascent runs in row blocks.
     """
     D = check_distmat(distmat)
     n = D.shape[0]
     if not 0.0 < q <= 1.0:
         raise ValueError("quantile q must be in (0, 1]")
-    off = D.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].copy()  # off-diagonal entries
-    if off.size == 0 or np.max(off) <= 0.0:
+    upper = np.concatenate([D[i, i + 1:] for i in range(n)])  # strict upper triangle
+    if upper.size == 0 or np.max(upper) <= 0.0:
         return Clustering(labels=np.zeros(n, dtype=int), sizes=[n], modes=[0])
-    r = float(np.quantile(off, q, overwrite_input=True))
-    del off
+    r = _offdiag_quantile(upper, q)
+    del upper
     ball = D <= r
     np.fill_diagonal(ball, False)
     counts = ball.sum(axis=1)

@@ -50,7 +50,9 @@ def _check_covs(S) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(S).all():
         raise ValueError("covariance entries must be finite")
     ST = np.swapaxes(S, 1, 2)
-    if np.max(np.abs(S - ST)) > 1e-6:
+    with np.errstate(over="ignore"):  # an infinite difference is asymmetric
+        gap = np.max(np.abs(S - ST))
+    if gap > 1e-6:
         raise NotSymmetric("covariance asymmetry exceeds 1e-6")
     if not np.array_equal(S, ST):
         S = 0.5 * (S + ST)

@@ -360,17 +360,26 @@ def pairwise_geodesic(X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarr
     """Geodesic distance matrix between rows of X and rows of Y (default X),
     filled in row blocks of about 2^14 cells, each bitwise what one n x m x D
     broadcast gives.  Without Y the upper half is computed and mirrored; the
-    formula is exactly symmetric in its two arguments."""
+    formula is exactly symmetric in its two arguments.  numpy adds fewer
+    than 8 terms in order and more in 8 partial sums, so below D = 8 the
+    coordinates lead, one whole-block pass each with the same bits, and
+    from D = 8 on they stay the last axis, as in the broadcast."""
     mirror = Y is None
     Y = X if mirror else Y
     out = np.empty((len(X), len(Y)))
     s = max(1, _BLOCK_CELLS // max(1, len(Y)))
-    for i in range(0, len(X), s):
+    lead = X.shape[1] < 8
+    if lead:
+        X = np.ascontiguousarray(X.T)
+        Y = X if mirror else np.ascontiguousarray(Y.T)
+    axis = 0 if lead else -1
+    for i in range(0, out.shape[0], s):
         j = i if mirror else 0
-        A, B = X[i:i + s, None, :], Y[None, j:, :]
-        block = _angle_from_chords(
-            np.sum(A * B, axis=-1), _last_axis_norm(A - B), _last_axis_norm(A + B)
-        )
+        A, B = ((X[:, i:i + s, None], Y[:, None, j:]) if lead
+                else (X[i:i + s, None, :], Y[None, j:, :]))
+        dif, tot = A - B, A + B
+        block = _angle_from_chords(np.sum(A * B, axis=axis), np.sqrt(np.sum(dif * dif, axis=axis)),
+                                   np.sqrt(np.sum(tot * tot, axis=axis)))
         out[i:i + s, j:] = block
         if mirror:
             out[j:, i:i + s] = block.T

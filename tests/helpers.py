@@ -6,7 +6,14 @@ import tracemalloc
 import numpy as np
 
 from bundlemw.gauss import GaussianMixture
-from bundlemw.geometry import Point, build_reference_frame, geodesic_distance
+from bundlemw.geometry import (
+    _BLOCK_CELLS,
+    Point,
+    _angle_from_chords,
+    _last_axis_norm,
+    build_reference_frame,
+    geodesic_distance,
+)
 
 
 def random_spd(rng, d, scale=1.0):
@@ -44,6 +51,25 @@ def broadcast_geodesic(X, Y):
     acute = 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
     obtuse = np.pi - 2.0 * np.arcsin(np.clip(0.5 * cochord, 0.0, 1.0))
     return np.where(c >= 0.0, acute, obtuse)
+
+
+def trailing_axis_geodesic(X, Y=None):
+    """pairwise_geodesic by the block loop that keeps the coordinates on the
+    last axis at every D, as the kernel still does from D = 8 on."""
+    mirror = Y is None
+    Y = X if mirror else Y
+    out = np.empty((len(X), len(Y)))
+    s = max(1, _BLOCK_CELLS // max(1, len(Y)))
+    for i in range(0, len(X), s):
+        j = i if mirror else 0
+        A, B = X[i:i + s, None, :], Y[None, j:, :]
+        block = _angle_from_chords(
+            np.sum(A * B, axis=-1), _last_axis_norm(A - B), _last_axis_norm(A + B)
+        )
+        out[i:i + s, j:] = block
+        if mirror:
+            out[j:, i:i + s] = block.T
+    return out
 
 
 def unit_rows(rng, n, D):

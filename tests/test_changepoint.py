@@ -16,6 +16,7 @@ from bundlemw.changepoint import (
     save_report,
 )
 from bundlemw.errors import NotSymmetric, SegmentTooSmall
+from helpers import peak_alloc_bytes
 
 
 def block_distmat(n, boundary, within=0.0, cross=1.0):
@@ -61,6 +62,32 @@ class TestCheckDistmat:
             warnings.simplefilter("error")
             out = check_distmat(D)
         assert np.array_equal(out, D)
+
+    def test_symmetric_input_allocates_no_matrix(self):
+        n = 2000
+        D = null_distmat(np.random.default_rng(3), n)
+        assert peak_alloc_bytes(check_distmat, D) <= 2**20
+
+    def test_symmetrized_copy_is_the_half_sum(self):
+        rng = np.random.default_rng(4)
+        D = null_distmat(rng, 300)
+        D += 1e-10 * rng.random((300, 300))
+        np.fill_diagonal(D, 0.0)
+        ref = np.multiply(np.add(D, D.T), 0.5)
+        assert np.array_equal(check_distmat(D).view(np.int64), ref.view(np.int64))
+
+    def test_non_finite_entry_wins_over_asymmetry_in_an_earlier_block(self):
+        D = null_distmat(np.random.default_rng(5), 300)
+        D[0, 1] += 1.0
+        D[-1, -2] = D[-2, -1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            check_distmat(D)
+
+    def test_overflowing_asymmetry_is_not_symmetric(self):
+        D = np.zeros((3, 3))
+        D[0, 1], D[1, 0] = 1e308, -1e308
+        with np.errstate(all="raise"), pytest.raises(NotSymmetric):
+            check_distmat(D)
 
 
 class TestEnergyStatistic:

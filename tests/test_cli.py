@@ -56,6 +56,14 @@ def run(args):
     return cli.main([str(a) for a in args])
 
 
+def run_console(tmp, *args):
+    """Run the console command in ``tmp``: numpy's RuntimeWarnings go to the
+    real stderr, which ``capsys`` does not see."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "bundlemw.cli", *args],
+                          cwd=tmp, env=env, capture_output=True, text=True)
+
+
 class TestSimulate:
     def test_writes_labeled_samples(self, workspace, capsys):
         tmp, config = workspace
@@ -350,7 +358,6 @@ class TestMw2AndDistmat:
         ids=["mw2-big-small", "mw2-big-big", "distmat"],
     )
     def test_overflow_exits_3(self, workspace, args):
-        # numpy's RuntimeWarnings go to the real stderr, so run the console command
         tmp, config = workspace
         (tmp / "mixes").mkdir()
         for name, cov in (("big", [[1e308, 0.0], [0.0, 1e308]]), ("small", self.GOOD["cov"])):
@@ -358,14 +365,23 @@ class TestMw2AndDistmat:
                                "components": [{"basepoint": self.GOOD["basepoint"], "cov": cov}]})
             (tmp / f"{name}.json").write_text(text)
             (tmp / "mixes" / f"{name}.json").write_text(text)
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        res = subprocess.run(
-            [sys.executable, "-m", "bundlemw.cli", *args, "--out", "out"],
-            cwd=tmp, env=env, capture_output=True, text=True,
-        )
+        res = run_console(tmp, *args, "--out", "out")
         assert res.returncode == 3
         assert res.stderr.count("\n") == 1
         assert json.loads(res.stderr)["error"] == "FloatingPointError"
+        assert not (tmp / "out").exists()
+
+    def test_overflowing_asymmetry_exits_2(self, workspace):
+        # S - S.T overflows to inf, which is asymmetric, not a numerical failure
+        tmp, config = workspace
+        for name, cov in (("asym", [[1.0, 1e308], [-1e308, 1.0]]), ("ok", self.GOOD["cov"])):
+            (tmp / f"{name}.json").write_text(json.dumps(
+                {"frame": config["frame"], "weights": [1.0],
+                 "components": [{"basepoint": self.GOOD["basepoint"], "cov": cov}]}))
+        res = run_console(tmp, "mw2", "asym.json", "ok.json", "--out", "out")
+        assert res.returncode == 2
+        assert res.stdout == "" and res.stderr.count("\n") == 1
+        assert json.loads(res.stderr)["error"] == "NotSymmetric"
         assert not (tmp / "out").exists()
 
     def test_distmat_needs_two_mixtures(self, workspace, capsys):
@@ -446,6 +462,17 @@ class TestChangepoint:
         assert run(["changepoint", tmp / "D.csv"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "SegmentTooSmall"
 
+    def test_overflowing_asymmetry_exits_2(self, workspace):
+        tmp, _ = workspace
+        D = np.zeros((30, 30))
+        D[0, 1], D[1, 0] = 1e308, -1e308
+        save_distmat(tmp / "D.csv", D)
+        res = run_console(tmp, "changepoint", "D.csv", "--out", "cps.json")
+        assert res.returncode == 2
+        assert res.stdout == "" and res.stderr.count("\n") == 1
+        assert json.loads(res.stderr)["error"] == "NotSymmetric"
+        assert not (tmp / "cps.json").exists()
+
 
 class TestTriangles:
     def test_forward_then_backward(self, workspace, capsys):
@@ -513,15 +540,9 @@ class TestTriangles:
         ids=["infinite-phi", "overflowing-vertices"],
     )
     def test_nonfinite_rows_print_one_stderr_line(self, workspace, mode, rows):
-        # numpy's RuntimeWarnings go to the real stderr, so run the console command
         tmp, _ = workspace
         (tmp / "in.csv").write_text(rows)
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        res = subprocess.run(
-            [sys.executable, "-m", "bundlemw.cli", "triangles", "in.csv", "--mode", mode,
-             "--out", "out.csv"],
-            cwd=tmp, env=env, capture_output=True, text=True,
-        )
+        res = run_console(tmp, "triangles", "in.csv", "--mode", mode, "--out", "out.csv")
         assert res.returncode == 2
         assert res.stderr.count("\n") == 1
         assert json.loads(res.stderr)["error"] == "ValueError"

@@ -6,6 +6,7 @@ from bundlemw.estimation import (
     OUTLIER,
     Clustering,
     _kmeanspp_indices,
+    _offdiag_quantile,
     clustering_from_dict,
     clustering_to_dict,
     fit_mixture,
@@ -249,7 +250,25 @@ class TestKmodes:
     def test_memory_is_one_matrix(self):
         n = 2000
         D = pairwise_geodesic(unit_rows(np.random.default_rng(13), n, 3))
-        assert peak_alloc_bytes(kmodes_cluster, D, q=0.1) <= 8 * n * n + 4 * 2**20
+        assert peak_alloc_bytes(kmodes_cluster, D, q=0.1) <= 4 * n * n + 4 * 2**20
+
+    @pytest.mark.parametrize("q", [1e-9, 0.02, 0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 7, 160])
+    def test_quantile_from_upper_triangle_is_bitwise_numpys(self, n, q):
+        rng = np.random.default_rng(n)
+        A = rng.random((n, n))
+        for D in (np.triu(A, 1) + np.triu(A, 1).T, tie_heavy_distmat(rng, n, isolated=1),
+                  np.full((n, n), 0.7) - 0.7 * np.eye(n)):
+            ref = np.quantile(D[~np.eye(n, dtype=bool)], q)
+            got = _offdiag_quantile(D[np.triu_indices(n, 1)], q)
+            assert np.float64(got).view(np.int64) == np.float64(ref).view(np.int64)
+
+    def test_zero_off_diagonal_with_tiny_diagonal_is_one_cluster(self):
+        D = np.zeros((5, 5))
+        np.fill_diagonal(D, 1e-13)
+        out = kmodes_cluster(D)
+        assert out.modes == [0]
+        assert list(out.labels) == [0] * 5
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, bad):

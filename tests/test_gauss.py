@@ -44,6 +44,10 @@ class TestCovarianceMatrix:
         with pytest.raises(NotSymmetric):
             CovarianceMatrix([[1.0, 0.5], [0.0, 1.0]])
 
+    def test_overflowing_asymmetry_is_not_symmetric(self):
+        with np.errstate(all="raise"), pytest.raises(NotSymmetric):
+            CovarianceMatrix([[1.0, 1e308], [-1e308, 1.0]])
+
     def test_rejects_negative_definite(self):
         with pytest.raises(DegenerateMatrix):
             CovarianceMatrix([[-1.0, 0.0], [0.0, 1.0]])

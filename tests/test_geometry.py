@@ -28,7 +28,7 @@ from bundlemw.geometry import (
     transport_batch,
     transport_frame,
 )
-from helpers import broadcast_geodesic, peak_alloc_bytes, unit_rows
+from helpers import broadcast_geodesic, peak_alloc_bytes, trailing_axis_geodesic, unit_rows
 
 
 def unit(v):
@@ -421,6 +421,41 @@ class TestBatchKernels:
         for i, (p, q) in enumerate(zip(ps, qs)):
             assert geodesic_distance(p, q) == P[i, i] == scalar(p.coords, q.coords)
         assert np.all(np.diag(P)[:40] == 0.0)
+
+    @pytest.mark.parametrize("D", [2, 3, 4, 5, 6, 7, 8, 9, 60, 200])
+    def test_pairwise_geodesic_bitwise_equals_trailing_axis_kernel(self, D):
+        rng = np.random.default_rng(D)
+        X, Y = unit_rows(rng, 90, D), unit_rows(rng, 70, D)
+        Y[:20] = X[:20]  # identical rows
+        Y[20:40] = -X[20:40]  # antipodal rows
+        Y[40:60] = 1e-9 * unit_rows(rng, 20, D) - X[40:60]  # near-antipodal rows
+        Y[40:60] /= np.linalg.norm(Y[40:60], axis=1, keepdims=True)
+        for args in [(X,), (X, Y), (Y, X), (np.vstack([X, Y]),)]:
+            got, ref = pairwise_geodesic(*args), trailing_axis_geodesic(*args)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "n, m, D",
+        [(1, 1, 3), (1, 1, 60), (2000, None, 4), (600, 70, 3), (160, None, 5), (2, 9000, 3),
+         (9000, 2, 6), (300, 1, 7)],
+    )
+    def test_pairwise_geodesic_shapes_bitwise_equal_trailing_axis_kernel(self, n, m, D):
+        rng = np.random.default_rng(n + D)
+        X = unit_rows(rng, n, D)
+        args = (X,) if m is None else (X, unit_rows(rng, m, D))
+        got, ref = pairwise_geodesic(*args), trailing_axis_geodesic(*args)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_pairwise_geodesic_random_shapes_equal_trailing_axis_kernel(self, seed, n, m, D):
+        rng = np.random.default_rng(seed)
+        X, Y = unit_rows(rng, n, D), unit_rows(rng, m, D)
+        k = min(n, m) // 2
+        Y[:k] = rng.choice([-1.0, 1.0], size=(k, 1)) * X[:k]
+        for args in [(X,), (X, Y)]:
+            got, ref = pairwise_geodesic(*args), trailing_axis_geodesic(*args)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
     def test_pairwise_geodesic_duplicate_rows_exactly_zero(self):
         rng = np.random.default_rng(8)
