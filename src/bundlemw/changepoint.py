@@ -25,7 +25,7 @@ def check_distmat(D):
     It must be square, nonempty, finite, symmetric to 1e-8 (else
     NotSymmetric), nonnegative, and zero on the diagonal to 1e-12.  Checked in
     row blocks of about 2^14 cells, an exactly symmetric float64 array comes
-    back uncopied with no n x n temporary, any other as a new (D + D.T) / 2.
+    back uncopied with no n x n temporary, any other as a new D / 2 + D.T / 2.
     """
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
@@ -46,7 +46,10 @@ def check_distmat(D):
         raise ValueError("distance matrix diagonal must be zero")
     if gap == 0.0:
         return D
-    return np.multiply(S := D + D.T, 0.5, out=S)
+    S = D * 0.5  # halved before adding, so entries near the float max cannot overflow
+    for b in blocks:
+        S[b] += D[:, b].T * 0.5
+    return S
 
 
 def _check_alpha(alpha):

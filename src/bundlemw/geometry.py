@@ -51,15 +51,20 @@ class Point:
 def _unit_rows(X) -> np.ndarray:
     """The rows of X, points given in R^D with D >= 2, scaled to unit norm.
 
-    Rejects non-finite and zero rows.  Row norms come from a per-row dot
-    product, so one row gives the same bits alone or in a stack.
+    Rejects non-finite and zero rows, and rows whose squared norm overflows.
+    Row norms come from a per-row dot product, so one row gives the same bits
+    alone or in a stack.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 2:
         raise ValueError("point coordinates must be vectors in R^D, D >= 2")
     if not np.isfinite(X).all():
         raise ValueError("point coordinates must be finite")
-    norms = np.sqrt(np.vecdot(X, X))[:, None]
+    with np.errstate(over="ignore"):
+        sq = np.vecdot(X, X)
+    if not np.isfinite(sq).all():
+        raise ValueError("point coordinates are too large to normalize")
+    norms = np.sqrt(sq)[:, None]
     if (norms < 1e-12).any():
         raise ValueError("cannot normalize a zero vector to the sphere")
     return X / norms

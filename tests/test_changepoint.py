@@ -16,6 +16,7 @@ from bundlemw.changepoint import (
     save_report,
 )
 from bundlemw.errors import NotSymmetric, SegmentTooSmall
+from bundlemw.estimation import kmodes_cluster
 from helpers import peak_alloc_bytes
 
 
@@ -75,6 +76,20 @@ class TestCheckDistmat:
         np.fill_diagonal(D, 0.0)
         ref = np.multiply(np.add(D, D.T), 0.5)
         assert np.array_equal(check_distmat(D).view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("q", [0.001, 0.1])
+    def test_symmetrizing_entries_near_the_float_max_does_not_overflow(self, q):
+        D = np.full((30, 30), 1e308)
+        np.fill_diagonal(D, 0.0)
+        D[2, 3], D[3, 2] = 1.0 + 1e-12, 1.0
+        exact = D.copy()
+        exact[2, 3] = 1.0
+        with np.errstate(all="raise"):
+            out = check_distmat(D)
+            assert np.isfinite(out).all()
+            assert np.array_equal(out, out.T)
+            labels = kmodes_cluster(D, q=q).labels
+            assert np.array_equal(labels, kmodes_cluster(exact, q=q).labels)
 
     def test_non_finite_entry_wins_over_asymmetry_in_an_earlier_block(self):
         D = null_distmat(np.random.default_rng(5), 300)

@@ -221,6 +221,19 @@ class TestFit:
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
     @pytest.mark.parametrize("method", ["kmeans", "kmodes"])
+    def test_sample_row_whose_norm_overflows_exits_2(self, workspace, method):
+        tmp, _ = workspace
+        (tmp / "big.csv").write_text(
+            "x0,x1,x2,label\n1,0,0,-1\n0,1,0,-1\n1e308,1e308,0,-1\n0,0,1,-1\n"
+        )
+        res = run_console(tmp, "fit", "big.csv", "--frame", "frame.json", "--method", method,
+                          "--K", "2", "--q", "0.5", "--out", "fit")
+        assert res.returncode == 2
+        assert res.stdout == "" and res.stderr.count("\n") == 1
+        assert json.loads(res.stderr)["error"] == "ValueError"
+        assert not (tmp / "fit").exists()
+
+    @pytest.mark.parametrize("method", ["kmeans", "kmodes"])
     def test_frame_of_another_dimension_rejected(self, workspace, capsys, method):
         tmp, _ = workspace
         run(["simulate", tmp / "config.json", "--out", tmp / "samples.csv"])
@@ -382,6 +395,19 @@ class TestMw2AndDistmat:
         assert res.returncode == 2
         assert res.stdout == "" and res.stderr.count("\n") == 1
         assert json.loads(res.stderr)["error"] == "NotSymmetric"
+        assert not (tmp / "out").exists()
+
+    def test_basepoint_whose_norm_overflows_exits_2(self, workspace):
+        tmp, config = workspace
+        (tmp / "bigbp.json").write_text(json.dumps(
+            {"frame": config["frame"], "weights": [1.0],
+             "components": [{"basepoint": [1e308, 1e308, 0.0], "cov": self.GOOD["cov"]}]}))
+        (tmp / "ok.json").write_text(json.dumps(
+            {"frame": config["frame"], "weights": [1.0], "components": [self.GOOD]}))
+        res = run_console(tmp, "mw2", "bigbp.json", "ok.json", "--out", "out")
+        assert res.returncode == 2
+        assert res.stdout == "" and res.stderr.count("\n") == 1
+        assert json.loads(res.stderr)["error"] == "ValueError"
         assert not (tmp / "out").exists()
 
     def test_distmat_needs_two_mixtures(self, workspace, capsys):

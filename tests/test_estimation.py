@@ -247,10 +247,34 @@ class TestKmodes:
         assert out.modes == modes
         assert out.sizes == sizes
 
-    def test_memory_is_one_matrix(self):
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("q", [0.002, 0.005])
+    def test_repeated_points_with_a_tiny_diagonal_match_row_loop(self, seed, q):
+        # r = 0 falls below the 1e-13 diagonal, yet each point stays in its own ball
+        D = tie_heavy_distmat(np.random.default_rng(seed), 40, isolated=0)
+        for i in range(0, 20, 2):
+            D[i, i + 1] = D[i + 1, i] = 0.0
+        np.fill_diagonal(D, 1e-13)
+        out = kmodes_cluster(D, q=q)
+        labels, modes, sizes = kmodes_by_row_loop(D, q)
+        assert np.array_equal(out.labels, labels)
+        assert out.modes == modes
+        assert out.sizes == sizes
+
+    @pytest.mark.parametrize("q, per_n2, slack_mib", [(0.1, 8 * 0.1, 2), (1.0, 4, 4)])
+    def test_memory_is_the_quantile_buffer(self, q, per_n2, slack_mib):
+        # 8 q n^2 bytes hold twice the ranked entries; from q = 0.5 on, the triangle
         n = 2000
         D = pairwise_geodesic(unit_rows(np.random.default_rng(13), n, 3))
-        assert peak_alloc_bytes(kmodes_cluster, D, q=0.1) <= 4 * n * n + 4 * 2**20
+        assert peak_alloc_bytes(kmodes_cluster, D, q=q) <= per_n2 * n * n + slack_mib * 2**20
+
+    @staticmethod
+    def assert_offdiag_quantile_is_numpys(D, q):
+        off = D[~np.eye(D.shape[0], dtype=bool)]
+        got, top = _offdiag_quantile(D, q)
+        ref = np.quantile(off, q)
+        assert np.float64(got).view(np.int64) == np.float64(ref).view(np.int64)
+        assert top == np.max(off)
 
     @pytest.mark.parametrize("q", [1e-9, 0.02, 0.1, 0.5, 1.0])
     @pytest.mark.parametrize("n", [2, 3, 7, 160])
@@ -259,9 +283,12 @@ class TestKmodes:
         A = rng.random((n, n))
         for D in (np.triu(A, 1) + np.triu(A, 1).T, tie_heavy_distmat(rng, n, isolated=1),
                   np.full((n, n), 0.7) - 0.7 * np.eye(n)):
-            ref = np.quantile(D[~np.eye(n, dtype=bool)], q)
-            got = _offdiag_quantile(D[np.triu_indices(n, 1)], q)
-            assert np.float64(got).view(np.int64) == np.float64(ref).view(np.int64)
+            self.assert_offdiag_quantile_is_numpys(D, q)
+
+    @pytest.mark.parametrize("q", [1e-9, 0.02, 0.1, 0.5, 0.9])
+    def test_quantile_streamed_through_many_refills_is_bitwise_numpys(self, q):
+        D = pairwise_geodesic(unit_rows(np.random.default_rng(13), 2000, 3))
+        self.assert_offdiag_quantile_is_numpys(D, q)
 
     def test_zero_off_diagonal_with_tiny_diagonal_is_one_cluster(self):
         D = np.zeros((5, 5))
