@@ -16,28 +16,24 @@ __version__ = "0.1.0"
 # module -> the public names it defines: the one list of what bundlemw exports.
 # A name's module is imported on first access, so `import bundlemw` loads none.
 _TABLE = {
-    "changepoint": """ChangePoint ChangePointReport best_split e_divisive energy_statistic
-        load_report report_from_dict report_to_dict save_report""",
-    "contours": """Contour SrvfShape align_shape contour_to_srvf load_contour_dir
-        load_contour_file load_distmat pairwise_shape_distance procrustes_rotation
-        save_contours_json save_distmat shape_distance shape_frechet_mean shape_statistics""",
+    "changepoint": "ChangePoint ChangePointReport e_divisive report_to_dict save_report",
+    "contours": """Contour align_shape contour_to_srvf load_contour_dir load_contour_file
+        load_distmat pairwise_shape_distance save_contours_json save_distmat
+        shape_frechet_mean shape_statistics""",
     "errors": """AntipodalPoint BundleMWError ClusterTooSmall DegenerateContour DegenerateFrame
         DegenerateMatrix DegenerateTriangle DimensionMismatch EmptyCluster FrameMismatch
         InfeasibleWeights NoConvergence NotSymmetric SegmentTooSmall""",
-    "estimation": """OUTLIER Clustering clustering_from_dict clustering_to_dict fit_mixture
-        kmodes_cluster load_clustering riemannian_kmeans save_clustering""",
-    "gauss": """CovarianceMatrix GaussianMixture bures_term check_same_frame load_mixture
-        mixture_from_dict mixture_to_dict normalize_minimal_form pairwise_w2sq save_mixture""",
-    "geometry": """MovingFrame Point TangentVector build_reference_frame exp_batch
-        frame_from_dict frame_to_dict frames_equal frechet_mean geodesic_distance load_frame
-        log_batch pairwise_geodesic parallel_transport save_frame sphere_exp sphere_log
-        standard_frame tangent_coordinates tangent_from_coordinates transport_batch
-        transport_frame""",
+    "estimation": """OUTLIER Clustering clustering_to_dict fit_mixture kmodes_cluster
+        riemannian_kmeans save_clustering""",
+    "gauss": """GaussianMixture check_same_frame load_mixture mixture_from_dict
+        mixture_to_dict normalize_minimal_form pairwise_w2sq save_mixture""",
+    "geometry": """MovingFrame Point exp_batch frame_from_dict frame_to_dict frames_equal
+        frechet_mean geodesic_distance load_frame log_batch pairwise_geodesic save_frame
+        standard_frame transport_batch transport_frame""",
     "sampling": "load_samples sample_mixture save_samples",
-    "transport": """MW2Result TransportPlan mw2 mw2_distance pairwise_mw2 result_to_dict
-        save_result solve_transportation""",
-    "triangles": """Triangle TrianglePreshape hopf_backward hopf_forward load_triangles
-        point_to_angles save_triangles triangle_preshape triangle_shape_distance""",
+    "transport": """MW2Result TransportPlan mw2 pairwise_mw2 result_to_dict save_result
+        solve_transportation""",
+    "triangles": "hopf_backward hopf_forward load_triangles save_triangles triangle_preshape",
 }
 _HOME = {name: module for module, names in _TABLE.items() for name in names.split()}
 

@@ -10,11 +10,13 @@ first candidate whose permutation p-value exceeds the threshold.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jsonfile import read_json, write_json
+from ._jsonfile import write_json
 from .errors import NotSymmetric, SegmentTooSmall
 from .geometry import _BLOCK_CELLS
 
@@ -52,43 +54,6 @@ def check_distmat(D):
     return S
 
 
-def _check_alpha(alpha):
-    alpha = float(alpha)
-    if not 0 < alpha <= 2:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    return alpha
-
-
-def energy_statistic(D, split, lo, hi, alpha=1.0):
-    """Two-sample energy statistic for splitting [lo, hi) at `split`.
-
-    With X = [lo, split), Y = [split, hi), m = |X|, n = |Y|:
-
-        Q = (m n / (m + n)) * (2 * mean cross - mean within-X - mean within-Y)
-
-    where all means are over distances raised to the power alpha and the
-    within means exclude self-pairs.  Q can be negative; it vanishes when
-    the off-diagonal structure is exchangeable across the split.
-    """
-    D = check_distmat(D)
-    alpha = _check_alpha(alpha)
-    lo, split, hi = int(lo), int(split), int(hi)
-    if not (0 <= lo < split < hi <= D.shape[0]):
-        raise ValueError(f"need 0 <= lo < split < hi <= {D.shape[0]}")
-    m = split - lo
-    n = hi - split
-    if m < 2 or n < 2:
-        raise SegmentTooSmall(f"both sides need >= 2 points, got {m} and {n}")
-    A = D[lo:hi, lo:hi] ** alpha
-    k = split - lo
-    cross = np.mean(A[:k, k:])
-    iu_x = np.triu_indices(m, k=1)
-    iu_y = np.triu_indices(n, k=1)
-    within_x = 2.0 * np.sum(A[:k, :k][iu_x]) / (m * (m - 1))
-    within_y = 2.0 * np.sum(A[k:, k:][iu_y]) / (n * (n - 1))
-    return (m * n / (m + n)) * (2.0 * cross - within_x - within_y)
-
-
 def _scan_segment(A, min_size):
     """Best split of the alpha-powered block A, honoring min_size margins.
 
@@ -116,29 +81,6 @@ def _scan_segment(A, min_size):
     )
     best = int(np.argmax(q))
     return int(ks[best]), float(q[best])
-
-
-def best_split(D, lo, hi, min_size=12, alpha=1.0):
-    """Locate the admissible split of [lo, hi) maximizing the energy statistic.
-
-    Returns (split, Q) with `split` an absolute index.  Raises
-    SegmentTooSmall when the segment cannot host min_size points per side.
-    """
-    D = check_distmat(D)
-    alpha = _check_alpha(alpha)
-    lo, hi = int(lo), int(hi)
-    min_size = int(min_size)
-    if min_size < 2:
-        raise ValueError("min_size must be at least 2")
-    if not 0 <= lo < hi <= D.shape[0]:
-        raise ValueError("segment bounds out of range")
-    hit = _scan_segment(D[lo:hi, lo:hi] ** alpha, min_size)
-    if hit is None:
-        raise SegmentTooSmall(
-            f"segment of length {hi - lo} admits no split with min_size={min_size}"
-        )
-    k, q = hit
-    return lo + k, q
 
 
 @dataclass(frozen=True)
@@ -172,9 +114,16 @@ def e_divisive(D, R=499, p0=0.0125, min_size=12, alpha=1.0, seed=0):
     p = (1 + #{permuted Q >= observed Q}) / (R + 1).  Candidates with
     p <= p0 are accepted and their segment is bisected; the first rejected
     candidate ends the procedure and is included in the report.
+
+    The statistic sums up to N^2 distances raised to alpha, so a matrix of N
+    points with N^2 max(D)^alpha above the float maximum (about 1.8e308) is
+    rejected with ValueError before any power is taken; the test runs in
+    logarithms, so it cannot overflow itself.
     """
     D = check_distmat(D)
-    alpha = _check_alpha(alpha)
+    alpha = float(alpha)
+    if not 0 < alpha <= 2:
+        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
     R = int(R)
     min_size = int(min_size)
     if R < 1:
@@ -187,6 +136,12 @@ def e_divisive(D, R=499, p0=0.0125, min_size=12, alpha=1.0, seed=0):
     if N < 2 * min_size:
         raise SegmentTooSmall(
             f"need at least {2 * min_size} time points, got {N}"
+        )
+    top = float(np.max(D))
+    if top > 0.0 and 2.0 * math.log(N) + alpha * math.log(top) > math.log(sys.float_info.max):
+        raise ValueError(
+            f"N^2 max(D)^alpha exceeds the float maximum (N = {N}, max(D) = {top:g}, "
+            f"alpha = {alpha:g}); the energy statistic would overflow"
         )
     A = D ** alpha
 
@@ -254,22 +209,5 @@ def report_to_dict(report):
     }
 
 
-def report_from_dict(data):
-    points = tuple(
-        ChangePoint(
-            index=int(p["index"]),
-            p_value=float(p["p_value"]),
-            accepted=bool(p["accepted"]),
-            statistic=float(p["statistic"]),
-        )
-        for p in data["points"]
-    )
-    return ChangePointReport(points=points, hyperparams=dict(data["hyperparams"]))
-
-
 def save_report(path, report):
     write_json(path, report_to_dict(report))
-
-
-def load_report(path):
-    return report_from_dict(read_json(path))

@@ -252,40 +252,41 @@ def cmd_changepoint(args) -> int:
 
 def cmd_triangles(args) -> int:
     from .triangles import (
+        hopf_backward,
+        hopf_forward,
         load_angles,
-        load_vertices,
+        load_triangles,
         save_sphere_points,
         save_triangles,
-        sphere_to_triangles,
-        triangles_to_sphere,
+        triangle_preshape,
     )
 
     if args.mode == "forward":
-        Y, theta, phi = triangles_to_sphere(load_vertices(args.input))
-        save_sphere_points(args.out, Y, theta, phi)
+        Y = hopf_forward(triangle_preshape(load_triangles(args.input)))
+        save_sphere_points(args.out, Y)
     else:
-        Y = sphere_to_triangles(*load_angles(args.input).T)
+        Y = hopf_backward(*load_angles(args.input).T)
         save_triangles(args.out, Y)
     _emit({"triangles": len(Y), "out": str(args.out)})
     return 0
 
 
 def cmd_contours(args) -> int:
-    from .contours import SrvfShape, _align, _srvf_stack, load_contour_dir, shape_statistics
+    from .contours import align_shape, contour_to_srvf, load_contour_dir, shape_statistics
     from .gauss import GaussianMixture, save_mixture
     from .geometry import frechet_mean, standard_frame
 
     frames = load_contour_dir(args.contours)
     T = args.T
-    stacks = {name: _srvf_stack(cs, T) for name, cs in frames.items()}
+    stacks = {name: contour_to_srvf(cs, T) for name, cs in frames.items()}
     reference = next(iter(stacks.values()))[0]
     sphere_frame = standard_frame(2 * T)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, Q in stacks.items():
-        aligned, _ = _align(reference, Q, seam_search=True)
+        aligned, _ = align_shape(reference, Q, seam_search=True)
         mean = frechet_mean(aligned.reshape(len(Q), -1))
-        _, cov = shape_statistics(aligned, SrvfShape(mean.coords.reshape(2, T)), sphere_frame)
+        _, cov = shape_statistics(aligned, mean.coords.reshape(2, T), sphere_frame)
         mix = GaussianMixture([1.0], mean.coords[None], cov[None], sphere_frame)
         save_mixture(outdir / f"{name}.json", mix)
     _emit({"frames": len(stacks), "T": T, "out": str(outdir)})

@@ -11,7 +11,7 @@ and optionally the seam, scoring all T circular shifts at once.
 Shape distance is the arc length between aligned SRVFs on the sphere.  The
 mean of an (n, 2, T) stack is a Frechet mean of its aligned rows, and its
 covariance is fitted from shooting vectors in the standard frame at e_1.
-``Contour`` and ``SrvfShape`` are the one-row API over the same kernels.
+A ``Contour`` holds one curve's samples; shapes are 2 x T arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .geometry import (
     log_batch,
     pairwise_geodesic,
     standard_frame,
-    transported_basis,
+    transport_frame,
 )
 
 
@@ -64,24 +64,6 @@ class Contour:
         return self.points.shape[1]
 
 
-class SrvfShape:
-    """Discrete SRVF of a closed contour: a 2 x T matrix of unit Frobenius norm."""
-
-    __slots__ = ("q",)
-
-    def __init__(self, q):
-        self.q = _stack([q])[0]
-
-    @property
-    def T(self) -> int:
-        return self.q.shape[1]
-
-    @property
-    def flat(self) -> np.ndarray:
-        """The shape as a unit vector in R^{2T}."""
-        return self.q.ravel()
-
-
 def _resample_closed(P: np.ndarray, T: int) -> np.ndarray:
     """Uniform arc-length resampling of a closed polygon to T points."""
     closed = np.column_stack([P, P[:, 0]])
@@ -99,8 +81,18 @@ def _resample_closed(P: np.ndarray, T: int) -> np.ndarray:
     return np.vstack([x, y])
 
 
-def _srvf_stack(contours, T: int) -> np.ndarray:
-    """(n, 2, T) unit SRVFs of contours; only the resampling runs per contour."""
+def contour_to_srvf(contours, T: int = 100) -> np.ndarray:
+    """(n, 2, T) unit SRVFs of contours after arc-length resampling to ``T``
+    points; only the resampling runs per contour.
+
+    Derivatives are cyclic central differences; samples with vanishing
+    speed contribute zero columns.
+
+    Raises
+    ------
+    DegenerateContour
+        If a contour has zero length (all points coincident).
+    """
     if T < 4:
         raise ValueError("T must be at least 4")
     B = np.array([_resample_closed(c.points, T) for c in contours])
@@ -127,21 +119,8 @@ def _stack(shapes) -> np.ndarray:
     return Q
 
 
-def contour_to_srvf(c: Contour, T: int = 100) -> SrvfShape:
-    """SRVF of a contour after arc-length resampling to ``T`` points.
-
-    Derivatives are cyclic central differences; samples with vanishing
-    speed contribute zero columns.
-
-    Raises
-    ------
-    DegenerateContour
-        If the contour has zero length (all points coincident).
-    """
-    return SrvfShape(_srvf_stack([c], T)[0])
-
-
-def _align(ref: np.ndarray, Q: np.ndarray, seam_search: bool) -> tuple[np.ndarray, np.ndarray]:
+def align_shape(ref: np.ndarray, Q: np.ndarray,
+                seam_search: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """The rows of the (n, 2, T) stack Q aligned to the 2 x T ``ref``, and
     their (n, 2, 2) rotations.
 
@@ -181,25 +160,6 @@ def _align(ref: np.ndarray, Q: np.ndarray, seam_search: bool) -> tuple[np.ndarra
     return aligned, rotations
 
 
-def procrustes_rotation(q0: SrvfShape, q1: SrvfShape) -> np.ndarray:
-    """The planar rotation O* minimizing ||q0 - O q1||_F, as a 2x2 matrix.
-
-    Closed form: the optimal angle is atan2 of the net cross and dot
-    products of corresponding columns.
-    """
-    return _align(q0.q, q1.q[None], seam_search=False)[1][0]
-
-
-def align_shape(q0: SrvfShape, q1: SrvfShape, seam_search: bool = True) -> SrvfShape:
-    """q1 rotated (and optionally re-seamed) to best match q0."""
-    return SrvfShape(_align(q0.q, q1.q[None], seam_search)[0][0])
-
-
-def shape_distance(q0: SrvfShape, q1: SrvfShape, seam_search: bool = True) -> float:
-    """Geodesic shape distance in [0, pi] after rotation (and seam) alignment."""
-    return float(pairwise_shape_distance([q0.q, q1.q], seam_search)[0, 1])
-
-
 def pairwise_shape_distance(shapes, seam_search: bool = True) -> np.ndarray:
     """Symmetric matrix of shape distances between the rows of an (n, 2, T)
     stack, with an exactly zero diagonal; one alignment call per row."""
@@ -208,7 +168,8 @@ def pairwise_shape_distance(shapes, seam_search: bool = True) -> np.ndarray:
     X = _unit_rows(Q.reshape(n, -1))
     D = np.zeros((n, n))
     for i in range(n - 1):
-        aligned = _unit_rows(_align(Q[i], Q[i + 1:], seam_search)[0].reshape(n - i - 1, -1))
+        aligned, _ = align_shape(Q[i], Q[i + 1:], seam_search)
+        aligned = _unit_rows(aligned.reshape(n - i - 1, -1))
         D[i, i + 1:] = D[i + 1:, i] = pairwise_geodesic(X[i:i + 1], aligned)[0]
     return D
 
@@ -218,7 +179,7 @@ def shape_frechet_mean(
     tol: float = 1e-9,
     max_iter: int = 100,
     seam_search: bool = False,
-) -> tuple[SrvfShape, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Frechet mean of the rows of an (n, 2, T) stack with alternating alignment.
 
     Each round aligns every shape to the current mean, then moves the mean
@@ -227,29 +188,29 @@ def shape_frechet_mean(
     off by default: re-seaming mid-iteration makes the objective piecewise
     and rarely changes well-sampled contours.
 
-    Returns the mean and the (n, 2, T) stack of aligned inputs.
+    Returns the 2 x T mean and the (n, 2, T) stack of aligned inputs.
     """
     Q = _stack(shapes)
     mean = Q[0]
     for _ in range(max_iter):
-        aligned, _ = _align(mean, Q, seam_search)
+        aligned, _ = align_shape(mean, Q, seam_search)
         new_flat = frechet_mean(aligned.reshape(len(Q), -1), tol=min(tol, 1e-10))
         moved = geodesic_distance(Point(mean.ravel()), new_flat)
         mean = new_flat.coords.reshape(mean.shape)
         if moved < tol:
-            return SrvfShape(mean), aligned
+            return mean, aligned
     raise NoConvergence(f"shape mean did not stabilize in {max_iter} rounds")
 
 
 def shape_statistics(
     aligned,
-    mean: SrvfShape,
+    mean: np.ndarray,
     frame: MovingFrame = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shooting-vector coordinates and covariance of an (n, 2, T) stack.
 
-    Logs of the aligned shapes at the mean are expressed in ``frame``
-    transported to the mean (default: the standard frame at e_1 on
+    Logs of the aligned shapes at the 2 x T unit ``mean`` are expressed in
+    ``frame`` transported to the mean (default: the standard frame at e_1 on
     S^{2T-1}); the covariance is their Gram matrix with the n-1 divisor,
     a d x d array checked when it enters a mixture.  Its rank is at most
     n-1.
@@ -257,10 +218,11 @@ def shape_statistics(
     X = _stack(aligned)
     if len(X) < 2:
         raise ClusterTooSmall("need at least two shapes for a covariance")
+    M = _stack([mean]).reshape(1, -1)
     if frame is None:
-        frame = standard_frame(2 * mean.T)
-    m = _unit_rows(mean.flat[None])[0]
-    V = log_batch(m, X.reshape(len(X), -1)) @ transported_basis(frame, m).T
+        frame = standard_frame(M.shape[1])
+    m = _unit_rows(M)[0]
+    V = log_batch(m, X.reshape(len(X), -1)) @ transport_frame(frame, m).T
     return V, V.T @ V / (len(X) - 1)
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._jsonfile import read_json, write_json
+from ._jsonfile import write_json
 from .changepoint import check_distmat
 from .errors import ClusterTooSmall, DimensionMismatch, EmptyCluster
 from .gauss import GaussianMixture, normalize_minimal_form
@@ -31,7 +31,7 @@ from .geometry import (
     frechet_mean,
     log_batch,
     pairwise_geodesic,
-    transported_basis,
+    transport_frame,
 )
 
 OUTLIER = -1
@@ -256,7 +256,7 @@ def fit_mixture(X, clustering: Clustering, frame: MovingFrame) -> GaussianMixtur
         means = np.array([frechet_mean(X[idx]).coords for idx in members])
     covs = []
     for m, idx in zip(means, members):
-        V = log_batch(m, X[idx]) @ transported_basis(frame, m).T
+        V = log_batch(m, X[idx]) @ transport_frame(frame, m).T
         covs.append(V.T @ V / (idx.size - 1))
     weights = [idx.size / total for idx in members]
     return normalize_minimal_form(GaussianMixture(weights, means, covs, frame))
@@ -276,19 +276,5 @@ def clustering_to_dict(c: Clustering) -> dict:
     }
 
 
-def clustering_from_dict(data: dict) -> Clustering:
-    return Clustering(
-        labels=np.asarray(data["labels"], dtype=int),
-        sizes=list(data["sizes"]),
-        centers=data.get("centers"),
-        modes=data.get("modes"),
-        converged=bool(data.get("converged", True)),
-    )
-
-
 def save_clustering(path, c: Clustering) -> None:
     write_json(path, clustering_to_dict(c))
-
-
-def load_clustering(path) -> Clustering:
-    return clustering_from_dict(read_json(path))

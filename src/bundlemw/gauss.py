@@ -12,10 +12,9 @@ A mixture is three arrays, weights (K,), means (K, D) and covariances
 (K, d, d), plus the frame they are expressed in, so that distances between
 mixtures from different frames can be rejected early.  Means are scaled to
 unit length only where basepoints enter from JSON (:func:`mixture_from_dict`);
-the mixture checks them but never normalizes or wraps them in a ``Point``
-again, since normalizing a unit row moves its last bit in about a third of
-rows.  A single bundle Gaussian is a mixture with K = 1;
-:class:`CovarianceMatrix` checks one covariance and holds its square root.
+the mixture checks them but never normalizes them again, since normalizing a
+unit row moves its last bit in about a third of rows.  A single bundle
+Gaussian is a mixture with K = 1.
 """
 
 from __future__ import annotations
@@ -70,28 +69,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class CovarianceMatrix:
-    """Symmetric positive semidefinite d x d matrix ``mat``, checked as
-    :func:`_check_covs` checks a stack, with its PSD square root ``root``."""
-
-    __slots__ = ("mat", "root")
-
-    def __init__(self, mat):
-        S, roots = _check_covs(np.array(mat, dtype=float)[None])
-        self.mat, self.root = S[0], roots[0]
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def __repr__(self) -> str:
-        return f"CovarianceMatrix({np.array2string(self.mat, precision=6)})"
-
-
-def _as_cov(S) -> CovarianceMatrix:
-    return S if isinstance(S, CovarianceMatrix) else CovarianceMatrix(S)
-
-
 def _bures(roots: np.ndarray, S0: np.ndarray, S1: np.ndarray) -> np.ndarray:
     """K0 x K1 Bures terms between the stacks S0 and S1, given the PSD
     square roots of S0.  The cross terms S0^{1/2} S1 S0^{1/2} come from one
@@ -107,19 +84,6 @@ def _bures(roots: np.ndarray, S0: np.ndarray, S1: np.ndarray) -> np.ndarray:
     # roundoff in the eigendecompositions cannot survive the final sqrt
     bures[(S0[:, None] == S1[None]).all(axis=(-2, -1))] = 0.0
     return bures
-
-
-def bures_term(S0, S1) -> float:
-    """tr(S0 + S1 - 2 (S0^{1/2} S1 S0^{1/2})^{1/2}), clamped to be >= 0.
-
-    This is the covariance part of the Gaussian 2-Wasserstein distance; it
-    is symmetric in its arguments and zero exactly when S0 = S1.
-    """
-    S0 = _as_cov(S0)
-    S1 = _as_cov(S1)
-    if S0.dim != S1.dim:
-        raise DimensionMismatch(f"covariance dimensions differ: {S0.dim} vs {S1.dim}")
-    return float(_bures(S0.root[None], S0.mat[None], S1.mat[None])[0, 0])
 
 
 class GaussianMixture:

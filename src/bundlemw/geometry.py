@@ -3,8 +3,10 @@
 Provides exponential/log maps, geodesic distance, parallel transport along
 minimal geodesics, Frechet means, and moving frames: an orthonormal tangent
 basis at a distinguished point, transported to arbitrary points to give a
-consistent coordinate system on every tangent space.  All operations are
-pure functions of immutable values and safe to share across threads.
+consistent coordinate system on every tangent space.  Points and tangent
+vectors are the rows of (n, D) arrays; a ``Point`` holds one unit vector,
+such as a frame's base point or a Frechet mean.  All operations are pure
+functions of immutable values and safe to share across threads.
 
 Accuracy is only guaranteed away from the puncture: transports and logs to
 points m with <p, m> <= -1 + 1e-10 raise :class:`AntipodalPoint`, and
@@ -19,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from ._jsonfile import read_json, write_json
-from .errors import AntipodalPoint, DegenerateFrame, NoConvergence
+from .errors import AntipodalPoint, NoConvergence
 
 # <p,q> at or below -1 + ANTIPODE_TOL counts as the puncture.
 ANTIPODE_TOL = 1e-10
@@ -70,32 +72,6 @@ def _unit_rows(X) -> np.ndarray:
     return X / norms
 
 
-class TangentVector:
-    """A vector in the tangent space of the sphere at ``base``.
-
-    The component along ``base`` must vanish to 1e-10 (relative to the
-    vector norm); the residual normal component is projected away exactly.
-    """
-
-    __slots__ = ("base", "vec")
-
-    def __init__(self, base: Point, vec):
-        v = np.asarray(vec, dtype=float)
-        if v.shape != base.coords.shape:
-            raise ValueError("tangent vector and base point dimensions differ")
-        dot = float(v @ base.coords)
-        if abs(dot) > 1e-10 * max(1.0, float(np.linalg.norm(v))):
-            raise ValueError("vector is not tangent at the base point")
-        self.base = base
-        self.vec = v - dot * base.coords
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
-
-    def __repr__(self) -> str:
-        return f"TangentVector(base={self.base!r}, vec={np.array2string(self.vec, precision=6)})"
-
-
 class MovingFrame:
     """A distinguished point with a full orthonormal tangent basis.
 
@@ -103,9 +79,9 @@ class MovingFrame:
     read-only d x D array.  Each row must be tangent at ``p`` to 1e-10
     (relative to its norm), and its residual normal component is projected
     away; the Gram matrix must be the identity to 1e-10.  Transporting the
-    basis to another point (see :func:`transport_frame`) yields the moving
-    frame F(m) used to express tangent vectors and covariances in R^d
-    coordinates.
+    basis to another point (see :func:`transport_frame`) yields the basis of
+    the moving frame F(m) used to express tangent vectors and covariances in
+    R^d coordinates.
     """
 
     __slots__ = ("p", "matrix")
@@ -137,13 +113,6 @@ def _tangent_basis(p: np.ndarray, basis) -> np.ndarray:
     return B
 
 
-def sphere_exp(p: Point, v: TangentVector) -> Point:
-    """Exponential map: follow the geodesic from ``p`` with velocity ``v``."""
-    if v.base.dim != p.dim or np.max(np.abs(v.base.coords - p.coords)) > 1e-12:
-        raise ValueError("tangent vector is not based at p")
-    return Point(exp_batch(p.coords, v.vec[None])[0])
-
-
 def _angle_from_chords(c, chord, cochord):
     """Angle between unit vectors from their dot product and the norms of
     their difference and sum.
@@ -157,19 +126,6 @@ def _angle_from_chords(c, chord, cochord):
     return np.where(c >= 0.0, acute, obtuse)
 
 
-def sphere_log(p: Point, q: Point) -> TangentVector:
-    """Inverse of :func:`sphere_exp`: the initial velocity of the minimal
-    geodesic from ``p`` to ``q``.
-
-    Raises
-    ------
-    AntipodalPoint
-        If ``q`` is within tolerance of the antipode of ``p``, where the
-        log map is undefined.
-    """
-    return TangentVector(p, log_batch(p.coords, q.coords[None])[0])
-
-
 def _last_axis_norm(A: np.ndarray) -> np.ndarray:
     """sqrt of the row-wise sum of squares, via the same reduction whether
     the input is a single vector or a stack, so scalar and batched callers
@@ -181,18 +137,6 @@ def geodesic_distance(p: Point, q: Point) -> float:
     """Great-circle distance arccos(<p, q>) in [0, pi], a one-row call of
     :func:`pairwise_geodesic`."""
     return float(pairwise_geodesic(p.coords[None], q.coords[None])[0, 0])
-
-
-def parallel_transport(v: TangentVector, q: Point) -> TangentVector:
-    """Transport ``v`` along the minimal geodesic from its base point to ``q``.
-
-    The component along the geodesic rotates within the geodesic plane; the
-    orthogonal component is unchanged.  Transport is a linear isometry.
-    Transport to the base point itself returns ``v`` unchanged.
-    """
-    if np.array_equal(v.base.coords, q.coords):
-        return v
-    return TangentVector(q, transport_batch(v.vec[None], v.base.coords, q.coords)[0])
 
 
 def frechet_mean(X, weights=None, tol: float = 1e-10, max_iter: int = 200) -> Point:
@@ -238,81 +182,18 @@ def frechet_mean(X, weights=None, tol: float = 1e-10, max_iter: int = 200) -> Po
     raise NoConvergence(f"Frechet mean did not converge in {max_iter} iterations")
 
 
-def build_reference_frame(p: Point, rng_seed: int = 0, basis=None) -> MovingFrame:
-    """Construct an orthonormal tangent frame at ``p``.
+def transport_frame(frame: MovingFrame, m: np.ndarray) -> np.ndarray:
+    """The basis of F(m), the frame parallel-transported to the unit vector
+    m, as a read-only d x D array.
 
-    With ``basis`` given (a d x D array-like), that basis is validated and
-    used directly.  Otherwise d = D - 1 random ambient directions are
-    projected to the tangent space and orthonormalized by PCA (eigenvectors
-    of their Gram operator), deterministically for a given ``rng_seed``.
-    Eigenvector signs follow the first-nonzero-entry-positive convention.
-
-    Raises
-    ------
-    DegenerateFrame
-        If ten consecutive random draws are rank-deficient.
+    Transport is an isometry, so the rows are again orthonormal and tangent,
+    now at m; they are checked and projected as :class:`MovingFrame` checks
+    its basis.  At the frame's own point the basis comes back as it is, since
+    re-projecting its rows would move their last bits.
     """
-    if basis is not None:
-        return MovingFrame(p, basis)
-    D = p.dim
-    d = D - 1
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(10):
-        W = rng.standard_normal((d, D))
-        W -= np.outer(W @ p.coords, p.coords)
-        cov = W.T @ W
-        evals, evecs = np.linalg.eigh(cov)
-        order = np.argsort(evals)[::-1][:d]
-        lam = evals[order]
-        if lam[-1] <= 1e-10 * max(lam[0], 1e-30):
-            continue
-        B = evecs[:, order].T
-        # eigenvectors of the projected Gram operator are tangent up to
-        # rounding; re-project and fix the sign convention
-        B -= np.outer(B @ p.coords, p.coords)
-        B /= np.linalg.norm(B, axis=1, keepdims=True)
-        for row in B:
-            nz = np.flatnonzero(np.abs(row) > 1e-9)
-            if nz.size and row[nz[0]] < 0:
-                row *= -1.0
-        return MovingFrame(p, B)
-    raise DegenerateFrame("random tangent vectors were rank-deficient ten times")
-
-
-def transport_frame(frame: MovingFrame, m: Point) -> MovingFrame:
-    """Parallel-transport the frame basis to ``m``, giving F(m).
-
-    Transport is an isometry, so the result is again a valid orthonormal
-    frame, now based at ``m``.  Transport to the frame's own point returns
-    the frame itself, since re-projecting its rows would move their last bits.
-    """
-    if np.array_equal(frame.p.coords, m.coords):
-        return frame
-    return MovingFrame(m, transport_batch(frame.matrix, frame.p.coords, m.coords))
-
-
-def transported_basis(frame: MovingFrame, m: np.ndarray) -> np.ndarray:
-    """The basis of F(m) at the unit vector m, as a read-only d x D array:
-    bitwise ``transport_frame(frame, q).matrix`` for a Point q whose
-    coordinates are m, without building q."""
     if np.array_equal(frame.p.coords, m):
         return frame.matrix
     return _tangent_basis(m, transport_batch(frame.matrix, frame.p.coords, m))
-
-
-def tangent_coordinates(frame: MovingFrame, v: TangentVector) -> np.ndarray:
-    """Coordinates (<v, f_j>)_j of ``v`` in the frame based at the same point."""
-    if np.max(np.abs(frame.p.coords - v.base.coords)) > 1e-12:
-        raise ValueError("tangent vector and frame are based at different points")
-    return frame.matrix @ v.vec
-
-
-def tangent_from_coordinates(frame: MovingFrame, c) -> TangentVector:
-    """Inverse of :func:`tangent_coordinates`: rebuild sum_j c_j f_j."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != (frame.dim,):
-        raise ValueError(f"expected {frame.dim} coordinates, got shape {c.shape}")
-    return TangentVector(frame.p, c @ frame.matrix)
 
 
 def standard_frame(D: int) -> MovingFrame:
@@ -322,8 +203,7 @@ def standard_frame(D: int) -> MovingFrame:
 
 # ---------------------------------------------------------------------------
 # Batch kernels over coordinate arrays.  Rows are points / tangent vectors;
-# sphere_exp, sphere_log, parallel_transport and geodesic_distance are one-row
-# calls of these.
+# geodesic_distance is a one-row call of pairwise_geodesic.
 
 def exp_batch(m: np.ndarray, V: np.ndarray) -> np.ndarray:
     """exp_m applied to each row of the tangent array V (n x D)."""

@@ -22,7 +22,7 @@ import numpy as np
 from ._csvfile import read_table, write_table
 from .errors import NoConvergence
 from .gauss import GaussianMixture
-from .geometry import MovingFrame, exp_batch, transported_basis
+from .geometry import MovingFrame, exp_batch, transport_frame
 
 _MAX_REDRAW_ROUNDS = 1000
 
@@ -35,7 +35,7 @@ def _draw_points(m: np.ndarray, cov: np.ndarray, frame: MovingFrame, n: int,
                  rng: np.random.Generator, stats: Optional[dict] = None) -> np.ndarray:
     """n points from the bundle Gaussian with unit basepoint m and frame
     covariance cov."""
-    basis = transported_basis(frame, m)
+    basis = transport_frame(frame, m)
     evals, evecs = np.linalg.eigh(cov)
     L = evecs * np.sqrt(np.clip(evals, 0.0, None))
     d = cov.shape[0]

@@ -279,11 +279,6 @@ def pairwise_mw2(mixtures) -> np.ndarray:
     return D
 
 
-def mw2_distance(mix0: GaussianMixture, mix1: GaussianMixture) -> float:
-    """Just the distance, for callers that do not need the plan."""
-    return mw2(mix0, mix1).distance
-
-
 # ---------------------------------------------------------------------------
 # Serialization: plan.json records the full solve for inspection.
 

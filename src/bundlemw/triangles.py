@@ -16,14 +16,14 @@ z2 = cos(theta/2) e^{i(psi-phi)/2} recovers (theta, phi) for every psi,
 and that multiplying z by a unit complex number (a planar rotation of the
 triangle) leaves y unchanged.
 
-The batch kernels ``preshape_batch``, ``triangles_to_sphere`` and
-``sphere_to_triangles`` map (n, 3, 2) vertices to preshapes and on to (n, 3)
-sphere rows with their angles, and angles back to vertices; the classes and
-scalar functions are one-row calls of them.  Each row keeps the bits it gets
-alone: 2 z1 conj(z2) is written in reals, as numpy's vectorized complex product
-fuses multiply and add, and the moduli use ``hypot`` and ``float_power(h, 2.0)``,
-the functions behind the scalar ``abs(z)`` and ``h ** 2``.  A batch raises the
-error of its first row that fails a check.
+Triangles travel as (n, 3, 2) vertex arrays.  ``triangle_preshape`` maps
+them to (n, 3) complex preshapes, ``hopf_forward`` maps those to (n, 3)
+sphere rows, and ``hopf_backward`` maps n angle triples back to vertices.
+Each row keeps the bits it gets alone: 2 z1 conj(z2) is written in reals, as
+numpy's vectorized complex product fuses multiply and add, and the moduli
+use ``hypot`` and ``float_power(h, 2.0)``, the functions behind the scalar
+``abs(z)`` and ``h ** 2``.  A batch raises the error of its first row that
+fails a check.
 """
 
 from __future__ import annotations
@@ -32,45 +32,9 @@ import numpy as np
 
 from ._csvfile import read_table, write_table
 from .errors import DegenerateTriangle
-from .geometry import Point, _unit_rows, geodesic_distance
+from .geometry import _unit_rows
 
 SPHERE_HEADER = "theta,phi,x,y,z"
-
-
-class Triangle:
-    """Three labeled planar vertices, one per row of a 3x2 matrix."""
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
-        if v.shape != (3, 2):
-            raise ValueError("triangle vertices must form a 3x2 matrix")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("triangle vertices must be finite")
-        self.vertices = v
-
-    @property
-    def z(self) -> np.ndarray:
-        """Vertices as complex numbers."""
-        return self.vertices[:, 0] + 1j * self.vertices[:, 1]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.vertices, dtype=dtype, copy=copy)
-
-
-class TrianglePreshape:
-    """A centered, unit-norm complex 3-vector (translation and scale removed)."""
-
-    __slots__ = ("z",)
-
-    def __init__(self, z):
-        z = np.asarray(z, dtype=complex)
-        if z.shape != (3,):
-            raise ValueError("preshape must have three complex entries")
-        if _not_preshape(z[None])[0]:
-            raise ValueError("preshape must be centered with unit norm")
-        self.z = z
 
 
 def _raise_first(*checks) -> None:
@@ -92,7 +56,7 @@ def _not_preshape(Z) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def preshape_batch(V) -> np.ndarray:
+def triangle_preshape(V) -> np.ndarray:
     """The (n, 3) complex preshapes of (n, 3, 2) vertices; rows that overflow
     fail its checks without a numpy warning."""
     z = V[..., 0] + 1j * V[..., 1]
@@ -119,18 +83,13 @@ def _hopf_rows(Z) -> np.ndarray:
     return y / r[:, None]
 
 
-def _angles(Y) -> tuple[np.ndarray, np.ndarray]:
-    return np.arccos(np.clip(Y[:, 2], -1.0, 1.0)), np.arctan2(Y[:, 1], Y[:, 0])
-
-
-def triangles_to_sphere(V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shapes of (n, 3, 2) triangles: (n, 3) sphere rows, theta and phi."""
-    Y = _unit_rows(_hopf_rows(preshape_batch(V)))
-    return (Y, *_angles(Y))
+def hopf_forward(Z) -> np.ndarray:
+    """Similarity classes of (n, 3) preshapes: (n, 3) points on the 2-sphere."""
+    return _unit_rows(_hopf_rows(Z))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def sphere_to_triangles(theta, phi, psi) -> np.ndarray:
+def hopf_backward(theta, phi, psi) -> np.ndarray:
     """(n, 3, 2) triangles of the shapes given by (n,) arrays theta and phi;
     psi picks the representative of each similarity class.  Non-finite
     angles fail its checks without a numpy warning."""
@@ -147,59 +106,18 @@ def sphere_to_triangles(theta, phi, psi) -> np.ndarray:
     return V
 
 
-def triangle_preshape(t: Triangle) -> TrianglePreshape:
-    """Center a triangle and scale it to unit norm.
-
-    Raises
-    ------
-    DegenerateTriangle
-        If all three vertices coincide (nothing remains after centering).
-    """
-    return TrianglePreshape(preshape_batch(t.vertices[None])[0])
-
-
-def hopf_forward(pre: TrianglePreshape) -> Point:
-    """Map a preshape to its similarity class, a point on the 2-sphere."""
-    return Point(_hopf_rows(pre.z[None])[0])
-
-
-def hopf_backward(theta: float, phi: float, psi: float = 0.0) -> Triangle:
-    """A triangle whose shape is the sphere point (theta, phi).
-
-    ``psi`` selects a representative within the similarity class; it
-    rotates the triangle in the plane and does not affect the shape.
-    """
-    return Triangle(sphere_to_triangles(*np.array([[theta], [phi], [psi]], dtype=float))[0])
-
-
-def point_to_angles(p: Point) -> tuple[float, float]:
-    """Colatitude and longitude of a sphere point, longitude in (-pi, pi]."""
-    theta, phi = _angles(p.coords[None])
-    return float(theta[0]), float(phi[0])
-
-
-def triangle_shape_distance(t0: Triangle, t1: Triangle) -> float:
-    """Geodesic distance between the shapes of two triangles.
-
-    Invariant under translation, scaling, and planar rotation of either
-    input; zero exactly for similar triangles.
-    """
-    p0 = hopf_forward(triangle_preshape(t0))
-    p1 = hopf_forward(triangle_preshape(t1))
-    return geodesic_distance(p0, p1)
-
-
 # ---------------------------------------------------------------------------
 # triangles.csv: one triangle per row, columns x11 x12 x21 x22 x31 x32, rows
 # ended by \r\n; sphere points end rows by \n.
 
 def save_triangles(path, triangles) -> None:
-    """Write (n, 3, 2) vertices or a sequence of ``Triangle``."""
+    """Write (n, 3, 2) vertices."""
     V = np.asarray(triangles, dtype=float).reshape(-1, 6)
     write_table(path, V, "x11,x12,x21,x22,x31,x32", end="\r\n")
 
 
-def load_vertices(path) -> np.ndarray:
+def load_triangles(path) -> np.ndarray:
+    """The (n, 3, 2) vertices of a triangles.csv."""
     _, V = read_table(path)
     if V.shape[1] != 6:
         raise ValueError(f"{path}: each triangle row needs six values")
@@ -208,11 +126,10 @@ def load_vertices(path) -> np.ndarray:
     return V.reshape(-1, 3, 2)
 
 
-def load_triangles(path) -> list[Triangle]:
-    return [Triangle(v) for v in load_vertices(path)]
-
-
-def save_sphere_points(path, Y, theta, phi) -> None:
+def save_sphere_points(path, Y) -> None:
+    """Write (n, 3) sphere rows after their colatitude theta in [0, pi] and
+    longitude phi in (-pi, pi]."""
+    theta, phi = np.arccos(np.clip(Y[:, 2], -1.0, 1.0)), np.arctan2(Y[:, 1], Y[:, 0])
     write_table(path, np.column_stack([theta, phi, Y]), SPHERE_HEADER)
 
 

@@ -8,12 +8,49 @@ import numpy as np
 from bundlemw.gauss import GaussianMixture
 from bundlemw.geometry import (
     _BLOCK_CELLS,
+    MovingFrame,
     Point,
     _angle_from_chords,
     _last_axis_norm,
-    build_reference_frame,
     geodesic_distance,
 )
+
+
+def random_frame(p, seed=0):
+    """A seeded orthonormal frame at the Point p: the eigenvectors of the Gram
+    operator of D - 1 random tangent directions, redrawn until they have full
+    rank, each with its first nonzero entry positive."""
+    D, rng = p.dim, np.random.default_rng(seed)
+    lam = [0.0]
+    while lam[-1] <= 1e-10 * max(lam[0], 1e-30):
+        W = rng.standard_normal((D - 1, D))
+        W -= np.outer(W @ p.coords, p.coords)
+        evals, evecs = np.linalg.eigh(W.T @ W)
+        order = np.argsort(evals)[::-1][: D - 1]
+        lam = evals[order]
+    B = evecs[:, order].T
+    B -= np.outer(B @ p.coords, p.coords)
+    B /= np.linalg.norm(B, axis=1, keepdims=True)
+    for row in B:
+        nz = np.flatnonzero(np.abs(row) > 1e-9)
+        if nz.size and row[nz[0]] < 0:
+            row *= -1.0
+    return MovingFrame(p, B)
+
+
+def energy_statistic(D, split, lo, hi, alpha=1.0):
+    """Two-sample energy statistic of splitting [lo, hi) at ``split``, from
+    the block means of D^alpha: the oracle of changepoint._scan_segment.
+
+    With m = split - lo and n = hi - split it is
+    (m n / (m + n)) (2 mean cross - mean within left - mean within right),
+    the within means over distinct pairs.
+    """
+    A = np.asarray(D, dtype=float)[lo:hi, lo:hi] ** alpha
+    m, n = split - lo, hi - split
+    within_x = 2.0 * np.sum(A[:m, :m][np.triu_indices(m, 1)]) / (m * (m - 1))
+    within_y = 2.0 * np.sum(A[m:, m:][np.triu_indices(n, 1)]) / (n * (n - 1))
+    return (m * n / (m + n)) * (2.0 * np.mean(A[:m, m:]) - within_x - within_y)
 
 
 def random_spd(rng, d, scale=1.0):
@@ -31,7 +68,7 @@ def eigh_roots(S):
 def make_mixture(rng, K, D, frame=None, cov_scale=0.1):
     """Random mixture with basepoints scattered around the frame point."""
     if frame is None:
-        frame = build_reference_frame(Point(np.eye(D)[-1]), rng_seed=17)
+        frame = random_frame(Point(np.eye(D)[-1]), 17)
     means, covs = [], []
     for _ in range(K):
         means.append(Point(frame.p.coords + 0.8 * rng.standard_normal(D)).coords)
@@ -89,8 +126,8 @@ def peak_alloc_bytes(f, *args, **kwargs):
 
 def rowwise_shape_points(V):
     """Sphere rows, theta and phi of (n, 3, 2) triangles by the per-row
-    code that triangles_to_sphere replaced: one complex preshape, Hopf map
-    and Point per row."""
+    code that hopf_forward replaced: one complex preshape, Hopf map and
+    Point per row."""
     rows, thetas, phis = [], [], []
     for v in V:
         z = v[:, 0] + 1j * v[:, 1]
@@ -109,7 +146,7 @@ def rowwise_shape_points(V):
 
 def rowwise_triangles(angle_rows):
     """(n, 3, 2) vertices of theta,phi[,psi] rows by the per-row code that
-    sphere_to_triangles replaced, with Python floats as it parsed them."""
+    hopf_backward replaced, with Python floats as it parsed them."""
     out = []
     for vals in angle_rows:
         theta, phi, psi = (list(vals) + [0.0])[:3]

@@ -11,42 +11,44 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from helpers import make_mixture
+from helpers import make_mixture, random_frame
 from bundlemw.changepoint import e_divisive
 from bundlemw.estimation import fit_mixture, riemannian_kmeans
-from bundlemw.contours import Contour, contour_to_srvf, shape_distance
-from bundlemw.gauss import CovarianceMatrix, GaussianMixture, bures_term
+from bundlemw.contours import Contour, contour_to_srvf, pairwise_shape_distance
+from bundlemw.gauss import GaussianMixture
 from bundlemw.geometry import (
+    MovingFrame,
     Point,
-    build_reference_frame,
+    exp_batch,
     frechet_mean,
     geodesic_distance,
     log_batch,
     pairwise_geodesic,
-    sphere_exp,
     standard_frame,
-    tangent_from_coordinates,
     transport_frame,
-    transported_basis,
 )
 from bundlemw.sampling import sample_mixture
-from bundlemw.transport import mw2, mw2_distance, solve_transportation
-from bundlemw.triangles import (
-    hopf_backward,
-    hopf_forward,
-    point_to_angles,
-    triangle_preshape,
-    triangle_shape_distance,
-)
+from bundlemw.transport import mw2, solve_transportation
+from bundlemw.triangles import hopf_backward, hopf_forward, triangle_preshape
 
 
 def reexpress(mix, new_frame):
     """The same mixture in the coordinates of another moving frame."""
     covs = []
     for m, S in zip(mix.means, mix.covs):
-        R = transported_basis(new_frame, m) @ transported_basis(mix.frame, m).T
+        R = transport_frame(new_frame, m) @ transport_frame(mix.frame, m).T
         covs.append(R @ S @ R.T)
     return GaussianMixture(mix.weights, mix.means, covs, new_frame)
+
+
+def exp_at(frame, v):
+    """The point reached from the frame's point along the tangent vector
+    whose frame coordinates are v."""
+    return exp_batch(frame.p.coords, (np.asarray(v) @ frame.matrix)[None])[0]
+
+
+def distance(mix0, mix1):
+    return mw2(mix0, mix1).distance
 
 
 def test_01_bures_vs_empirical_optimal_transport():
@@ -54,13 +56,13 @@ def test_01_bures_vs_empirical_optimal_transport():
     start = time.perf_counter()
     frame = standard_frame(3)
     m = frame.p
-    S0 = CovarianceMatrix(np.eye(2))
-    S1 = CovarianceMatrix(np.diag([4.0, 1.0]))
-    M0 = GaussianMixture([1.0], [m.coords], [S0.mat], frame)
-    M1 = GaussianMixture([1.0], [m.coords], [S1.mat], frame)
+    M0 = GaussianMixture([1.0], [m.coords], [np.eye(2)], frame)
+    M1 = GaussianMixture([1.0], [m.coords], [np.diag([4.0, 1.0])], frame)
     closed = mw2(M0, M1).distance_sq
     assert closed == pytest.approx(1.0, abs=1e-12)
-    assert closed == pytest.approx(bures_term(S0, S1), abs=1e-15)
+    # commuting covariances: Bures is the squared distance of the root spectra
+    roots0, roots1 = np.sqrt([1.0, 1.0]), np.sqrt([4.0, 1.0])
+    assert closed == pytest.approx(np.sum((roots0 - roots1) ** 2), abs=1e-15)
 
     # empirical check: one 2000-sample discrete-OT estimate in d=2 has
     # seed-to-seed spread comparable to the 5% bound, so average a few
@@ -100,43 +102,43 @@ def test_03_frame_invariance_and_cross_basepoint_stability():
     p = Point([0.0, 0.0, 1.0])
     for trial in range(20):
         rng = np.random.default_rng(300 + trial)
-        F = build_reference_frame(p, rng_seed=2 * trial)
-        G = build_reference_frame(p, rng_seed=2 * trial + 1)
+        F = random_frame(p, 2 * trial)
+        G = random_frame(p, 2 * trial + 1)
         m0 = make_mixture(rng, 3, 3, frame=F)
         m1 = make_mixture(rng, 2, 3, frame=F)
-        dF = mw2_distance(m0, m1)
-        dG = mw2_distance(reexpress(m0, G), reexpress(m1, G))
+        dF = distance(m0, m1)
+        dG = distance(reexpress(m0, G), reexpress(m1, G))
         assert abs(dF - dG) <= 1e-8
 
     p2 = Point([np.sin(0.9), 0.0, np.cos(0.9)])
     for trial in range(20):
         rng = np.random.default_rng(600 + trial)
-        F = build_reference_frame(p, rng_seed=trial)
-        G = transport_frame(F, p2)
+        F = random_frame(p, trial)
+        G = MovingFrame(p2, transport_frame(F, p2.coords))
         m0 = make_mixture(rng, 3, 3, frame=F)
         m1 = make_mixture(rng, 2, 3, frame=F)
-        dF = mw2_distance(m0, m1)
-        dG = mw2_distance(reexpress(m0, G), reexpress(m1, G))
+        dF = distance(m0, m1)
+        dG = distance(reexpress(m0, G), reexpress(m1, G))
         assert abs(dF - dG) / dF < 0.05
 
 
 def test_04_metric_axioms():
     """Symmetry, identity, and triangle inequality over 100 random triples."""
-    frame = build_reference_frame(Point([0.0, 0.0, 1.0]), rng_seed=17)
+    frame = random_frame(Point([0.0, 0.0, 1.0]), 17)
     rng = np.random.default_rng(44)
     for _ in range(100):
         ms = [make_mixture(rng, int(rng.integers(1, 4)), 3, frame=frame) for _ in range(3)]
-        d01 = mw2_distance(ms[0], ms[1])
-        d12 = mw2_distance(ms[1], ms[2])
-        d02 = mw2_distance(ms[0], ms[2])
-        assert abs(d01 - mw2_distance(ms[1], ms[0])) <= 1e-10
-        assert mw2_distance(ms[0], ms[0]) == 0.0
+        d01 = distance(ms[0], ms[1])
+        d12 = distance(ms[1], ms[2])
+        d02 = distance(ms[0], ms[2])
+        assert abs(d01 - distance(ms[1], ms[0])) <= 1e-10
+        assert distance(ms[0], ms[0]) == 0.0
         assert d02 <= d01 + d12 + 1e-8
 
 
 def test_05_zero_covariance_reduces_to_basepoint_transport():
     """All-zero covariances give exactly the geodesic-cost LP value."""
-    frame = build_reference_frame(Point([0.0, 0.0, 1.0]), rng_seed=0)
+    frame = random_frame(Point([0.0, 0.0, 1.0]), 0)
     rng = np.random.default_rng(55)
     for _ in range(20):
         K0 = int(rng.integers(2, 5))
@@ -157,14 +159,14 @@ def test_05_zero_covariance_reduces_to_basepoint_transport():
 def test_06_estimation_round_trip():
     """Cluster-then-fit recovers a well-separated three-component mixture."""
     start = time.perf_counter()
-    frame = build_reference_frame(Point([0.0, 0.0, 1.0]), rng_seed=5)
+    frame = random_frame(Point([0.0, 0.0, 1.0]), 5)
     dirs = [np.array([0.0, 0.0]), np.array([1.25, 0.0]), np.array([-0.5, 1.2])]
-    means = [sphere_exp(frame.p, tangent_from_coordinates(frame, v)) for v in dirs]
-    seps = pairwise_geodesic(np.array([m.coords for m in means]))
+    means = np.array([exp_at(frame, v) for v in dirs])
+    seps = pairwise_geodesic(means)
     assert np.min(seps[np.triu_indices(3, 1)]) >= 1.0
     truth = GaussianMixture(
         [0.4, 0.35, 0.25],
-        [m.coords for m in means],
+        means,
         [0.01 * np.eye(2)] * 3,
         frame,
     )
@@ -181,7 +183,7 @@ def test_06_estimation_round_trip():
         h = est.means[matched[k]]
         assert abs(truth.weights[k] - est.weights[matched[k]]) <= 0.03
         assert geodesic_distance(Point(m), Point(h)) <= 0.05
-    assert mw2_distance(truth, est) <= 0.1
+    assert distance(truth, est) <= 0.1
     assert time.perf_counter() - start < 30.0
 
 
@@ -191,16 +193,15 @@ def test_07_hopf_round_trip_and_fiber_independence():
     thetas = rng.uniform(1e-3, np.pi - 1e-3, 1000)
     phis = rng.uniform(-np.pi, np.pi, 1000)
     psis = rng.uniform(0.0, 2 * np.pi, 1000)
-    for theta, phi, psi in zip(thetas, phis, psis):
-        tri = hopf_backward(theta, phi, psi)
-        theta2, phi2 = point_to_angles(hopf_forward(triangle_preshape(tri)))
-        assert abs(theta2 - theta) <= 1e-9
-        dphi = (phi2 - phi + np.pi) % (2 * np.pi) - np.pi
-        assert abs(dphi) <= 1e-9
-    for theta, phi, psi in zip(thetas[:200], phis[:200], psis[:200]):
-        t0 = hopf_backward(theta, phi, psi)
-        t1 = hopf_backward(theta, phi, psi + 2.39996)
-        assert triangle_shape_distance(t0, t1) <= 1e-9
+    Y = hopf_forward(triangle_preshape(hopf_backward(thetas, phis, psis)))
+    theta2, phi2 = np.arccos(np.clip(Y[:, 2], -1.0, 1.0)), np.arctan2(Y[:, 1], Y[:, 0])
+    assert np.max(np.abs(theta2 - thetas)) <= 1e-9
+    dphi = (phi2 - phis + np.pi) % (2 * np.pi) - np.pi
+    assert np.max(np.abs(dphi)) <= 1e-9
+    Y0 = hopf_forward(triangle_preshape(hopf_backward(thetas[:200], phis[:200], psis[:200])))
+    Y1 = hopf_forward(triangle_preshape(hopf_backward(thetas[:200], phis[:200],
+                                                      psis[:200] + 2.39996)))
+    assert np.max(np.diag(pairwise_geodesic(Y0, Y1))) <= 1e-9
 
 
 def random_loop(rng, n=120):
@@ -215,13 +216,17 @@ def random_loop(rng, n=120):
     return Contour(np.vstack([x, y]))
 
 
+def shape_distance(q0, q1):
+    return pairwise_shape_distance([q0, q1])[0, 1]
+
+
 def test_08_srvf_similarity_invariance():
     """Shape distance ignores translation, rotation, and scale."""
     rng = np.random.default_rng(8)
     shapes = []
     for _ in range(50):
         c = random_loop(rng)
-        q = contour_to_srvf(c, T=100)
+        q = contour_to_srvf([c], T=100)[0]
         shapes.append(q)
         angle = float(rng.uniform(-np.pi, np.pi))
         R = np.array(
@@ -230,7 +235,7 @@ def test_08_srvf_similarity_invariance():
         scale = float(rng.uniform(0.2, 5.0))
         shift = rng.standard_normal((2, 1))
         moved = Contour(scale * (R @ c.points) + shift)
-        assert shape_distance(q, contour_to_srvf(moved, T=100)) < 1e-8
+        assert shape_distance(q, contour_to_srvf([moved], T=100)[0]) < 1e-8
         assert shape_distance(q, q) == 0.0
     for a, b in zip(shapes[:25], shapes[25:]):
         assert abs(shape_distance(a, b) - shape_distance(b, a)) <= 1e-10
@@ -249,11 +254,8 @@ def test_09_changepoint_synthetic_sequence():
         for t in range(60):
             center = np.array([1.0, 0.0]) if (jump and t >= 20) else np.zeros(2)
             v = center + 0.05 * rng.standard_normal(2)
-            m = sphere_exp(frame.p, tangent_from_coordinates(frame, v))
             s = 0.01 + 0.002 * rng.random()
-            mixes.append(
-                GaussianMixture([1.0], [m.coords], [s * np.eye(2)], frame)
-            )
+            mixes.append(GaussianMixture([1.0], [exp_at(frame, v)], [s * np.eye(2)], frame))
         return mixes
 
     def distmat(mixes):
@@ -261,7 +263,7 @@ def test_09_changepoint_synthetic_sequence():
         D = np.zeros((n, n))
         for i in range(n):
             for j in range(i + 1, n):
-                D[i, j] = D[j, i] = mw2_distance(mixes[i], mixes[j])
+                D[i, j] = D[j, i] = distance(mixes[i], mixes[j])
         return D
 
     hits = 0
@@ -285,16 +287,15 @@ def test_09_changepoint_synthetic_sequence():
 
 def test_10_sampler_statistics():
     """Sample moments of one bundle Gaussian match its parameters."""
-    frame = build_reference_frame(Point([0.0, 0.0, 1.0]), rng_seed=9)
-    m = sphere_exp(frame.p, tangent_from_coordinates(frame, np.array([0.7, 0.0])))
+    frame = random_frame(Point([0.0, 0.0, 1.0]), 9)
+    m = exp_at(frame, [0.7, 0.0])
     cov = 0.01 * np.eye(2)
-    mix = GaussianMixture([1.0], [m.coords], [CovarianceMatrix(cov).mat], frame)
+    mix = GaussianMixture([1.0], [m], [cov], frame)
     points, _ = sample_mixture(mix, 5000, seed=11)
 
     mean = frechet_mean(points)
-    assert geodesic_distance(mean, m) <= 0.05
+    assert geodesic_distance(mean, Point(m)) <= 0.05
 
-    local = transport_frame(frame, m)
-    V = log_batch(m.coords, points) @ local.matrix.T
+    V = log_batch(m, points) @ transport_frame(frame, m).T
     emp = V.T @ V / len(points)
     assert np.linalg.norm(emp - cov) / np.linalg.norm(cov) <= 0.10

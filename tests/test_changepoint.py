@@ -1,3 +1,5 @@
+import json
+import sys
 import warnings
 
 import numpy as np
@@ -6,18 +8,15 @@ import pytest
 from bundlemw.changepoint import (
     ChangePoint,
     ChangePointReport,
-    best_split,
+    _scan_segment,
     check_distmat,
     e_divisive,
-    energy_statistic,
-    load_report,
-    report_from_dict,
     report_to_dict,
     save_report,
 )
 from bundlemw.errors import NotSymmetric, SegmentTooSmall
 from bundlemw.estimation import kmodes_cluster
-from helpers import peak_alloc_bytes
+from helpers import energy_statistic, peak_alloc_bytes
 
 
 def block_distmat(n, boundary, within=0.0, cross=1.0):
@@ -106,22 +105,9 @@ class TestCheckDistmat:
 
 
 class TestEnergyStatistic:
-    def test_constant_off_diagonal_gives_zero(self):
-        D = np.full((20, 20), 3.7)
-        np.fill_diagonal(D, 0.0)
-        assert abs(energy_statistic(D, 10, 0, 20)) < 1e-12
+    """The oracle against brute force, and the scan against the oracle."""
 
-    def test_two_block_closed_form(self):
-        D = block_distmat(20, 10)
-        assert energy_statistic(D, 10, 0, 20) == pytest.approx(10.0, abs=1e-12)
-
-    def test_alpha_irrelevant_for_unit_distances(self):
-        D = block_distmat(20, 10)
-        q1 = energy_statistic(D, 10, 0, 20, alpha=1.0)
-        q2 = energy_statistic(D, 10, 0, 20, alpha=2.0)
-        assert q1 == pytest.approx(q2, abs=1e-12)
-
-    def test_matches_brute_force(self):
+    def test_oracle_matches_brute_force(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             n = int(rng.integers(8, 16))
@@ -136,38 +122,34 @@ class TestEnergyStatistic:
             want = brute_energy(D, split, lo, hi, alpha)
             assert got == pytest.approx(want, rel=1e-10)
 
+    def test_constant_off_diagonal_gives_zero(self):
+        D = np.full((20, 20), 3.7)
+        np.fill_diagonal(D, 0.0)
+        _, q = _scan_segment(D, 2)
+        assert abs(q) < 1e-12
+
+    def test_two_block_closed_form(self):
+        split, q = _scan_segment(block_distmat(20, 10), 2)
+        assert split == 10
+        assert q == pytest.approx(10.0, abs=1e-12)
+
+    def test_alpha_irrelevant_for_unit_distances(self):
+        D = block_distmat(20, 10)
+        assert _scan_segment(D ** 1.0, 2) == pytest.approx(_scan_segment(D ** 2.0, 2), abs=1e-12)
+
     def test_can_be_negative(self):
         # distances larger within halves than across them
         D = block_distmat(8, 4, within=2.0, cross=1.0)
-        assert energy_statistic(D, 4, 0, 8) < 0
-
-    def test_side_too_small(self):
-        D = block_distmat(10, 5)
-        with pytest.raises(SegmentTooSmall):
-            energy_statistic(D, 1, 0, 10)
-        with pytest.raises(SegmentTooSmall):
-            energy_statistic(D, 9, 0, 10)
-
-    def test_input_validation(self):
-        D = block_distmat(10, 5)
-        with pytest.raises(ValueError):
-            energy_statistic(D, 5, 0, 10, alpha=2.5)
-        with pytest.raises(ValueError):
-            energy_statistic(D, 5, 3, 3)
-        bad = D.copy()
-        bad[0, 1] += 1.0
-        with pytest.raises(NotSymmetric):
-            energy_statistic(bad, 5, 0, 10)
-        neg = D.copy()
-        neg[0, 1] = neg[1, 0] = -0.5
-        with pytest.raises(ValueError):
-            energy_statistic(neg, 5, 0, 10)
+        split, q = _scan_segment(D, 4)
+        assert split == 4
+        assert q == pytest.approx(energy_statistic(D, 4, 0, 8), abs=1e-12)
+        assert q < 0
 
 
-class TestBestSplit:
+class TestScanSegment:
     def test_finds_block_boundary_exactly(self):
         D = block_distmat(60, 30)
-        split, q = best_split(D, 0, 60, min_size=12)
+        split, q = _scan_segment(D, 12)
         assert split == 30
         assert q == pytest.approx(energy_statistic(D, 30, 0, 60), rel=1e-12)
 
@@ -176,24 +158,23 @@ class TestBestSplit:
         M = np.abs(rng.standard_normal((30, 30)))
         D = 0.5 * (M + M.T)
         np.fill_diagonal(D, 0.0)
-        split, q = best_split(D, 2, 28, min_size=4, alpha=1.3)
+        k, q = _scan_segment(D[2:28, 2:28] ** 1.3, 4)
         qs = {
             s: energy_statistic(D, s, 2, 28, alpha=1.3)
             for s in range(6, 25)
         }
         want_split = max(qs, key=lambda s: qs[s])
-        assert split == want_split
+        assert 2 + k == want_split
         assert q == pytest.approx(qs[want_split], rel=1e-10)
 
     def test_respects_min_size(self):
         D = block_distmat(40, 3)  # boundary inside the margin
-        split, _ = best_split(D, 0, 40, min_size=12)
+        split, _ = _scan_segment(D, 12)
         assert 12 <= split <= 28
 
     def test_segment_too_short(self):
-        D = block_distmat(20, 10)
-        with pytest.raises(SegmentTooSmall):
-            best_split(D, 0, 20, min_size=12)
+        assert _scan_segment(block_distmat(20, 10), 12) is None
+        assert _scan_segment(block_distmat(10, 5), 6) is None
 
 
 class TestEDivisive:
@@ -287,13 +268,44 @@ class TestEDivisive:
             e_divisive(D, alpha=0.0)
 
 
+class TestFloatRange:
+    """N^2 max(D)^alpha above the float maximum is rejected; below it the
+    statistic scales with the distances and nothing overflows."""
+
+    BIG = sys.float_info.max
+
+    def test_distances_at_the_float_max_are_rejected(self):
+        D = np.full((30, 30), 1e308)
+        np.fill_diagonal(D, 0.0)
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="float maximum"):
+            e_divisive(D, R=19, min_size=2)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_just_under_the_bound_runs_without_overflow(self, alpha):
+        D = block_distmat(30, 15)
+        scale = (0.99 * self.BIG / 30**2) ** (1.0 / alpha)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            big = e_divisive(scale * D, R=19, min_size=5, alpha=alpha)
+        small = e_divisive(D, R=19, min_size=5, alpha=alpha)
+        assert [p.index for p in big.points] == [p.index for p in small.points]
+        assert big.points[0].statistic == pytest.approx(
+            scale**alpha * small.points[0].statistic, rel=1e-12
+        )
+
+    def test_the_bound_depends_on_alpha(self):
+        D = 1e153 * block_distmat(30, 15)
+        assert e_divisive(D, R=19, min_size=5, alpha=1.0).points
+        with pytest.raises(ValueError, match="float maximum"):
+            e_divisive(D, R=19, min_size=5, alpha=2.0)
+
+
 class TestReportIO:
     def test_roundtrip(self, tmp_path):
         D = block_distmat(30, 15)
         report = e_divisive(D, R=99, min_size=5, seed=2)
         path = tmp_path / "changepoints.json"
         save_report(path, report)
-        assert load_report(path) == report
+        assert json.loads(path.read_text()) == report_to_dict(report)
 
     def test_dict_shape(self):
         report = ChangePointReport(
@@ -307,4 +319,4 @@ class TestReportIO:
             "accepted": True,
             "statistic": 5.0,
         }
-        assert report_from_dict(d) == report
+        assert d["hyperparams"] == {"R": 9}

@@ -10,26 +10,30 @@ import pytest
 
 from bundlemw import cli, errors
 from bundlemw.contours import (
-    SrvfShape,
     load_contour_dir,
     load_distmat,
     save_distmat,
     shape_statistics,
 )
-from bundlemw.changepoint import load_report
 from bundlemw.gauss import GaussianMixture, load_mixture, save_mixture
 from bundlemw.geometry import (
     Point,
-    build_reference_frame,
     frame_to_dict,
     frames_equal,
     frechet_mean,
+    pairwise_geodesic,
     save_frame,
     standard_frame,
 )
 from bundlemw.sampling import load_samples, save_samples
-from bundlemw.triangles import Triangle, hopf_backward, load_triangles, save_triangles
-from helpers import loop_align_shape, loop_contour_to_srvf
+from bundlemw.triangles import (
+    hopf_backward,
+    hopf_forward,
+    load_triangles,
+    save_triangles,
+    triangle_preshape,
+)
+from helpers import loop_align_shape, loop_contour_to_srvf, random_frame
 
 
 @pytest.fixture
@@ -357,7 +361,7 @@ class TestMw2AndDistmat:
         tmp, config = workspace
         mixdir = tmp / "mixes"
         mixdir.mkdir()
-        other = frame_to_dict(build_reference_frame(Point([1.0, 0.0, 0.0]), rng_seed=5))
+        other = frame_to_dict(random_frame(Point([1.0, 0.0, 0.0]), 5))
         for i, frame in enumerate([config["frame"], config["frame"], other]):
             mix = dict(config["mixture"], frame=frame)
             (mixdir / f"m{i}.json").write_text(json.dumps(mix))
@@ -476,10 +480,10 @@ class TestChangepoint:
         assert code == 0
         echo = json.loads(capsys.readouterr().out)
         assert echo["accepted"] == [20]
-        report = load_report(tmp / "cps.json")
-        assert report.hyperparams["R"] == 99
-        assert report.hyperparams["min_size"] == 8
-        assert report.hyperparams["p0"] == 0.0125
+        hyper = json.loads((tmp / "cps.json").read_text())["hyperparams"]
+        assert hyper["R"] == 99
+        assert hyper["min_size"] == 8
+        assert hyper["p0"] == 0.0125
 
     def test_short_series_rejected(self, workspace, capsys):
         tmp, _ = workspace
@@ -499,14 +503,25 @@ class TestChangepoint:
         assert json.loads(res.stderr)["error"] == "NotSymmetric"
         assert not (tmp / "cps.json").exists()
 
+    def test_distances_near_the_float_max_exit_2(self, workspace):
+        tmp, _ = workspace
+        D = np.full((30, 30), 1e308)
+        np.fill_diagonal(D, 0.0)
+        save_distmat(tmp / "D.csv", D)
+        res = run_console(tmp, "changepoint", "D.csv", "--min-size", "2", "--R", "19",
+                          "--out", "cps.json")
+        assert res.returncode == 2
+        assert res.stdout == "" and res.stderr.count("\n") == 1
+        err = json.loads(res.stderr)
+        assert err["error"] == "ValueError" and "float maximum" in err["message"]
+        assert not (tmp / "cps.json").exists()
+
 
 class TestTriangles:
     def test_forward_then_backward(self, workspace, capsys):
         tmp, _ = workspace
-        tris = [
-            Triangle([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-            Triangle([[0.0, 0.0], [2.0, 0.0], [1.0, 1.7]]),
-        ]
+        tris = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                         [[0.0, 0.0], [2.0, 0.0], [1.0, 1.7]]])
         save_triangles(tmp / "tri.csv", tris)
         assert run(["triangles", tmp / "tri.csv", "--out", tmp / "angles.csv"]) == 0
         rows = (tmp / "angles.csv").read_text().strip().splitlines()
@@ -524,10 +539,8 @@ class TestTriangles:
         back = load_triangles(tmp / "tri2.csv")
         assert len(back) == 2
         # shapes agree even though the representatives differ
-        from bundlemw.triangles import triangle_shape_distance
-
-        for t0, t1 in zip(tris, back):
-            assert triangle_shape_distance(t0, t1) < 1e-9
+        Y0, Y1 = (hopf_forward(triangle_preshape(V)) for V in (tris, back))
+        assert np.max(np.diag(pairwise_geodesic(Y0, Y1))) < 1e-9
         capsys.readouterr()
 
     def test_bad_angle_rows(self, workspace, capsys):
@@ -580,9 +593,9 @@ class TestTriangles:
             ["triangles", tmp / "angles.csv", "--mode", "backward", "--out", tmp / "t.csv"]
         ) == 0
         capsys.readouterr()
-        expect = [hopf_backward(0.5, 0.1), hopf_backward(1.0, 0.2, 0.7), hopf_backward(2.0, -1.0)]
-        for t, e in zip(load_triangles(tmp / "t.csv"), expect, strict=True):
-            assert np.array_equal(t.vertices, e.vertices)
+        expect = hopf_backward(np.array([0.5, 1.0, 2.0]), np.array([0.1, 0.2, -1.0]),
+                               np.array([0.0, 0.7, 0.0]))
+        assert np.array_equal(load_triangles(tmp / "t.csv"), expect)
 
 
 class TestContours:
@@ -678,7 +691,7 @@ class TestContours:
         for name, qs in shapes.items():
             aligned = np.array([loop_align_shape(reference, q) for q in qs])
             mean = frechet_mean(aligned.reshape(len(qs), -1))
-            _, cov = shape_statistics(aligned, SrvfShape(mean.coords.reshape(2, 30)), frame)
+            _, cov = shape_statistics(aligned, mean.coords.reshape(2, 30), frame)
             mix = GaussianMixture([1.0], mean.coords[None], cov[None], frame)
             save_mixture(tmp / "ref.json", mix)
             assert (tmp / "mixes" / f"{name}.json").read_bytes() == (tmp / "ref.json").read_bytes()

@@ -9,29 +9,37 @@ from bundlemw.errors import (
 )
 from bundlemw.contours import (
     Contour,
-    SrvfShape,
-    _align,
-    _srvf_stack,
     align_shape,
     contour_to_srvf,
     load_contour_dir,
     load_contour_file,
     load_distmat,
     pairwise_shape_distance,
-    procrustes_rotation,
     save_contours_json,
     save_distmat,
-    shape_distance,
     shape_frechet_mean,
     shape_statistics,
 )
-from bundlemw.geometry import Point, geodesic_distance, sphere_log
+from bundlemw.geometry import Point, geodesic_distance, log_batch
 from helpers import (
     loop_align_shape,
     loop_contour_to_srvf,
     loop_procrustes_rotation,
     loop_shape_distance,
 )
+
+
+def srvf(contour, T):
+    return contour_to_srvf([contour], T)[0]
+
+
+def rotation_onto(q0, q1):
+    """The rotation that aligns q1 to q0 without seam search."""
+    return align_shape(q0, q1[None], seam_search=False)[1][0]
+
+
+def shape_distance(q0, q1, seam_search=True):
+    return pairwise_shape_distance([q0, q1], seam_search)[0, 1]
 
 
 def circle_contour(n=200, r=1.0, center=(0.0, 0.0), phase=0.0):
@@ -71,88 +79,82 @@ class TestContourType:
 
 class TestContourToSrvf:
     def test_circle_has_constant_speed(self):
-        q = contour_to_srvf(circle_contour(100), T=100)
-        norms = np.linalg.norm(q.q, axis=0)
+        norms = np.linalg.norm(srvf(circle_contour(100), 100), axis=0)
         assert np.max(np.abs(norms - 1.0 / np.sqrt(100))) < 1e-6
 
     def test_unit_frobenius_norm(self):
-        q = contour_to_srvf(square_contour(), T=64)
-        assert np.linalg.norm(q.q) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(srvf(square_contour(), 64)) == pytest.approx(1.0, abs=1e-12)
 
     def test_translation_invariance(self):
-        q0 = contour_to_srvf(circle_contour(), T=80)
-        q1 = contour_to_srvf(circle_contour(center=(5.0, -3.0)), T=80)
-        assert np.max(np.abs(q0.q - q1.q)) < 1e-9
+        q0 = srvf(circle_contour(), 80)
+        q1 = srvf(circle_contour(center=(5.0, -3.0)), 80)
+        assert np.max(np.abs(q0 - q1)) < 1e-9
 
     def test_scale_invariance(self):
-        q0 = contour_to_srvf(circle_contour(), T=80)
-        q1 = contour_to_srvf(circle_contour(r=3.0), T=80)
-        assert np.max(np.abs(q0.q - q1.q)) < 1e-9
+        q0 = srvf(circle_contour(), 80)
+        q1 = srvf(circle_contour(r=3.0), 80)
+        assert np.max(np.abs(q0 - q1)) < 1e-9
 
     def test_degenerate_contour_rejected(self):
         c = Contour.__new__(Contour)
         c.points = np.zeros((2, 5))
         with pytest.raises(DegenerateContour):
-            contour_to_srvf(c, T=10)
+            contour_to_srvf([square_contour(), c], T=10)
 
     def test_small_T_rejected(self):
         with pytest.raises(ValueError):
-            contour_to_srvf(circle_contour(), T=3)
+            contour_to_srvf([circle_contour()], T=3)
 
 
 class TestProcrustes:
     def test_identity_on_self(self):
-        q = contour_to_srvf(ellipse_contour(), T=50)
-        O = procrustes_rotation(q, q)
-        assert np.array_equal(O, np.eye(2))
+        q = srvf(ellipse_contour(), 50)
+        assert np.array_equal(rotation_onto(q, q), np.eye(2))
 
     def test_recovers_planted_rotation(self):
         rng = np.random.default_rng(0)
         raw = rng.standard_normal((2, 40))
-        q0 = SrvfShape(raw / np.linalg.norm(raw))
-        q1 = SrvfShape(rot(0.7) @ q0.q)
-        O = procrustes_rotation(q0, q1)
+        q0 = raw / np.linalg.norm(raw)
+        q1 = rot(0.7) @ q0
+        O = rotation_onto(q0, q1)
         assert np.max(np.abs(O - rot(-0.7))) < 1e-12
-        assert np.linalg.norm(q0.q - O @ q1.q) < 1e-12
+        assert np.linalg.norm(q0 - O @ q1) < 1e-12
 
     def test_special_orthogonal(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             a = rng.standard_normal((2, 30))
             b = rng.standard_normal((2, 30))
-            O = procrustes_rotation(
-                SrvfShape(a / np.linalg.norm(a)), SrvfShape(b / np.linalg.norm(b))
-            )
+            O = rotation_onto(a / np.linalg.norm(a), b / np.linalg.norm(b))
             assert np.max(np.abs(O @ O.T - np.eye(2))) < 1e-12
             assert np.linalg.det(O) == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        q0 = contour_to_srvf(circle_contour(), T=40)
-        q1 = contour_to_srvf(circle_contour(), T=50)
+        q0 = srvf(circle_contour(), 40)
+        q1 = srvf(circle_contour(), 50)
         with pytest.raises(DimensionMismatch):
-            procrustes_rotation(q0, q1)
+            rotation_onto(q0, q1)
 
 
 class TestShapeDistance:
     def test_zero_on_self(self):
-        q = contour_to_srvf(square_contour(), T=100)
+        q = srvf(square_contour(), 100)
         assert shape_distance(q, q) == 0.0
 
     def test_rotated_copy_at_zero(self):
-        q0 = contour_to_srvf(ellipse_contour(), T=100)
-        q1 = SrvfShape(rot(1.3) @ q0.q)
-        assert shape_distance(q0, q1) < 1e-9
+        q0 = srvf(ellipse_contour(), 100)
+        assert shape_distance(q0, rot(1.3) @ q0) < 1e-9
 
     def test_seam_shifted_copy_at_zero(self):
-        q0 = contour_to_srvf(ellipse_contour(), T=100)
-        q1 = SrvfShape(np.roll(q0.q, 17, axis=1))
+        q0 = srvf(ellipse_contour(), 100)
+        q1 = np.roll(q0, 17, axis=1)
         assert shape_distance(q0, q1) < 1e-9
         # without seam search the same pair is far apart
         assert shape_distance(q0, q1, seam_search=False) > 0.1
 
     def test_circle_vs_square_golden(self):
-        qc = contour_to_srvf(circle_contour(200), T=100)
-        qs = contour_to_srvf(square_contour(), T=100)
+        qc = srvf(circle_contour(200), 100)
+        qs = srvf(square_contour(), 100)
         d = shape_distance(qc, qs)
         assert d == pytest.approx(0.42576680560886576, abs=1e-9)
         assert shape_distance(qs, qc) == pytest.approx(d, abs=1e-10)
@@ -160,26 +162,33 @@ class TestShapeDistance:
     def test_similarity_invariance_of_inputs(self):
         rng = np.random.default_rng(2)
         base = circle_contour(120)
-        ref = contour_to_srvf(ellipse_contour(), T=100)
-        d0 = shape_distance(ref, contour_to_srvf(base, T=100))
+        ref = srvf(ellipse_contour(), 100)
+        d0 = shape_distance(ref, srvf(base, 100))
         for _ in range(5):
             A = rot(float(rng.uniform(-np.pi, np.pi)))
             scale = float(rng.uniform(0.3, 4.0))
             shift = rng.standard_normal((2, 1))
             moved = Contour(scale * (A @ base.points) + shift)
-            d1 = shape_distance(ref, contour_to_srvf(moved, T=100))
+            d1 = shape_distance(ref, srvf(moved, 100))
             assert abs(d1 - d0) < 1e-8
 
     def test_pairwise_matrix(self):
         shapes = [
-            contour_to_srvf(circle_contour(), T=60),
-            contour_to_srvf(square_contour(), T=60),
-            contour_to_srvf(ellipse_contour(), T=60),
+            srvf(circle_contour(), 60),
+            srvf(square_contour(), 60),
+            srvf(ellipse_contour(), 60),
         ]
-        D = pairwise_shape_distance([s.q for s in shapes])
+        D = pairwise_shape_distance(shapes)
         assert np.array_equal(D, D.T)
         assert np.all(np.diag(D) == 0.0)
         assert D[0, 1] > 0.1 and D[0, 2] > 0.01
+
+    def test_metric_axioms(self):
+        rng = np.random.default_rng(3)
+        Q = np.array([srvf(c, 30) for c in noisy_ellipses(rng, n=8)])
+        D = pairwise_shape_distance(Q)
+        assert np.all(D[~np.eye(len(Q), dtype=bool)] > 0.0)
+        assert np.all(D[:, :, None] <= D[:, None, :] + D[None, :, :].transpose(0, 2, 1) + 1e-10)
 
 
 def polygon_contours():
@@ -222,27 +231,19 @@ class TestAlignmentKernelMatchesPerShapeLoop:
     def test_srvf_stack(self, T):
         rng = np.random.default_rng(T)
         for contours in (polygon_contours(), noisy_ellipses(rng)):
-            Q = _srvf_stack(contours, T)
+            Q = contour_to_srvf(contours, T)
             for c, q in zip(contours, Q):
-                expect = loop_contour_to_srvf(c.points, T)
-                assert np.array_equal(q, expect)
-                assert np.array_equal(contour_to_srvf(c, T).q, expect)
+                assert np.array_equal(q, loop_contour_to_srvf(c.points, T))
 
     @pytest.mark.parametrize("seam_search", [True, False])
     def test_aligned_stacks(self, T, seam_search):
         for Q in srvf_families(T).values():
             for ref in Q:
-                aligned, rotations = _align(ref, Q, seam_search)
+                aligned, rotations = align_shape(ref, Q, seam_search)
                 for q, got, O in zip(Q, aligned, rotations):
-                    expect = loop_align_shape(ref, q, seam_search)
-                    assert np.array_equal(got, expect)
-                    one = align_shape(SrvfShape(ref), SrvfShape(q), seam_search)
-                    assert np.array_equal(one.q, expect)
+                    assert np.array_equal(got, loop_align_shape(ref, q, seam_search))
                     if not seam_search:
                         assert np.array_equal(O, loop_procrustes_rotation(ref, q))
-                        assert np.array_equal(
-                            procrustes_rotation(SrvfShape(ref), SrvfShape(q)), O
-                        )
 
     @pytest.mark.parametrize("seam_search", [True, False])
     def test_pairwise_entries_are_shape_distances(self, T, seam_search):
@@ -250,62 +251,56 @@ class TestAlignmentKernelMatchesPerShapeLoop:
             D = pairwise_shape_distance(Q, seam_search)
             for i in range(len(Q)):
                 for j in range(i + 1, len(Q)):
-                    d = shape_distance(SrvfShape(Q[i]), SrvfShape(Q[j]), seam_search)
+                    d = shape_distance(Q[i], Q[j], seam_search)
                     assert D[i, j] == D[j, i] == d
                     assert d == loop_shape_distance(Q[i], Q[j], seam_search)
 
 
+def point(q):
+    return Point(np.ravel(q))
+
+
 class TestShapeMean:
     def test_identical_shapes(self):
-        q = contour_to_srvf(ellipse_contour(), T=50)
-        shapes = [q.q.copy() for _ in range(4)]
-        mean, aligned = shape_frechet_mean(shapes)
-        assert geodesic_distance(Point(mean.flat), Point(q.flat)) < 1e-12
+        q = srvf(ellipse_contour(), 50)
+        mean, aligned = shape_frechet_mean([q.copy() for _ in range(4)])
+        assert geodesic_distance(point(mean), point(q)) < 1e-12
         for s in aligned:
-            assert np.max(np.abs(s - q.q)) < 1e-12
+            assert np.max(np.abs(s - q)) < 1e-12
 
     def test_two_shapes_midpoint(self):
-        q0 = contour_to_srvf(circle_contour(), T=60)
-        q1 = contour_to_srvf(ellipse_contour(1.5, 1.0), T=60)
-        q1 = align_shape(q0, q1)
-        mean, aligned = shape_frechet_mean([q0.q, q1.q])
-        d0 = geodesic_distance(Point(mean.flat), Point(aligned[0].ravel()))
-        d1 = geodesic_distance(Point(mean.flat), Point(aligned[1].ravel()))
+        q0 = srvf(circle_contour(), 60)
+        q1 = align_shape(q0, srvf(ellipse_contour(1.5, 1.0), 60)[None])[0][0]
+        mean, aligned = shape_frechet_mean([q0, q1])
+        d0 = geodesic_distance(point(mean), point(aligned[0]))
+        d1 = geodesic_distance(point(mean), point(aligned[1]))
         assert d0 == pytest.approx(d1, abs=1e-8)
-        total = geodesic_distance(Point(aligned[0].ravel()), Point(aligned[1].ravel()))
+        total = geodesic_distance(point(aligned[0]), point(aligned[1]))
         assert d0 + d1 == pytest.approx(total, abs=1e-8)
 
     def test_mean_is_fixed_point(self):
         shapes = [
-            contour_to_srvf(circle_contour(), T=40).q,
-            contour_to_srvf(ellipse_contour(1.3, 1.0), T=40).q,
-            contour_to_srvf(ellipse_contour(1.0, 1.4), T=40).q,
+            srvf(circle_contour(), 40),
+            srvf(ellipse_contour(1.3, 1.0), 40),
+            srvf(ellipse_contour(1.0, 1.4), 40),
         ]
         mean, aligned = shape_frechet_mean(shapes, tol=1e-12)
-        mean2, _ = shape_frechet_mean([mean.q], tol=1e-12)
-        assert geodesic_distance(Point(mean.flat), Point(mean2.flat)) < 1e-10
+        mean2, _ = shape_frechet_mean([mean], tol=1e-12)
+        assert geodesic_distance(point(mean), point(mean2)) < 1e-10
 
     def test_mismatched_T_rejected(self):
         with pytest.raises(DimensionMismatch):
-            shape_frechet_mean(
-                [
-                    contour_to_srvf(circle_contour(), T=40).q,
-                    contour_to_srvf(circle_contour(), T=50).q,
-                ]
-            )
+            shape_frechet_mean([srvf(circle_contour(), 40), srvf(circle_contour(), 50)])
 
 
 class TestShapeStatistics:
     def setup_shapes(self):
-        shapes = [
-            contour_to_srvf(ellipse_contour(1.0 + 0.2 * k, 1.0), T=30).q
-            for k in range(5)
-        ]
+        shapes = [srvf(ellipse_contour(1.0 + 0.2 * k, 1.0), 30) for k in range(5)]
         return shape_frechet_mean(shapes)
 
     def test_zero_covariance_for_identical(self):
-        q = contour_to_srvf(circle_contour(), T=30)
-        V, S = shape_statistics([q.q, q.q.copy()], q)
+        q = srvf(circle_contour(), 30)
+        V, S = shape_statistics([q, q.copy()], q)
         assert np.max(np.abs(V)) < 1e-12
         assert np.max(np.abs(S)) < 1e-20
 
@@ -319,24 +314,25 @@ class TestShapeStatistics:
     def test_parseval_row_norms(self):
         mean, aligned = self.setup_shapes()
         V, _ = shape_statistics(aligned, mean)
-        m = Point(mean.flat)
-        for i, s in enumerate(aligned):
-            expect = sphere_log(m, Point(s.ravel())).norm()
-            assert np.linalg.norm(V[i]) == pytest.approx(expect, abs=1e-10)
+        logs = log_batch(point(mean).coords, aligned.reshape(len(aligned), -1))
+        assert np.allclose(np.linalg.norm(V, axis=1), np.linalg.norm(logs, axis=1),
+                           rtol=0.0, atol=1e-10)
 
     def test_trace_identity(self):
         mean, aligned = self.setup_shapes()
         V, S = shape_statistics(aligned, mean)
-        m = Point(mean.flat)
-        total = sum(
-            geodesic_distance(m, Point(s.ravel())) ** 2 for s in aligned
-        )
+        total = sum(geodesic_distance(point(mean), point(s)) ** 2 for s in aligned)
         assert np.trace(S) == pytest.approx(total / (len(aligned) - 1), abs=1e-10)
 
     def test_needs_two_shapes(self):
-        q = contour_to_srvf(circle_contour(), T=30)
+        q = srvf(circle_contour(), 30)
         with pytest.raises(ClusterTooSmall):
-            shape_statistics([q.q], q)
+            shape_statistics([q], q)
+
+    def test_mean_must_be_a_unit_shape(self):
+        q = srvf(circle_contour(), 30)
+        with pytest.raises(ValueError, match="unit Frobenius norm"):
+            shape_statistics([q, q], 2.0 * q)
 
 
 class TestContourIO:

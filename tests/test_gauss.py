@@ -10,10 +10,9 @@ from bundlemw.errors import (
     NotSymmetric,
 )
 from bundlemw.gauss import (
-    CovarianceMatrix,
     GaussianMixture,
     _bures,
-    bures_term,
+    _check_covs,
     check_same_frame,
     load_mixture,
     mixture_from_dict,
@@ -25,40 +24,56 @@ from bundlemw.gauss import (
 from bundlemw.geometry import (
     Point,
     _unit_rows,
-    build_reference_frame,
     geodesic_distance,
     pairwise_geodesic,
     standard_frame,
 )
 from bundlemw.transport import mw2
 
-from helpers import eigh_roots, loop_minimal_form, make_mixture, random_spd
+from helpers import eigh_roots, loop_minimal_form, make_mixture, random_frame, random_spd
 
 
-class TestCovarianceMatrix:
+def check_cov(S):
+    """One covariance through the stack check: the checked matrix and its root."""
+    S, roots = _check_covs(np.array([S], dtype=float))
+    return S[0], roots[0]
+
+
+def bures(S0, S1):
+    """The Bures term of one pair of covariances, by the stacked kernel."""
+    A, roots = _check_covs(np.array([S0], dtype=float))
+    B, _ = _check_covs(np.array([S1], dtype=float))
+    return float(_bures(roots, A, B)[0, 0])
+
+
+class TestCovarianceCheck:
     def test_symmetrizes_small_asymmetry(self):
-        S = CovarianceMatrix([[1.0, 1e-8], [0.0, 2.0]])
-        assert np.array_equal(S.mat, S.mat.T)
+        S, _ = check_cov([[1.0, 1e-8], [0.0, 2.0]])
+        assert np.array_equal(S, S.T)
+
+    def test_exactly_symmetric_stack_comes_back_as_it_is(self):
+        S = np.array([random_spd(np.random.default_rng(0), 3)])
+        assert _check_covs(S)[0] is S
 
     def test_rejects_large_asymmetry(self):
         with pytest.raises(NotSymmetric):
-            CovarianceMatrix([[1.0, 0.5], [0.0, 1.0]])
+            check_cov([[1.0, 0.5], [0.0, 1.0]])
 
     def test_overflowing_asymmetry_is_not_symmetric(self):
         with np.errstate(all="raise"), pytest.raises(NotSymmetric):
-            CovarianceMatrix([[1.0, 1e308], [-1e308, 1.0]])
+            check_cov([[1.0, 1e308], [-1e308, 1.0]])
 
     def test_rejects_negative_definite(self):
         with pytest.raises(DegenerateMatrix):
-            CovarianceMatrix([[-1.0, 0.0], [0.0, 1.0]])
+            check_cov([[-1.0, 0.0], [0.0, 1.0]])
 
     def test_allows_rank_deficient(self):
-        S = CovarianceMatrix([[1.0, 0.0], [0.0, 0.0]])
-        assert S.dim == 2
+        S, _ = check_cov([[1.0, 0.0], [0.0, 0.0]])
+        assert S.shape == (2, 2)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            CovarianceMatrix(np.zeros((2, 3)))
+            check_cov(np.zeros((2, 3)))
 
 
 class TestRoots:
@@ -79,30 +94,30 @@ class TestRoots:
         mix = GaussianMixture(np.full(3, 1.0 / 3), np.tile(f.p.coords, (3, 1)), S, f)
         assert np.array_equal(mix.roots, eigh_roots(mix.covs))
         for k in range(3):
-            cov = CovarianceMatrix(S[k])
-            assert np.array_equal(cov.root, eigh_roots(cov.mat[None])[0])
+            cov, root = check_cov(S[k])
+            assert np.array_equal(root, eigh_roots(cov[None])[0])
 
 
 class TestPsdSqrt:
     def test_identity(self):
-        R = CovarianceMatrix(np.eye(3)).root
+        R = check_cov(np.eye(3))[1]
         assert np.allclose(R, np.eye(3))
 
     def test_diagonal(self):
-        R = CovarianceMatrix(np.diag([4.0, 9.0])).root
+        R = check_cov(np.diag([4.0, 9.0]))[1]
         assert np.allclose(R, np.diag([2.0, 3.0]))
 
     def test_square_recovers_input(self):
         rng = np.random.default_rng(0)
         for d in (2, 3, 6):
             S = random_spd(rng, d)
-            R = CovarianceMatrix(S).root
+            R = check_cov(S)[1]
             rel = np.linalg.norm(R @ R - S) / np.linalg.norm(S)
             assert rel < 1e-8
 
     def test_rank_deficient_input(self):
         S = np.diag([1.0, 0.0])
-        R = CovarianceMatrix(S).root
+        R = check_cov(S)[1]
         assert np.allclose(R @ R, S, atol=1e-12)
 
 
@@ -110,22 +125,22 @@ class TestBuresTerm:
     def test_equal_inputs_zero(self):
         rng = np.random.default_rng(1)
         S = random_spd(rng, 3)
-        assert bures_term(S, S) == pytest.approx(0.0, abs=1e-10)
+        assert bures(S, S) == pytest.approx(0.0, abs=1e-10)
 
     def test_commuting_scaled_identity(self):
-        assert bures_term(np.eye(2), 4.0 * np.eye(2)) == pytest.approx(2.0, abs=1e-12)
+        assert bures(np.eye(2), 4.0 * np.eye(2)) == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_against_s_gives_trace(self):
         rng = np.random.default_rng(2)
         S = random_spd(rng, 4)
-        assert bures_term(np.zeros((4, 4)), S) == pytest.approx(np.trace(S), abs=1e-10)
+        assert bures(np.zeros((4, 4)), S) == pytest.approx(np.trace(S), abs=1e-10)
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             S0 = random_spd(rng, 3)
             S1 = random_spd(rng, 3)
-            assert bures_term(S0, S1) == pytest.approx(bures_term(S1, S0), abs=1e-8)
+            assert bures(S0, S1) == pytest.approx(bures(S1, S0), abs=1e-8)
 
     def test_commuting_case_is_frobenius_of_roots(self):
         rng = np.random.default_rng(4)
@@ -135,11 +150,7 @@ class TestBuresTerm:
         S0 = Q @ np.diag(a) @ Q.T
         S1 = Q @ np.diag(b) @ Q.T
         expect = np.sum((np.sqrt(a) - np.sqrt(b)) ** 2)
-        assert bures_term(S0, S1) == pytest.approx(expect, abs=1e-9)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            bures_term(np.eye(2), np.eye(3))
+        assert bures(S0, S1) == pytest.approx(expect, abs=1e-9)
 
     def test_monte_carlo_matches_discrete_ot(self):
         # empirical check: optimal matching cost between samples of two
@@ -157,7 +168,7 @@ class TestBuresTerm:
             rows, cols = linear_sum_assignment(cost)
             costs.append(cost[rows, cols].mean())
         emp = np.mean(costs)
-        exact = bures_term(S0, S1)
+        exact = bures(S0, S1)
         assert abs(emp - exact) / exact < 0.05
 
 
@@ -203,7 +214,7 @@ class TestBundleGaussianW2:
 class TestGaussianMixture:
     def test_weight_validation(self):
         p = Point([0.0, 0.0, 1.0])
-        f = build_reference_frame(p, rng_seed=0)
+        f = random_frame(p, 0)
         means, covs = [p.coords] * 2, [np.eye(2)] * 2
         with pytest.raises(ValueError):
             GaussianMixture([0.5, 0.4], means, covs, f)
@@ -234,7 +245,7 @@ class TestGaussianMixture:
         for a in (mix.weights, mix.means, mix.covs, mix.roots):
             with pytest.raises(ValueError):
                 a[0] = 0.0
-        f2 = build_reference_frame(mix.frame.p, rng_seed=4)
+        f2 = random_frame(mix.frame.p, 4)
         other = GaussianMixture(mix.weights, mix.means, mix.covs, f2)
         assert other.means is mix.means and other.covs is mix.covs
 
@@ -253,7 +264,7 @@ class TestGaussianMixture:
         m0 = make_mixture(rng, 2, 3)
         m1 = make_mixture(rng, 2, 3)
         check_same_frame(m0, m1)
-        f2 = build_reference_frame(m0.frame.p, rng_seed=99)
+        f2 = random_frame(m0.frame.p, 99)
         m2 = GaussianMixture(m1.weights, m1.means, m1.covs, f2)
         with pytest.raises(FrameMismatch):
             check_same_frame(m0, m2)
@@ -262,7 +273,7 @@ class TestGaussianMixture:
 class TestNormalizeMinimalForm:
     def test_merges_duplicates(self):
         p = Point([0.0, 0.0, 1.0])
-        f = build_reference_frame(p, rng_seed=0)
+        f = random_frame(p, 0)
         mix = GaussianMixture([0.5, 0.5], [p.coords] * 2, [np.eye(2)] * 2, f)
         out = normalize_minimal_form(mix)
         assert out.K == 1
@@ -278,7 +289,7 @@ class TestNormalizeMinimalForm:
     def test_drops_zero_weight(self):
         p = Point([0.0, 0.0, 1.0])
         q = Point([1.0, 0.0, 0.0])
-        f = build_reference_frame(p, rng_seed=0)
+        f = random_frame(p, 0)
         mix = GaussianMixture([1.0, 0.0], [p.coords, q.coords], [np.eye(2)] * 2, f)
         out = normalize_minimal_form(mix)
         assert out.K == 1
@@ -345,7 +356,7 @@ class TestNormalizeMinimalForm:
 class TestPairwiseAndIO:
     def test_pairwise_matches_scalar(self):
         rng = np.random.default_rng(11)
-        f = build_reference_frame(Point(np.eye(4)[-1]), rng_seed=17)
+        f = random_frame(Point(np.eye(4)[-1]), 17)
         m0 = make_mixture(rng, 3, 4, frame=f)
         m1 = make_mixture(rng, 5, 4, frame=f)
         P = pairwise_w2sq(m0, m1)
@@ -373,7 +384,7 @@ class TestPairwiseAndIO:
         rng = np.random.default_rng(15)
         d = 59
         Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        f = build_reference_frame(Point(np.eye(d + 1)[-1]), rng_seed=17)
+        f = random_frame(Point(np.eye(d + 1)[-1]), 17)
 
         def mix(K):
             evals = rng.uniform(0.1, 1.0, (K, d))
@@ -391,7 +402,7 @@ class TestPairwiseAndIO:
     def test_pairwise_frame_mismatch(self):
         rng = np.random.default_rng(12)
         m0 = make_mixture(rng, 2, 3)
-        f2 = build_reference_frame(m0.frame.p, rng_seed=5)
+        f2 = random_frame(m0.frame.p, 5)
         m1 = GaussianMixture(m0.weights, m0.means, m0.covs, f2)
         with pytest.raises(FrameMismatch):
             pairwise_w2sq(m0, m1)

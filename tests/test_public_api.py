@@ -1,6 +1,7 @@
 """The public names of ``bundlemw``: moving code between modules keeps every one,
 and importing the package or running one subcommand loads only the modules it needs."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -12,35 +13,63 @@ import bundlemw
 
 PUBLIC = [
     "AntipodalPoint", "BundleMWError", "ChangePoint", "ChangePointReport",
-    "ClusterTooSmall", "Clustering", "Contour", "CovarianceMatrix", "DegenerateContour",
-    "DegenerateFrame", "DegenerateMatrix", "DegenerateTriangle", "DimensionMismatch",
-    "EmptyCluster", "FrameMismatch", "GaussianMixture", "InfeasibleWeights", "MW2Result",
-    "MovingFrame", "NoConvergence", "NotSymmetric", "OUTLIER", "Point", "SegmentTooSmall",
-    "SrvfShape", "TangentVector", "TransportPlan", "Triangle", "TrianglePreshape",
-    "align_shape", "best_split", "build_reference_frame", "bures_term", "check_same_frame",
-    "clustering_from_dict", "clustering_to_dict", "contour_to_srvf", "e_divisive",
-    "energy_statistic", "exp_batch", "fit_mixture", "frame_from_dict", "frame_to_dict",
+    "ClusterTooSmall", "Clustering", "Contour", "DegenerateContour", "DegenerateFrame",
+    "DegenerateMatrix", "DegenerateTriangle", "DimensionMismatch", "EmptyCluster",
+    "FrameMismatch", "GaussianMixture", "InfeasibleWeights", "MW2Result", "MovingFrame",
+    "NoConvergence", "NotSymmetric", "OUTLIER", "Point", "SegmentTooSmall", "TransportPlan",
+    "align_shape", "check_same_frame", "clustering_to_dict", "contour_to_srvf",
+    "e_divisive", "exp_batch", "fit_mixture", "frame_from_dict", "frame_to_dict",
     "frames_equal", "frechet_mean", "geodesic_distance", "hopf_backward", "hopf_forward",
-    "kmodes_cluster", "load_clustering", "load_contour_dir", "load_contour_file",
-    "load_distmat", "load_frame", "load_mixture", "load_report", "load_samples",
-    "load_triangles", "log_batch", "mixture_from_dict", "mixture_to_dict", "mw2",
-    "mw2_distance", "normalize_minimal_form", "pairwise_geodesic", "pairwise_mw2",
-    "pairwise_shape_distance", "pairwise_w2sq", "parallel_transport", "point_to_angles",
-    "procrustes_rotation", "report_from_dict", "report_to_dict", "result_to_dict",
+    "kmodes_cluster", "load_contour_dir", "load_contour_file", "load_distmat", "load_frame",
+    "load_mixture", "load_samples", "load_triangles", "log_batch", "mixture_from_dict",
+    "mixture_to_dict", "mw2", "normalize_minimal_form", "pairwise_geodesic", "pairwise_mw2",
+    "pairwise_shape_distance", "pairwise_w2sq", "report_to_dict", "result_to_dict",
     "riemannian_kmeans", "sample_mixture", "save_clustering", "save_contours_json",
     "save_distmat", "save_frame", "save_mixture", "save_report", "save_result",
-    "save_samples", "save_triangles", "shape_distance", "shape_frechet_mean",
-    "shape_statistics", "solve_transportation", "sphere_exp", "sphere_log",
-    "standard_frame", "tangent_coordinates", "tangent_from_coordinates", "transport_batch",
-    "transport_frame", "triangle_preshape", "triangle_shape_distance",
+    "save_samples", "save_triangles", "shape_frechet_mean", "shape_statistics",
+    "solve_transportation", "standard_frame", "transport_batch", "transport_frame",
+    "triangle_preshape",
 ]
+
+# The one-object-per-point layer over the array kernels, and the kernels'
+# former names: none of them is exported or defined any more.
+REMOVED = {
+    "geometry": """TangentVector sphere_exp sphere_log parallel_transport tangent_coordinates
+        tangent_from_coordinates build_reference_frame transported_basis""",
+    "triangles": """Triangle TrianglePreshape point_to_angles triangle_shape_distance
+        preshape_batch triangles_to_sphere sphere_to_triangles load_vertices""",
+    "contours": "SrvfShape procrustes_rotation shape_distance _srvf_stack _align",
+    "gauss": "bures_term CovarianceMatrix _as_cov",
+    "transport": "mw2_distance",
+    "changepoint": "energy_statistic best_split load_report report_from_dict",
+    "estimation": "load_clustering clustering_from_dict",
+}
 
 
 def test_every_public_name_is_exported():
-    assert len(PUBLIC) == 98
+    assert len(PUBLIC) == 75
     assert set(bundlemw.__all__) == set(PUBLIC)
     for name in PUBLIC:
         assert hasattr(bundlemw, name), name
+
+
+def test_removed_names_are_gone():
+    for module, names in REMOVED.items():
+        home = importlib.import_module(f"bundlemw.{module}")
+        for name in names.split():
+            assert name not in bundlemw.__all__, name
+            assert not hasattr(home, name), f"{module}.{name}"
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # bench/traced.py wraps these names in every traced benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    traced = importlib.import_module("traced")
+    assert "_mw2_pair" in traced.TARGETS["cli"]
+    for module, funcs in traced.TARGETS.items():
+        home = importlib.import_module(f"bundlemw.{module}")
+        for func in funcs:
+            assert callable(getattr(home, func)), f"{module}.{func}"
 
 
 def test_star_import_binds_exactly_all():

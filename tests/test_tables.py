@@ -10,7 +10,7 @@ from bundlemw import cli
 from bundlemw.contours import load_contour_file, load_distmat, save_distmat
 from bundlemw.sampling import load_samples, save_samples
 from bundlemw.transport import solve_transportation
-from bundlemw.triangles import load_angles, load_vertices, save_sphere_points, save_triangles
+from bundlemw.triangles import load_angles, load_triangles, save_sphere_points, save_triangles
 
 X = np.array([[0.1, -0.0, 1.0], [1e-300, 2.5, -1 / 3]])
 V = np.array([[[0, 0], [1, 0], [0.5, 0.1]], [[-1 / 3, 2], [1e10, -0.0], [3, 7e-5]]])
@@ -33,9 +33,9 @@ GOLDEN = {
         b"-0.33333333333333331,2,10000000000,-0,3,6.9999999999999994e-05\r\n",
     ),
     "sphere": (
-        lambda p: save_sphere_points(p, np.array([[1.0, 0, 0], [0, -0.0, 1]]),
-                                     np.array([0.5, 1 / 3]), np.array([-1.0, 2.0])),
-        b"theta,phi,x,y,z\n0.5,-1,1,0,0\n0.33333333333333331,2,0,-0,1\n",
+        lambda p: save_sphere_points(p, np.array([[0.6, 0, -0.8], [0, -0.0, 1]])),
+        b"theta,phi,x,y,z\n2.4980915447965089,0,0.59999999999999998,0,-0.80000000000000004\n"
+        b"0,-0,0,-0,1\n",
     ),
     "distmat-names": (
         lambda p: save_distmat(p, D, names=["f0", "f1"]),
@@ -144,7 +144,7 @@ def test_blank_and_comment_lines_are_skipped(tmp_path):
     assert np.array_equal(X, [[0.5, -1.0], [1e-3, 0.0]]) and np.array_equal(labels, [2, -1])
     path = tmp_path / "triangles.csv"
     path.write_text("x11,x12,x21,x22,x31,x32\n\n0,0,1,0,0,1\n\n")
-    assert np.array_equal(load_vertices(path), [[[0, 0], [1, 0], [0, 1]]])
+    assert np.array_equal(load_triangles(path), [[[0, 0], [1, 0], [0, 1]]])
 
 
 def test_byte_order_mark_is_not_a_header(tmp_path):

@@ -2,23 +2,23 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import sqrtm
 from scipy.optimize import linprog
 
 from bundlemw.errors import FrameMismatch, InfeasibleWeights
-from bundlemw.gauss import GaussianMixture, bures_term, pairwise_w2sq
-from bundlemw.geometry import Point, build_reference_frame, geodesic_distance, standard_frame
+from bundlemw.gauss import GaussianMixture, pairwise_w2sq
+from bundlemw.geometry import MovingFrame, Point, geodesic_distance, standard_frame
 from bundlemw.transport import (
     MW2Result,
     TransportPlan,
     mw2,
-    mw2_distance,
     pairwise_mw2,
     result_to_dict,
     save_result,
     solve_transportation,
 )
 
-from helpers import make_mixture, reference_transportation
+from helpers import make_mixture, random_frame, reference_transportation
 
 
 def linprog_cost(C, w0, w1):
@@ -199,7 +199,7 @@ def continuous_problems(rng, n, k_max):
 
 def mixture_problems(rng, n):
     """Pairwise squared W2 costs between S^2 mixtures of 6 to 16 components."""
-    f = build_reference_frame(Point(np.eye(3)[-1]), rng_seed=17)
+    f = random_frame(Point(np.eye(3)[-1]), 17)
     problems = []
     for _ in range(n):
         m0, m1 = (make_mixture(rng, int(rng.integers(6, 17)), 3, frame=f) for _ in range(2))
@@ -250,13 +250,15 @@ class TestMW2:
         m1 = GaussianMixture([1.0], other.means, other.covs, m0.frame)
         res = mw2(m0, m1)
         base = geodesic_distance(Point(m0.means[0]), Point(m1.means[0]))
-        exact = base**2 + bures_term(m0.covs[0], m1.covs[0])
+        S0, S1 = m0.covs[0], m1.covs[0]
+        root = sqrtm(S0).real
+        exact = base**2 + np.trace(S0 + S1 - 2.0 * sqrtm(root @ S1 @ root).real)
         assert res.distance_sq == pytest.approx(exact, abs=1e-12)
         assert res.distance == pytest.approx(np.sqrt(exact), abs=1e-12)
 
     def test_zero_covariance_reduces_to_base_transport(self):
         rng = np.random.default_rng(7)
-        frame = build_reference_frame(Point([0.0, 0.0, 1.0]), rng_seed=0)
+        frame = random_frame(Point([0.0, 0.0, 1.0]), 0)
         for _ in range(5):
             K0 = int(rng.integers(2, 5))
             K1 = int(rng.integers(2, 5))
@@ -277,35 +279,35 @@ class TestMW2:
 
     def test_symmetry(self):
         rng = np.random.default_rng(8)
-        f = build_reference_frame(Point(np.eye(3)[-1]), rng_seed=17)
+        f = random_frame(Point(np.eye(3)[-1]), 17)
         for _ in range(10):
             m0 = make_mixture(rng, 3, 3, frame=f)
             m1 = make_mixture(rng, 4, 3, frame=f)
-            assert mw2_distance(m0, m1) == pytest.approx(
-                mw2_distance(m1, m0), abs=1e-10
+            assert mw2(m0, m1).distance == pytest.approx(
+                mw2(m1, m0).distance, abs=1e-10
             )
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(9)
-        f = build_reference_frame(Point(np.eye(3)[-1]), rng_seed=17)
+        f = random_frame(Point(np.eye(3)[-1]), 17)
         for _ in range(30):
             ms = [make_mixture(rng, int(rng.integers(1, 4)), 3, frame=f) for _ in range(3)]
-            d01 = mw2_distance(ms[0], ms[1])
-            d12 = mw2_distance(ms[1], ms[2])
-            d02 = mw2_distance(ms[0], ms[2])
+            d01 = mw2(ms[0], ms[1]).distance
+            d12 = mw2(ms[1], ms[2]).distance
+            d02 = mw2(ms[0], ms[2]).distance
             assert d02 <= d01 + d12 + 1e-8
 
     def test_frame_mismatch_raises(self):
         rng = np.random.default_rng(10)
         m0 = make_mixture(rng, 2, 3)
-        f2 = build_reference_frame(m0.frame.p, rng_seed=123)
+        f2 = random_frame(m0.frame.p, 123)
         m1 = GaussianMixture(m0.weights, m0.means, m0.covs, f2)
         with pytest.raises(FrameMismatch):
             mw2(m0, m1)
 
     def test_result_serialization(self, tmp_path):
         rng = np.random.default_rng(11)
-        f = build_reference_frame(Point(np.eye(3)[-1]), rng_seed=17)
+        f = random_frame(Point(np.eye(3)[-1]), 17)
         res = mw2(make_mixture(rng, 2, 3, frame=f), make_mixture(rng, 3, 3, frame=f))
         d = result_to_dict(res)
         assert set(d) == {"cost", "distance", "plan", "pairwise"}
@@ -323,7 +325,7 @@ class TestPairwiseMW2:
     @pytest.mark.parametrize("k_low, k_high", [(1, 2), (2, 6)])
     def test_entries_equal_mw2_exactly(self, k_low, k_high):
         rng = np.random.default_rng(12)
-        f = build_reference_frame(Point(np.eye(4)[-1]), rng_seed=17)
+        f = random_frame(Point(np.eye(4)[-1]), 17)
         ms = [make_mixture(rng, int(rng.integers(k_low, k_high)), 4, frame=f) for _ in range(6)]
         D = pairwise_mw2(ms)
         assert D.shape == (6, 6)
@@ -341,7 +343,7 @@ class TestPairwiseMW2:
             c, s = np.cos(theta), np.sin(theta)
             B = f.matrix.copy()
             B[[0, 1]] = [c * B[0] + s * B[1], c * B[1] - s * B[0]]
-            return build_reference_frame(f.p, basis=B)
+            return MovingFrame(f.p, B)
 
         ms = [make_mixture(rng, 2, 4, frame=g) for g in (f, rotated(0.75e-8), rotated(-0.75e-8))]
         for b in ms[1:]:
@@ -353,9 +355,9 @@ class TestPairwiseMW2:
 
     def test_frame_mismatch_raises(self):
         rng = np.random.default_rng(14)
-        f = build_reference_frame(Point(np.eye(3)[-1]), rng_seed=17)
+        f = random_frame(Point(np.eye(3)[-1]), 17)
         ms = [make_mixture(rng, 2, 3, frame=f) for _ in range(3)]
-        f2 = build_reference_frame(f.p, rng_seed=123)
+        f2 = random_frame(f.p, 123)
         ms.append(GaussianMixture(ms[0].weights, ms[0].means, ms[0].covs, f2))
         with pytest.raises(FrameMismatch):
             pairwise_mw2(ms)

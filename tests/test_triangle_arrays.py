@@ -6,18 +6,13 @@ import pytest
 
 from bundlemw.errors import DegenerateTriangle
 from bundlemw.triangles import (
-    Triangle,
     hopf_backward,
     hopf_forward,
     load_angles,
-    load_vertices,
-    point_to_angles,
-    preshape_batch,
+    load_triangles,
     save_sphere_points,
     save_triangles,
-    sphere_to_triangles,
     triangle_preshape,
-    triangles_to_sphere,
 )
 
 from helpers import (
@@ -63,7 +58,7 @@ def corpus():
     rng = np.random.default_rng(11)
     return np.concatenate(
         [
-            sphere_to_triangles(*A.T),
+            hopf_backward(*A.T),
             rng.standard_normal((3000, 3, 2)) * 10.0 ** rng.integers(0, 5, (3000, 1, 1)),
             small_int_triangles(12),
         ]
@@ -76,26 +71,31 @@ def test_backward_matches_rowwise(seed):
     short = np.arange(len(A)) % 3 == 0
     A[short, 2] = 0.0
     rows = [r[:2] if s else r for r, s in zip(A.tolist(), short)]
-    assert same_bits(sphere_to_triangles(*A.T), rowwise_triangles(rows))
+    assert same_bits(hopf_backward(*A.T), rowwise_triangles(rows))
 
 
 def test_backward_matches_rowwise_at_the_poles():
     rows = [[0.0, 0.3], [np.pi, -0.4, 1.0], [0.0, -0.0, -0.0], [np.pi, np.pi], [0.5, -0.0]]
     A = np.array([(r + [0.0])[:3] for r in rows])
-    assert same_bits(sphere_to_triangles(*A.T), rowwise_triangles(rows))
+    assert same_bits(hopf_backward(*A.T), rowwise_triangles(rows))
 
 
-def test_forward_matches_rowwise():
+def test_forward_matches_rowwise(tmp_path):
     V = corpus()
-    for new, old in zip(triangles_to_sphere(V), rowwise_shape_points(V)):
-        assert same_bits(new, old)
+    Y = hopf_forward(triangle_preshape(V))
+    rows, theta, phi = rowwise_shape_points(V)
+    assert same_bits(Y, rows)
+    # the angles the sphere file holds read back bit for bit
+    save_sphere_points(tmp_path / "sphere.csv", Y)
+    A = load_angles(tmp_path / "sphere.csv")
+    assert same_bits(A[:, 0], theta) and same_bits(A[:, 1], phi)
 
 
 def test_corpus_tells_the_rounding_apart():
     # each of these shortcuts changes some bits of the corpus, so a batch
     # map that took one would fail test_forward_matches_rowwise
     V = corpus()
-    Z = preshape_batch(V)
+    Z = triangle_preshape(V)
     h = np.hypot(Z.real, Z.imag)
     assert (np.float_power(h, 2.0) != h * h).any()
     assert (np.abs(Z) != h).any()
@@ -113,31 +113,27 @@ def test_file_bytes_match_rowwise(tmp_path):
     save_triangles(tmp_path / "new.csv", V)
     rowwise_save_triangles(tmp_path / "old.csv", V)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    assert same_bits(load_vertices(tmp_path / "new.csv"), V)
-    Y, theta, phi = triangles_to_sphere(V)
-    save_sphere_points(tmp_path / "new_sphere.csv", Y, theta, phi)
-    rowwise_save_sphere_points(tmp_path / "old_sphere.csv", Y, theta, phi)
+    assert same_bits(load_triangles(tmp_path / "new.csv"), V)
+    save_sphere_points(tmp_path / "new_sphere.csv", hopf_forward(triangle_preshape(V)))
+    rowwise_save_sphere_points(tmp_path / "old_sphere.csv", *rowwise_shape_points(V))
     assert (tmp_path / "new_sphere.csv").read_bytes() == (tmp_path / "old_sphere.csv").read_bytes()
 
 
-def test_scalar_calls_are_rows_of_the_batch():
+def test_each_row_gets_the_bits_it_gets_alone():
     A = angle_rows(3, n=20)
-    V = sphere_to_triangles(*A.T)
-    Z = preshape_batch(V)
-    Y, theta, phi = triangles_to_sphere(V)
-    for i, (row, v) in enumerate(zip(A, V)):
-        assert same_bits(hopf_backward(*row).vertices, v)
-        pre = triangle_preshape(Triangle(v))
-        assert same_bits(pre.z, Z[i])
-        p = hopf_forward(pre)
-        assert same_bits(p.coords, Y[i])
-        assert point_to_angles(p) == (theta[i], phi[i])
+    V = hopf_backward(*A.T)
+    Z = triangle_preshape(V)
+    Y = hopf_forward(Z)
+    for i in range(len(A)):
+        assert same_bits(hopf_backward(*A[i:i + 1].T)[0], V[i])
+        assert same_bits(triangle_preshape(V[i:i + 1])[0], Z[i])
+        assert same_bits(hopf_forward(Z[i:i + 1])[0], Y[i])
 
 
-def test_save_triangles_takes_objects_or_arrays(tmp_path):
-    V = sphere_to_triangles(*angle_rows(4, n=5).T)
+def test_save_triangles_takes_a_stack_or_a_list(tmp_path):
+    V = hopf_backward(*angle_rows(4, n=5).T)
     save_triangles(tmp_path / "a.csv", V)
-    save_triangles(tmp_path / "b.csv", [Triangle(v) for v in V])
+    save_triangles(tmp_path / "b.csv", list(V))
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
@@ -150,25 +146,25 @@ class TestFirstFailingRow:
 
     def test_preshape_error_before_a_later_degenerate_row(self):
         with pytest.raises(ValueError, match="centered with unit norm"):
-            preshape_batch(np.array([self.ok, self.far, self.flat]))
+            triangle_preshape(np.array([self.ok, self.far, self.flat]))
 
     def test_degenerate_error_before_a_later_preshape_error(self):
         with pytest.raises(DegenerateTriangle, match="coincide"):
-            preshape_batch(np.array([self.ok, self.flat, self.far]))
+            triangle_preshape(np.array([self.ok, self.flat, self.far]))
 
     def test_theta_error_before_a_later_non_finite_row(self):
         with pytest.raises(ValueError, match="theta"):
-            sphere_to_triangles(np.array([0.5, 3.2, 0.5]), np.array([0.0, 0.0, np.nan]),
+            hopf_backward(np.array([0.5, 3.2, 0.5]), np.array([0.0, 0.0, np.nan]),
                                 np.zeros(3))
 
     def test_non_finite_error_before_a_later_theta_error(self):
         with pytest.raises(ValueError, match="finite"):
-            sphere_to_triangles(np.array([0.5, 0.5, 3.2]), np.array([0.0, np.nan, 0.0]),
+            hopf_backward(np.array([0.5, 0.5, 3.2]), np.array([0.0, np.nan, 0.0]),
                                 np.zeros(3))
 
     def test_theta_error_wins_within_a_row(self):
         with pytest.raises(ValueError, match="theta"):
-            sphere_to_triangles(np.array([np.nan]), np.array([0.0]), np.array([0.0]))
+            hopf_backward(np.array([np.nan]), np.array([0.0]), np.array([0.0]))
 
 
 class TestLoadAngles:
@@ -180,11 +176,12 @@ class TestLoadAngles:
         )
 
     def test_sphere_points_give_theta_and_phi(self, tmp_path):
-        Y, theta, phi = triangles_to_sphere(sphere_to_triangles(*angle_rows(5, n=4).T))
+        A = angle_rows(5, n=4)
         path = tmp_path / "sphere.csv"
-        save_sphere_points(path, Y, theta, phi)
-        A = load_angles(path)
-        assert np.array_equal(A, np.column_stack([theta, phi, np.zeros(4)]))
+        save_sphere_points(path, hopf_forward(triangle_preshape(hopf_backward(*A.T))))
+        back = load_angles(path)
+        assert np.array_equal(back[:, 2], np.zeros(4))
+        assert np.max(np.abs(back[:, :2] - A[:, :2])) < 1e-9
 
     def test_sphere_points_need_five_values(self, tmp_path):
         path = tmp_path / "sphere.csv"
