@@ -20,9 +20,9 @@ _TABLE = {
     "contours": """Contour align_shape contour_to_srvf load_contour_dir load_contour_file
         load_distmat pairwise_shape_distance save_contours_json save_distmat
         shape_frechet_mean shape_statistics""",
-    "errors": """AntipodalPoint BundleMWError ClusterTooSmall DegenerateContour DegenerateFrame
-        DegenerateMatrix DegenerateTriangle DimensionMismatch EmptyCluster FrameMismatch
-        InfeasibleWeights NoConvergence NotSymmetric SegmentTooSmall""",
+    "errors": """AntipodalPoint BundleMWError ClusterTooSmall DegenerateContour DegenerateMatrix
+        DegenerateTriangle DimensionMismatch EmptyCluster FrameMismatch InfeasibleWeights
+        NoConvergence NotSymmetric NumericalError SegmentTooSmall""",
     "estimation": """OUTLIER Clustering clustering_to_dict fit_mixture kmodes_cluster
         riemannian_kmeans save_clustering""",
     "gauss": """GaussianMixture check_same_frame load_mixture mixture_from_dict

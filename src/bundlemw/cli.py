@@ -9,10 +9,12 @@ representations.
 Every command is deterministic given --seed.  Exit codes: 0 on success,
 2 for validation problems (bad files, bad flags, malformed inputs), 3 for
 numerical failures (non-convergence, degenerate geometry, floating-point
-overflow, division by zero and invalid operations).  Failures print a
-one-line JSON object to stderr with the error class and message.  Each
-command imports the modules it uses, so a process loads only those, and
-``--help`` loads no numpy.
+overflow, division by zero and invalid operations).  The class of the error
+decides: ``errors.NumericalError``, MemoryError and FloatingPointError exit
+3; ValueError (every other package error is one), TypeError, KeyError,
+OSError and OverflowError exit 2.  Failures print a one-line JSON object to
+stderr with the error class and message.  Each command imports the modules
+it uses, so a process loads only those, and ``--help`` loads no numpy.
 """
 
 from __future__ import annotations
@@ -22,45 +24,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (
-    AntipodalPoint,
-    ClusterTooSmall,
-    DegenerateContour,
-    DegenerateFrame,
-    DegenerateMatrix,
-    DegenerateTriangle,
-    DimensionMismatch,
-    EmptyCluster,
-    FrameMismatch,
-    InfeasibleWeights,
-    NoConvergence,
-    NotSymmetric,
-    SegmentTooSmall,
-)
-
-_NUMERICAL_ERRORS = (
-    NoConvergence,
-    AntipodalPoint,
-    DegenerateFrame,
-    EmptyCluster,
-    DegenerateMatrix,
-    ClusterTooSmall,
-    DegenerateTriangle,
-    DegenerateContour,
-    MemoryError,
-    FloatingPointError,
-)
-_VALIDATION_ERRORS = (
-    ValueError,
-    TypeError,
-    KeyError,
-    OSError,
-    NotSymmetric,
-    DimensionMismatch,
-    InfeasibleWeights,
-    FrameMismatch,
-    SegmentTooSmall,
-)
+from .errors import NumericalError
 
 
 def __getattr__(name):
@@ -85,16 +49,12 @@ def _config_error(field, why):
 def cmd_simulate(args) -> int:
     import hashlib
 
+    from ._jsonfile import parse_json
     from .gauss import mixture_from_dict
     from .sampling import sample_mixture, save_samples
 
     raw = Path(args.config).read_bytes()
-    try:
-        cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
-        ) from exc
+    cfg = parse_json(raw, args.config)
     for field in ("frame", "mixture", "n", "seed"):
         if field not in cfg:
             raise _config_error(field, "missing")
@@ -281,13 +241,17 @@ def cmd_contours(args) -> int:
     stacks = {name: contour_to_srvf(cs, T) for name, cs in frames.items()}
     reference = next(iter(stacks.values()))[0]
     sphere_frame = standard_frame(2 * T)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    mixtures = {}
     for name, Q in stacks.items():
         aligned, _ = align_shape(reference, Q, seam_search=True)
         mean = frechet_mean(aligned.reshape(len(Q), -1))
         _, cov = shape_statistics(aligned, mean.coords.reshape(2, T), sphere_frame)
-        mix = GaussianMixture([1.0], mean.coords[None], cov[None], sphere_frame)
+        mixtures[name] = GaussianMixture([1.0], mean.coords[None], cov[None], sphere_frame)
+    # every frame is fitted before the first file is written, so a failing
+    # frame leaves no output behind
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, mix in mixtures.items():
         save_mixture(outdir / f"{name}.json", mix)
     _emit({"frames": len(stacks), "T": T, "out": str(outdir)})
     return 0
@@ -373,10 +337,10 @@ def main(argv=None) -> int:
         # FloatingPointError, exit 3, instead of warning past a wrong number
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except _NUMERICAL_ERRORS as exc:
+    except (NumericalError, MemoryError, FloatingPointError) as exc:
         _fail(exc)
         return 3
-    except _VALIDATION_ERRORS as exc:
+    except (ValueError, TypeError, KeyError, OSError, OverflowError) as exc:
         _fail(exc)
         return 2
 

@@ -76,12 +76,12 @@ class MovingFrame:
     """A distinguished point with a full orthonormal tangent basis.
 
     ``matrix`` holds the d = D - 1 basis vectors at ``p`` as the rows of a
-    read-only d x D array.  Each row must be tangent at ``p`` to 1e-10
-    (relative to its norm), and its residual normal component is projected
-    away; the Gram matrix must be the identity to 1e-10.  Transporting the
-    basis to another point (see :func:`transport_frame`) yields the basis of
-    the moving frame F(m) used to express tangent vectors and covariances in
-    R^d coordinates.
+    read-only d x D array.  Its entries must be finite and each row must be
+    tangent at ``p`` to 1e-10 (relative to its norm); the residual normal
+    component is projected away, and the Gram matrix must be the identity to
+    1e-10.  Transporting the basis to another point (see
+    :func:`transport_frame`) yields the basis of the moving frame F(m) used
+    to express tangent vectors and covariances in R^d coordinates.
     """
 
     __slots__ = ("p", "matrix")
@@ -103,6 +103,8 @@ def _tangent_basis(p: np.ndarray, basis) -> np.ndarray:
     d = p.size - 1
     if B.shape != (d, p.size):
         raise ValueError(f"frame basis must be {d} x {p.size}, got shape {B.shape}")
+    if not np.isfinite(B).all():
+        raise ValueError("frame basis entries must be finite")
     normal = np.vecdot(B, p)
     if np.any(np.abs(normal) > 1e-10 * np.maximum(1.0, _last_axis_norm(B))):
         raise ValueError("frame basis vectors must be tangent at the frame point")

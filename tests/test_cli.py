@@ -1,17 +1,16 @@
+import builtins
 import json
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bundlemw import cli, errors
 from bundlemw.contours import (
+    Contour,
     load_contour_dir,
     load_distmat,
+    save_contours_json,
     save_distmat,
     shape_statistics,
 )
@@ -35,23 +34,26 @@ from bundlemw.triangles import (
 )
 from helpers import loop_align_shape, loop_contour_to_srvf, random_frame
 
+FRAME = frame_to_dict(standard_frame(3))
+GOOD = {"basepoint": [0.0, 0.6, 0.8], "cov": [[0.01, 0.0], [0.0, 0.02]]}
+CONFIG = {
+    "frame": FRAME,
+    "mixture": {
+        "weights": [0.5, 0.5],
+        "components": [
+            {"basepoint": [1.0, 0.0, 0.0], "cov": [[0.01, 0.0], [0.0, 0.01]]},
+            {"basepoint": [0.0, 1.0, 0.0], "cov": [[0.02, 0.0], [0.0, 0.01]]},
+        ],
+    },
+    "n": 200,
+    "seed": 4,
+}
+
 
 @pytest.fixture
 def workspace(tmp_path):
-    frame = standard_frame(3)
-    save_frame(tmp_path / "frame.json", frame)
-    config = {
-        "frame": frame_to_dict(frame),
-        "mixture": {
-            "weights": [0.5, 0.5],
-            "components": [
-                {"basepoint": [1.0, 0.0, 0.0], "cov": [[0.01, 0.0], [0.0, 0.01]]},
-                {"basepoint": [0.0, 1.0, 0.0], "cov": [[0.02, 0.0], [0.0, 0.01]]},
-            ],
-        },
-        "n": 200,
-        "seed": 4,
-    }
+    save_frame(tmp_path / "frame.json", standard_frame(3))
+    config = json.loads(json.dumps(CONFIG))
     (tmp_path / "config.json").write_text(json.dumps(config))
     return tmp_path, config
 
@@ -60,12 +62,19 @@ def run(args):
     return cli.main([str(a) for a in args])
 
 
-def run_console(tmp, *args):
-    """Run the console command in ``tmp``: numpy's RuntimeWarnings go to the
-    real stderr, which ``capsys`` does not see."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "bundlemw.cli", *args],
-                          cwd=tmp, env=env, capture_output=True, text=True)
+def write_frames(fdir, n_frames=2, per_frame=3, seed=0):
+    """A directory of contour files t0.json, t1.json, ...: noisy ellipses,
+    one file per frame, that ``contours`` fits without failing."""
+    rng = np.random.default_rng(seed)
+    fdir.mkdir()
+    t = np.linspace(0, 2 * np.pi, 40, endpoint=False)
+    for f in range(n_frames):
+        cs = []
+        for _ in range(per_frame):
+            r = 1.0 + 0.05 * rng.standard_normal()
+            cs.append(Contour(np.vstack([r * np.cos(t), (1 + 0.3 * f) * r * np.sin(t)])))
+        save_contours_json(fdir / f"t{f}.json", cs)
+    return fdir
 
 
 class TestSimulate:
@@ -86,31 +95,6 @@ class TestSimulate:
         run(["simulate", tmp / "config.json", "--out", a])
         run(["simulate", tmp / "config.json", "--out", b])
         assert a.read_bytes() == b.read_bytes()
-
-    def test_zero_n_rejected(self, workspace, capsys):
-        tmp, config = workspace
-        config["n"] = 0
-        bad = tmp / "bad.json"
-        bad.write_text(json.dumps(config))
-        assert run(["simulate", bad, "--out", tmp / "s.csv"]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert "'n'" in err["message"]
-
-    def test_malformed_json_reports_line(self, workspace, capsys):
-        tmp, _ = workspace
-        bad = tmp / "broken.json"
-        bad.write_text('{"frame": [,]}')
-        assert run(["simulate", bad, "--out", tmp / "s.csv"]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert "line 1" in err["message"]
-
-    def test_missing_section_named(self, workspace, capsys):
-        tmp, config = workspace
-        del config["mixture"]
-        bad = tmp / "nosection.json"
-        bad.write_text(json.dumps(config))
-        assert run(["simulate", bad, "--out", tmp / "s.csv"]) == 2
-        assert "mixture" in json.loads(capsys.readouterr().err)["message"]
 
 
 class TestFit:
@@ -190,81 +174,6 @@ class TestFit:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "MemoryError", "message": "Unable to allocate 8.94 GiB"}
 
-    def test_missing_frame_file(self, workspace, capsys):
-        tmp, _ = workspace
-        run(["simulate", tmp / "config.json", "--out", tmp / "samples.csv"])
-        code = run(
-            ["fit", tmp / "samples.csv", "--frame", tmp / "nope.json",
-             "--K", "2", "--out", tmp / "fit"]
-        )
-        assert code == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
-
-    def test_kmeans_requires_K(self, workspace, capsys):
-        tmp, _ = workspace
-        run(["simulate", tmp / "config.json", "--out", tmp / "samples.csv"])
-        code = run(
-            ["fit", tmp / "samples.csv", "--frame", tmp / "frame.json",
-             "--out", tmp / "fit"]
-        )
-        assert code == 2
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("method", ["kmeans", "kmodes"])
-    @pytest.mark.parametrize("bad_row", ["0,0,0", "nan,0,1"])
-    def test_zero_or_nan_sample_row_rejected(self, workspace, capsys, method, bad_row):
-        tmp, _ = workspace
-        (tmp / "bad.csv").write_text(
-            f"x0,x1,x2,label\n1,0,0,-1\n0,1,0,-1\n{bad_row},-1\n0,0,1,-1\n"
-        )
-        code = run(
-            ["fit", tmp / "bad.csv", "--frame", tmp / "frame.json",
-             "--method", method, "--K", "2", "--q", "0.5", "--out", tmp / "fit"]
-        )
-        assert code == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
-
-    @pytest.mark.parametrize("method", ["kmeans", "kmodes"])
-    def test_sample_row_whose_norm_overflows_exits_2(self, workspace, method):
-        tmp, _ = workspace
-        (tmp / "big.csv").write_text(
-            "x0,x1,x2,label\n1,0,0,-1\n0,1,0,-1\n1e308,1e308,0,-1\n0,0,1,-1\n"
-        )
-        res = run_console(tmp, "fit", "big.csv", "--frame", "frame.json", "--method", method,
-                          "--K", "2", "--q", "0.5", "--out", "fit")
-        assert res.returncode == 2
-        assert res.stdout == "" and res.stderr.count("\n") == 1
-        assert json.loads(res.stderr)["error"] == "ValueError"
-        assert not (tmp / "fit").exists()
-
-    @pytest.mark.parametrize("method", ["kmeans", "kmodes"])
-    def test_frame_of_another_dimension_rejected(self, workspace, capsys, method):
-        tmp, _ = workspace
-        run(["simulate", tmp / "config.json", "--out", tmp / "samples.csv"])
-        save_frame(tmp / "frame4.json", standard_frame(4))
-        capsys.readouterr()
-        code = run(
-            ["fit", tmp / "samples.csv", "--frame", tmp / "frame4.json",
-             "--method", method, "--K", "2", "--q", "0.3", "--out", tmp / "fit"]
-        )
-        assert code == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "DimensionMismatch"
-        assert not (tmp / "fit").exists()
-
-    def test_degenerate_cluster_is_numerical_failure(self, workspace, capsys):
-        tmp, _ = workspace
-        (tmp / "tiny.csv").write_text(
-            "x0,x1,x2,label\n1,0,0,-1\n0,1,0,-1\n0,0,1,-1\n"
-        )
-        code = run(
-            ["fit", tmp / "tiny.csv", "--frame", tmp / "frame.json",
-             "--K", "3", "--out", tmp / "fit"]
-        )
-        assert code == 3
-        assert json.loads(capsys.readouterr().err)["error"] == "ClusterTooSmall"
-
 
 class TestMw2AndDistmat:
     def test_self_distance_zero(self, workspace, capsys):
@@ -280,50 +189,10 @@ class TestMw2AndDistmat:
         plan = json.loads((tmp / "plan.json").read_text())
         assert plan["distance"] == 0.0
 
-    GOOD = {"basepoint": [0.0, 0.6, 0.8], "cov": [[0.01, 0.0], [0.0, 0.02]]}
-
-    @pytest.mark.parametrize(
-        "components, weights, code, error",
-        [
-            ([{"basepoint": [0.0, 0.6, 0.8], "cov": [[0.01, 0.5], [0.0, 0.02]]}],
-             [1.0], 2, "NotSymmetric"),
-            ([{"basepoint": [0.0, 0.6, 0.8], "cov": [[-1.0, 0.0], [0.0, 0.02]]}],
-             [1.0], 3, "DegenerateMatrix"),
-            ([{"basepoint": [-1.0, 0.0, 0.0], "cov": [[0.01, 0.0], [0.0, 0.02]]}],
-             [1.0], 2, "ValueError"),
-            ([{"basepoint": [0.0, 1.0], "cov": [[0.01, 0.0], [0.0, 0.02]]}],
-             [1.0], 2, "DimensionMismatch"),
-            ([{"basepoint": [0.0, 0.6, 0.8]}], [1.0], 2, "KeyError"),
-            ([GOOD, {"basepoint": [0.0, 0.6, 0.8], "cov": [[0.01, 0.5], [0.0, 0.02]]}],
-             [0.5, 0.5], 2, "NotSymmetric"),
-            ([GOOD, {"basepoint": [0.0, 0.6, 0.8], "cov": [[-1.0, 0.0], [0.0, 0.02]]}],
-             [0.5, 0.5], 3, "DegenerateMatrix"),
-            ([GOOD], [float("nan")], 2, "ValueError"),
-            ([GOOD, {"basepoint": [0.0, 0.0, 0.6, 0.8], "cov": [[0.01, 0.0], [0.0, 0.02]]}],
-             [0.5, 0.5], 2, "DimensionMismatch"),
-            ([GOOD, {"basepoint": [0.0, 0.6, 0.8], "cov": np.diag([0.01, 0.02, 0.03]).tolist()}],
-             [0.5, 0.5], 2, "DimensionMismatch"),
-        ],
-        ids=["asymmetric", "negative-eigenvalue", "puncture", "short-basepoint", "missing-cov",
-             "second-asymmetric", "second-negative-eigenvalue", "nan-weight",
-             "ragged-basepoints", "ragged-covs"],
-    )
-    def test_malformed_mixture_file(self, workspace, capsys, components, weights, code, error):
-        tmp, config = workspace
-        good, bad = tmp / "good.json", tmp / "bad.json"
-        good.write_text(json.dumps(
-            {"frame": config["frame"], "weights": [1.0], "components": [self.GOOD]}))
-        bad.write_text(json.dumps(
-            {"frame": config["frame"], "weights": weights, "components": components}))
-        assert run(["mw2", bad, good]) == code
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1
-        assert json.loads(err)["error"] == error
-
     def test_non_unit_basepoints_accepted(self, workspace, capsys):
         tmp, config = workspace
         for name, point in (("a", [0.0, 0.6, 0.8]), ("b", [0.0, 3.0, 4.0])):
-            comp = {"basepoint": point, "cov": self.GOOD["cov"]}
+            comp = {"basepoint": point, "cov": GOOD["cov"]}
             (tmp / f"{name}.json").write_text(json.dumps(
                 {"frame": config["frame"], "weights": [1.0], "components": [comp]}))
         assert run(["mw2", tmp / "a.json", tmp / "b.json"]) == 0
@@ -357,70 +226,6 @@ class TestMw2AndDistmat:
         assert np.all(np.diag(D) == 0.0)
         assert D[0, 1] == pytest.approx(0.3, abs=1e-8)
 
-    def test_distmat_frame_mismatch_exits_2(self, workspace, capsys):
-        tmp, config = workspace
-        mixdir = tmp / "mixes"
-        mixdir.mkdir()
-        other = frame_to_dict(random_frame(Point([1.0, 0.0, 0.0]), 5))
-        for i, frame in enumerate([config["frame"], config["frame"], other]):
-            mix = dict(config["mixture"], frame=frame)
-            (mixdir / f"m{i}.json").write_text(json.dumps(mix))
-        assert run(["distmat", mixdir, "--out", tmp / "d.csv"]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "FrameMismatch"
-
-    @pytest.mark.parametrize(
-        "args",
-        [["mw2", "big.json", "small.json"], ["mw2", "big.json", "big.json"],
-         ["distmat", "mixes"]],
-        ids=["mw2-big-small", "mw2-big-big", "distmat"],
-    )
-    def test_overflow_exits_3(self, workspace, args):
-        tmp, config = workspace
-        (tmp / "mixes").mkdir()
-        for name, cov in (("big", [[1e308, 0.0], [0.0, 1e308]]), ("small", self.GOOD["cov"])):
-            text = json.dumps({"frame": config["frame"], "weights": [1.0],
-                               "components": [{"basepoint": self.GOOD["basepoint"], "cov": cov}]})
-            (tmp / f"{name}.json").write_text(text)
-            (tmp / "mixes" / f"{name}.json").write_text(text)
-        res = run_console(tmp, *args, "--out", "out")
-        assert res.returncode == 3
-        assert res.stderr.count("\n") == 1
-        assert json.loads(res.stderr)["error"] == "FloatingPointError"
-        assert not (tmp / "out").exists()
-
-    def test_overflowing_asymmetry_exits_2(self, workspace):
-        # S - S.T overflows to inf, which is asymmetric, not a numerical failure
-        tmp, config = workspace
-        for name, cov in (("asym", [[1.0, 1e308], [-1e308, 1.0]]), ("ok", self.GOOD["cov"])):
-            (tmp / f"{name}.json").write_text(json.dumps(
-                {"frame": config["frame"], "weights": [1.0],
-                 "components": [{"basepoint": self.GOOD["basepoint"], "cov": cov}]}))
-        res = run_console(tmp, "mw2", "asym.json", "ok.json", "--out", "out")
-        assert res.returncode == 2
-        assert res.stdout == "" and res.stderr.count("\n") == 1
-        assert json.loads(res.stderr)["error"] == "NotSymmetric"
-        assert not (tmp / "out").exists()
-
-    def test_basepoint_whose_norm_overflows_exits_2(self, workspace):
-        tmp, config = workspace
-        (tmp / "bigbp.json").write_text(json.dumps(
-            {"frame": config["frame"], "weights": [1.0],
-             "components": [{"basepoint": [1e308, 1e308, 0.0], "cov": self.GOOD["cov"]}]}))
-        (tmp / "ok.json").write_text(json.dumps(
-            {"frame": config["frame"], "weights": [1.0], "components": [self.GOOD]}))
-        res = run_console(tmp, "mw2", "bigbp.json", "ok.json", "--out", "out")
-        assert res.returncode == 2
-        assert res.stdout == "" and res.stderr.count("\n") == 1
-        assert json.loads(res.stderr)["error"] == "ValueError"
-        assert not (tmp / "out").exists()
-
-    def test_distmat_needs_two_mixtures(self, workspace, capsys):
-        tmp, _ = workspace
-        empty = tmp / "empty"
-        empty.mkdir()
-        assert run(["distmat", empty, "--out", tmp / "d.csv"]) == 2
-        capsys.readouterr()
-
 
 class TestTransport:
     def test_known_plan(self, workspace, capsys):
@@ -434,25 +239,6 @@ class TestTransport:
         assert json.loads(capsys.readouterr().out)["cost"] == 0.0
         payload = json.loads((tmp / "plan.json").read_text())
         assert payload["plan"] == [[0.5, 0.0], [0.0, 0.5]]
-
-    def test_bad_marginals(self, workspace, capsys):
-        tmp, _ = workspace
-        np.savetxt(tmp / "cost.csv", np.eye(2), delimiter=",")
-        assert run(["transport", tmp / "cost.csv", "--w0", "0.5"]) == 2
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("text", ["", "\n\n\n", "# costs\n"],
-                             ids=["empty", "blank", "comment"])
-    def test_cost_file_without_data(self, workspace, capsys, text):
-        tmp, _ = workspace
-        (tmp / "cost.csv").write_text(text)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert run(["transport", tmp / "cost.csv", "--out", tmp / "plan.json"]) == 2
-        assert caught == []
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and str(tmp / "cost.csv") in json.loads(err[0])["message"]
-        assert not (tmp / "plan.json").exists()
 
     @pytest.mark.parametrize("w0, code", [("0.5,0.500000005", 0), ("0.5,0.50000002", 2)])
     def test_marginal_tolerance(self, workspace, capsys, w0, code):
@@ -485,37 +271,6 @@ class TestChangepoint:
         assert hyper["min_size"] == 8
         assert hyper["p0"] == 0.0125
 
-    def test_short_series_rejected(self, workspace, capsys):
-        tmp, _ = workspace
-        D = np.zeros((10, 10))
-        save_distmat(tmp / "D.csv", D)
-        assert run(["changepoint", tmp / "D.csv"]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "SegmentTooSmall"
-
-    def test_overflowing_asymmetry_exits_2(self, workspace):
-        tmp, _ = workspace
-        D = np.zeros((30, 30))
-        D[0, 1], D[1, 0] = 1e308, -1e308
-        save_distmat(tmp / "D.csv", D)
-        res = run_console(tmp, "changepoint", "D.csv", "--out", "cps.json")
-        assert res.returncode == 2
-        assert res.stdout == "" and res.stderr.count("\n") == 1
-        assert json.loads(res.stderr)["error"] == "NotSymmetric"
-        assert not (tmp / "cps.json").exists()
-
-    def test_distances_near_the_float_max_exit_2(self, workspace):
-        tmp, _ = workspace
-        D = np.full((30, 30), 1e308)
-        np.fill_diagonal(D, 0.0)
-        save_distmat(tmp / "D.csv", D)
-        res = run_console(tmp, "changepoint", "D.csv", "--min-size", "2", "--R", "19",
-                          "--out", "cps.json")
-        assert res.returncode == 2
-        assert res.stdout == "" and res.stderr.count("\n") == 1
-        err = json.loads(res.stderr)
-        assert err["error"] == "ValueError" and "float maximum" in err["message"]
-        assert not (tmp / "cps.json").exists()
-
 
 class TestTriangles:
     def test_forward_then_backward(self, workspace, capsys):
@@ -543,49 +298,6 @@ class TestTriangles:
         assert np.max(np.diag(pairwise_geodesic(Y0, Y1))) < 1e-9
         capsys.readouterr()
 
-    def test_bad_angle_rows(self, workspace, capsys):
-        tmp, _ = workspace
-        (tmp / "angles.csv").write_text("theta,phi\n0.1\n")
-        code = run(
-            ["triangles", tmp / "angles.csv", "--mode", "backward",
-             "--out", tmp / "t.csv"]
-        )
-        assert code == 2
-        capsys.readouterr()
-
-    @pytest.mark.parametrize(
-        "mode, rows, code, error",
-        [
-            # a degenerate triangle in row 2 of 3
-            ("forward", "x11,x12,x21,x22,x31,x32\n0,0,1,0,0,1\n2,2,2,2,2,2\n0,0,2,0,1,1.7\n",
-             3, "DegenerateTriangle"),
-            ("forward", "0,0,1,0,0,1\n0,nan,1,0,0,1\n", 2, "ValueError"),
-            ("backward", "theta,phi\n0.5,0.1\n1.0,0.2\n3.2,0.3\n", 2, "ValueError"),
-        ],
-    )
-    def test_failing_row_writes_no_output(self, workspace, capsys, mode, rows, code, error):
-        tmp, _ = workspace
-        (tmp / "in.csv").write_text(rows)
-        assert run(["triangles", tmp / "in.csv", "--mode", mode, "--out", tmp / "out.csv"]) == code
-        assert json.loads(capsys.readouterr().err)["error"] == error
-        assert not (tmp / "out.csv").exists()
-
-    @pytest.mark.parametrize(
-        "mode, rows",
-        [
-            ("backward", "theta,phi\n0.5,inf\n"),
-            ("forward", "x11,x12,x21,x22,x31,x32\n0,0,1e200,0,0,1e200\n"),
-        ],
-        ids=["infinite-phi", "overflowing-vertices"],
-    )
-    def test_nonfinite_rows_print_one_stderr_line(self, workspace, mode, rows):
-        tmp, _ = workspace
-        (tmp / "in.csv").write_text(rows)
-        res = run_console(tmp, "triangles", "in.csv", "--mode", mode, "--out", "out.csv")
-        assert res.returncode == 2
-        assert res.stderr.count("\n") == 1
-        assert json.loads(res.stderr)["error"] == "ValueError"
-
     def test_mixed_angle_rows_take_psi_zero(self, workspace, capsys):
         tmp, _ = workspace
         (tmp / "angles.csv").write_text("theta,phi,psi\n0.5,0.1\n1.0,0.2,0.7\n2.0,-1.0\n")
@@ -599,28 +311,9 @@ class TestTriangles:
 
 
 class TestContours:
-    def make_frames(self, tmp, n_frames=2, per_frame=3, seed=0):
-        from bundlemw.contours import Contour, save_contours_json
-
-        rng = np.random.default_rng(seed)
-        fdir = tmp / "frames"
-        fdir.mkdir()
-        t = np.linspace(0, 2 * np.pi, 40, endpoint=False)
-        for f in range(n_frames):
-            cs = []
-            for _ in range(per_frame):
-                r = 1.0 + 0.05 * rng.standard_normal()
-                cs.append(
-                    Contour(
-                        np.vstack([r * np.cos(t), (1 + 0.3 * f) * r * np.sin(t)])
-                    )
-                )
-            save_contours_json(fdir / f"t{f}.json", cs)
-        return fdir
-
     def test_per_frame_mixtures_share_frame(self, workspace, capsys):
         tmp, _ = workspace
-        fdir = self.make_frames(tmp)
+        fdir = write_frames(tmp / "frames")
         out = tmp / "mixes"
         assert run(["contours", fdir, "--T", "30", "--out", out]) == 0
         capsys.readouterr()
@@ -640,7 +333,7 @@ class TestContours:
         # a fixed point of renormalization, so re-parsing the mixtures for
         # another process would move the last bit of its distances
         tmp, _ = workspace
-        fdir = self.make_frames(tmp, n_frames=6, seed=1)
+        fdir = write_frames(tmp / "frames", n_frames=6, seed=1)
         out = tmp / "mixes"
         assert run(["contours", fdir, "--T", "20", "--out", out]) == 0
         assert run(["distmat", out, "--jobs", "1", "--out", tmp / "d1.csv"]) == 0
@@ -653,35 +346,10 @@ class TestContours:
                 assert run(["mw2", out / f"{names[i]}.json", out / f"{names[j]}.json"]) == 0
                 assert json.loads(capsys.readouterr().out)["distance"] == D[i, j]
 
-    def test_empty_dir(self, workspace, capsys):
-        tmp, _ = workspace
-        empty = tmp / "nothing"
-        empty.mkdir()
-        assert run(["contours", empty, "--out", tmp / "out"]) == 2
-        capsys.readouterr()
-
-    @pytest.mark.parametrize(
-        "name, text",
-        [("a0.json", "[]\n"), ("z9.json", "[]\n"), ("z9.csv", "x,y\n")],
-        ids=["empty-first-json", "empty-later-json", "header-only-csv"],
-    )
-    def test_frame_without_contours(self, workspace, capsys, name, text):
-        tmp, _ = workspace
-        fdir = self.make_frames(tmp)
-        (fdir / name).write_text(text)
-        out = tmp / "mixes"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert run(["contours", fdir, "--T", "30", "--out", out]) == 2
-        assert caught == []
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and name in json.loads(err[0])["message"]
-        assert not out.exists()
-
     @pytest.mark.parametrize("seed", [0, 3])
     def test_mixtures_equal_per_shape_reference(self, workspace, capsys, seed):
         tmp, _ = workspace
-        fdir = self.make_frames(tmp, n_frames=3, per_frame=4, seed=seed)
+        fdir = write_frames(tmp / "frames", n_frames=3, per_frame=4, seed=seed)
         assert run(["contours", fdir, "--T", "30", "--out", tmp / "mixes"]) == 0
         capsys.readouterr()
         frame = standard_frame(60)
@@ -710,10 +378,347 @@ class TestArgErrors:
         assert cli.main(["--help"]) == 0
         capsys.readouterr()
 
-    def test_every_package_error_has_one_exit_code(self):
-        classes = [c for c in vars(errors).values()
-                   if isinstance(c, type) and issubclass(c, errors.BundleMWError)
-                   and c is not errors.BundleMWError]
-        assert len(classes) >= 13
-        for c in classes:
-            assert (c in cli._NUMERICAL_ERRORS) + (c in cli._VALIDATION_ERRORS) == 1, c
+
+# ---------------------------------------------------------------------------
+# Exit codes: the class of an error decides its code.
+
+EXIT_CODES = {
+    errors.NoConvergence: 3, errors.AntipodalPoint: 3, errors.EmptyCluster: 3,
+    errors.DegenerateMatrix: 3, errors.ClusterTooSmall: 3, errors.DegenerateTriangle: 3,
+    errors.DegenerateContour: 3, MemoryError: 3, FloatingPointError: 3,
+    errors.NotSymmetric: 2, errors.DimensionMismatch: 2, errors.InfeasibleWeights: 2,
+    errors.FrameMismatch: 2, errors.SegmentTooSmall: 2,
+    ValueError: 2, TypeError: 2, KeyError: 2, OSError: 2, OverflowError: 2,
+}
+
+
+def test_every_error_class_exits_with_its_pinned_code(monkeypatch, capsys):
+    package = {c for c in vars(errors).values() if isinstance(c, type)
+               and issubclass(c, errors.BundleMWError)} - {errors.BundleMWError, errors.NumericalError}
+    assert package == {c for c in EXIT_CODES if issubclass(c, errors.BundleMWError)}
+    assert sorted(EXIT_CODES[c] for c in package) == [2] * 5 + [3] * 7
+    for c in package:
+        assert issubclass(c, errors.NumericalError) != issubclass(c, ValueError), c
+    for c, code in EXIT_CODES.items():
+        def fail(args, c=c):
+            raise c("pinned")
+
+        monkeypatch.setattr(cli, "cmd_triangles", fail)
+        assert cli.main(["triangles", "in.csv", "--out", "out.csv"]) == code, c
+        assert json.loads(capsys.readouterr().err)["error"] == c.__name__
+
+
+# ---------------------------------------------------------------------------
+# Malformed inputs: every subcommand against a corpus of bad files and flags.
+# A file's content is text, a callable that writes the path, or None for an
+# empty directory.
+
+DEEP = "[" * 200_000 + "]" * 200_000
+SAMPLES = ("x0,x1,x2,label\n1,0,0,-1\n0.99,0.1,0,-1\n0.99,0,0.1,-1\n0.99,-0.1,0,-1\n"
+           "0,1,0,-1\n0.1,0.99,0,-1\n0,0.99,0.1,-1\n-0.1,0.99,0,-1\n")
+
+
+def mixture(components=(GOOD,), weights=(1.0,), frame=FRAME):
+    return json.dumps({"frame": frame, "weights": weights, "components": components})
+
+
+def one_component(cov, basepoint=GOOD["basepoint"]):
+    return mixture([{"basepoint": basepoint, "cov": cov}])
+
+
+def config(**fields):
+    return json.dumps(dict(CONFIG, **fields))
+
+
+def component_config(basepoint=(1.0, 0.0, 0.0), cov=((0.01, 0.0), (0.0, 0.01))):
+    """A simulate config of one component."""
+    return config(mixture={"weights": [1.0], "components": [{"basepoint": basepoint, "cov": cov}]})
+
+
+def frame_file(dim=3):
+    return lambda path: save_frame(path, standard_frame(dim))
+
+
+def fit_files(samples=SAMPLES, frame=None):
+    return {"samples.csv": samples, "frame.json": frame or frame_file()}
+
+
+def distances(n, fill=1.0, pair=None):
+    """A distmat.csv writer: ``fill`` off the zero diagonal, ``pair`` at (0, 1) and (1, 0)."""
+    D = np.full((n, n), fill)
+    np.fill_diagonal(D, 0.0)
+    if pair is not None:
+        D[0, 1], D[1, 0] = pair
+    return lambda path: save_distmat(path, D)
+
+
+def contours(last):
+    """Two fittable frames and a last one, t9.json, with this content."""
+    return {"frames": write_frames, "frames/t9.json": last}
+
+
+def circle(scale=1.0, n=8):
+    t = np.linspace(0, 2 * np.pi, n, endpoint=False)
+    return (scale * np.vstack([np.cos(t), np.sin(t)])).tolist()
+
+
+NAN, INF = float("nan"), float("inf")
+SIMULATE = "simulate config.json --out samples.csv"
+FIT = "fit samples.csv --frame frame.json --K 2 --out fit"
+KMODES = "fit samples.csv --frame frame.json --method kmodes --q 0.5 --out fit"
+MW2 = "mw2 bad.json good.json --out plan.json"
+DISTMAT = "distmat mixes --out d.csv"
+TRANSPORT = "transport cost.csv --out plan.json"
+CHANGEPOINT = "changepoint D.csv --min-size 2 --R 19 --out cps.json"
+FORWARD = "triangles in.csv --mode forward --out out.csv"
+BACKWARD = "triangles in.csv --mode backward --out out.csv"
+CONTOURS = "contours frames --T 30 --out mixes"
+
+# id, command line, files, exit code, error class, a part of the message
+CORPUS = [
+    ("simulate-empty", SIMULATE, {"config.json": ""}, 2, "ValueError", "not valid JSON"),
+    ("simulate-bad-json", SIMULATE, {"config.json": '{"frame": [,]}'}, 2, "ValueError", "line 1"),
+    ("simulate-deep-nesting", SIMULATE, {"config.json": DEEP}, 2, "ValueError", "config.json"),
+    ("simulate-huge-n", SIMULATE, {"config.json": config(n=10**30)}, 2, "OverflowError", ""),
+    ("simulate-zero-n", SIMULATE, {"config.json": config(n=0)}, 2, "ValueError", "'n'"),
+    ("simulate-float-n", SIMULATE, {"config.json": config(n=2.5)}, 2, "ValueError", "'n'"),
+    ("simulate-missing-section", SIMULATE,
+     {"config.json": json.dumps({k: v for k, v in CONFIG.items() if k != "mixture"})},
+     2, "ValueError", "mixture"),
+    ("simulate-list", SIMULATE, {"config.json": "[1, 2]"}, 2, "ValueError", "frame"),
+    ("simulate-frame-string", SIMULATE, {"config.json": config(frame="x")}, 2, "TypeError", ""),
+    ("simulate-nan-basis", SIMULATE,
+     {"config.json": config(frame={"p": [1, 0, 0], "basis": [[0, NAN, 0], [0, 0, 1]]})},
+     2, "ValueError", "finite"),
+    ("simulate-nan-cov", SIMULATE, {"config.json": component_config(cov=[[NAN, 0], [0, 1]])},
+     2, "ValueError", "finite"),
+    ("simulate-1e308-cov", SIMULATE,
+     {"config.json": component_config(cov=[[1e308, 0], [0, 1e308]])}, 3, "FloatingPointError", ""),
+    ("simulate-puncture", SIMULATE, {"config.json": component_config(basepoint=[-1, 0, 0])},
+     2, "ValueError", "puncture"),
+    ("simulate-missing-file", SIMULATE, {}, 2, "FileNotFoundError", ""),
+
+    ("fit-empty", FIT, fit_files(""), 2, "ValueError", "samples.csv"),
+    ("fit-comment-only", FIT, fit_files("# samples\n"), 2, "ValueError", "samples.csv"),
+    ("fit-zero-rows", FIT, fit_files("x0,x1,x2,label\n"), 2, "ValueError", "no data rows"),
+    ("fit-ragged", FIT, fit_files(SAMPLES + "1,0,-1\n"), 2, "ValueError", "line 10"),
+    ("fit-one-column", FIT, fit_files("1\n2\n3\n"), 2, "ValueError", "R^D"),
+    ("fit-inf", FIT, fit_files(SAMPLES + "inf,0,0,-1\n"), 2, "ValueError", "finite"),
+    ("fit-kmodes-minus-inf", KMODES, fit_files(SAMPLES + "-inf,0,0,-1\n"), 2, "ValueError", "finite"),
+    ("fit-all-at-puncture", "fit samples.csv --frame frame.json --K 1 --out fit",
+     fit_files("x0,x1,x2,label\n-1,0,0,-1\n-1,0,0,-1\n-1,0,0,-1\n"), 3, "AntipodalPoint", ""),
+    ("fit-more-clusters-than-points", "fit samples.csv --frame frame.json --K 99 --out fit",
+     fit_files(), 3, "EmptyCluster", ""),
+    ("fit-missing-K", "fit samples.csv --frame frame.json --out fit", fit_files(),
+     2, "ValueError", "--K"),
+    ("fit-missing-frame", "fit samples.csv --frame nope.json --K 2 --out fit",
+     {"samples.csv": SAMPLES}, 2, "FileNotFoundError", ""),
+    ("fit-frame-deep-nesting", FIT, fit_files(frame=DEEP), 2, "ValueError", "frame.json"),
+    ("fit-frame-list", FIT, fit_files(frame="[1, 2]"), 2, "TypeError", ""),
+    ("fit-frame-inf-basis", FIT,
+     fit_files(frame=json.dumps({"p": [1, 0, 0], "basis": [[0, INF, 0], [0, 0, 1]]})),
+     2, "ValueError", "finite"),
+    *[(f"fit-{method}-frame-of-another-dimension", f"fit samples.csv --frame frame4.json "
+       f"--method {method} --K 2 --q 0.3 --out fit",
+       {"samples.csv": SAMPLES, "frame4.json": frame_file(4)}, 2, "DimensionMismatch", "")
+      for method in ("kmeans", "kmodes")],
+    ("fit-too-few-points-per-cluster", "fit tiny.csv --frame frame.json --K 3 --out fit",
+     {"tiny.csv": "x0,x1,x2,label\n1,0,0,-1\n0,1,0,-1\n0,0,1,-1\n", "frame.json": frame_file()},
+     3, "ClusterTooSmall", ""),
+    *[(f"fit-{method}-{name}-row", f"fit bad.csv --frame frame.json --method {method} --K 2 "
+       "--q 0.5 --out fit",
+       {"bad.csv": f"x0,x1,x2,label\n1,0,0,-1\n0,1,0,-1\n{row},-1\n0,0,1,-1\n",
+        "frame.json": frame_file()}, 2, "ValueError", "")
+      for method in ("kmeans", "kmodes")
+      for name, row in (("zero", "0,0,0"), ("nan", "nan,0,1"), ("1e308", "1e308,1e308,0"))],
+
+    ("mw2-empty", MW2, {"bad.json": "", "good.json": mixture()}, 2, "ValueError", "bad.json"),
+    ("mw2-deep-nesting", MW2, {"bad.json": DEEP, "good.json": mixture()},
+     2, "ValueError", "bad.json"),
+    ("mw2-list", MW2, {"bad.json": "[]", "good.json": mixture()}, 2, "TypeError", ""),
+    ("mw2-null", MW2, {"bad.json": "null", "good.json": mixture()}, 2, "TypeError", ""),
+    ("mw2-weights-object", MW2, {"bad.json": mixture(weights={"a": 1}), "good.json": mixture()},
+     2, "TypeError", ""),
+    ("mw2-cov-string", MW2, {"bad.json": one_component("x"), "good.json": mixture()}, 2, "ValueError", ""),
+    ("mw2-ragged-cov", MW2, {"bad.json": one_component([[0.1], [0, 0.1]]), "good.json": mixture()},
+     2, "ValueError", ""),
+    ("mw2-nan-cov", MW2, {"bad.json": one_component([[NAN, 0], [0, 0.1]]), "good.json": mixture()},
+     2, "ValueError", "finite"),
+    ("mw2-minus-inf-cov", MW2, {"bad.json": one_component([[-INF, 0], [0, 0.1]]), "good.json": mixture()},
+     2, "ValueError", "finite"),
+    ("mw2-inf-basepoint", MW2,
+     {"bad.json": one_component(GOOD["cov"], [INF, 0.6, 0.8]), "good.json": mixture()},
+     2, "ValueError", "finite"),
+    ("mw2-huge-integer", MW2, {"bad.json": one_component([[10**400, 0], [0, 1]]), "good.json": mixture()},
+     2, "OverflowError", ""),
+    ("mw2-1e308-weights", MW2,
+     {"bad.json": mixture([GOOD, GOOD], [1e308, 1e308]), "good.json": mixture()},
+     3, "FloatingPointError", ""),
+    ("mw2-zero-components", MW2, {"bad.json": mixture([], []), "good.json": mixture()},
+     2, "ValueError", ""),
+    ("mw2-missing-frame", MW2,
+     {"bad.json": json.dumps({"weights": [1.0], "components": [GOOD]}), "good.json": mixture()},
+     2, "KeyError", ""),
+    ("mw2-other-frame", MW2, {"bad.json": mixture(frame=frame_to_dict(random_frame(
+        Point([1.0, 0.0, 0.0]), 5))), "good.json": mixture()}, 2, "FrameMismatch", ""),
+    ("mw2-1e308-cov-big-small", "mw2 big.json small.json --out out",
+     {"big.json": one_component([[1e308, 0.0], [0.0, 1e308]]), "small.json": mixture()},
+     3, "FloatingPointError", ""),
+    ("mw2-1e308-cov-big-big", "mw2 big.json big.json --out out",
+     {"big.json": one_component([[1e308, 0.0], [0.0, 1e308]])}, 3, "FloatingPointError", ""),
+    ("mw2-overflowing-asymmetry", "mw2 asym.json ok.json --out out",
+     {"asym.json": one_component([[1.0, 1e308], [-1e308, 1.0]]), "ok.json": mixture()},
+     2, "NotSymmetric", ""),
+    ("mw2-1e308-basepoint", "mw2 bigbp.json ok.json --out out",
+     {"bigbp.json": one_component(GOOD["cov"], [1e308, 1e308, 0.0]), "ok.json": mixture()},
+     2, "ValueError", "too large"),
+    *[(f"mw2-{name}", MW2, {"bad.json": mixture(components, weights), "good.json": mixture()},
+       code, error, "")
+      for name, components, weights, code, error in [
+          ("asymmetric", [{"basepoint": [0.0, 0.6, 0.8], "cov": [[0.01, 0.5], [0.0, 0.02]]}],
+           [1.0], 2, "NotSymmetric"),
+          ("negative-eigenvalue",
+           [{"basepoint": [0.0, 0.6, 0.8], "cov": [[-1.0, 0.0], [0.0, 0.02]]}],
+           [1.0], 3, "DegenerateMatrix"),
+          ("puncture", [{"basepoint": [-1.0, 0.0, 0.0], "cov": [[0.01, 0.0], [0.0, 0.02]]}],
+           [1.0], 2, "ValueError"),
+          ("short-basepoint", [{"basepoint": [0.0, 1.0], "cov": [[0.01, 0.0], [0.0, 0.02]]}],
+           [1.0], 2, "DimensionMismatch"),
+          ("missing-cov", [{"basepoint": [0.0, 0.6, 0.8]}], [1.0], 2, "KeyError"),
+          ("second-asymmetric",
+           [GOOD, {"basepoint": [0.0, 0.6, 0.8], "cov": [[0.01, 0.5], [0.0, 0.02]]}],
+           [0.5, 0.5], 2, "NotSymmetric"),
+          ("second-negative-eigenvalue",
+           [GOOD, {"basepoint": [0.0, 0.6, 0.8], "cov": [[-1.0, 0.0], [0.0, 0.02]]}],
+           [0.5, 0.5], 3, "DegenerateMatrix"),
+          ("nan-weight", [GOOD], [NAN], 2, "ValueError"),
+          ("ragged-basepoints",
+           [GOOD, {"basepoint": [0.0, 0.0, 0.6, 0.8], "cov": [[0.01, 0.0], [0.0, 0.02]]}],
+           [0.5, 0.5], 2, "DimensionMismatch"),
+          ("ragged-covs",
+           [GOOD, {"basepoint": [0.0, 0.6, 0.8], "cov": np.diag([0.01, 0.02, 0.03]).tolist()}],
+           [0.5, 0.5], 2, "DimensionMismatch"),
+      ]],
+
+    ("distmat-no-mixture", "distmat empty --out d.csv", {"empty": None},
+     2, "ValueError", "two mixture files"),
+    ("distmat-empty-file", DISTMAT, {"mixes/a.json": mixture(), "mixes/b.json": ""},
+     2, "ValueError", "b.json"),
+    ("distmat-deep-nesting", DISTMAT, {"mixes/a.json": mixture(), "mixes/b.json": DEEP},
+     2, "ValueError", "b.json"),
+    ("distmat-nan-basepoint", DISTMAT,
+     {"mixes/a.json": mixture(), "mixes/b.json": one_component(GOOD["cov"], [NAN, 0.6, 0.8])},
+     2, "ValueError", "finite"),
+    ("distmat-frame-mismatch", DISTMAT,
+     {f"mixes/m{i}.json": json.dumps(dict(CONFIG["mixture"], frame=frame))
+      for i, frame in enumerate([FRAME, FRAME, frame_to_dict(random_frame(
+          Point([1.0, 0.0, 0.0]), 5))])}, 2, "FrameMismatch", ""),
+    ("distmat-1e308-cov", "distmat mixes --out out",
+     {"mixes/big.json": one_component([[1e308, 0.0], [0.0, 1e308]]), "mixes/small.json": mixture()},
+     3, "FloatingPointError", ""),
+
+    *[(f"transport-{name}", TRANSPORT, {"cost.csv": text}, 2, "ValueError", "cost.csv")
+      for name, text in (("empty", ""), ("blank", "\n\n\n"), ("comment-only", "# costs\n"),
+                         ("ragged", "0,1\n1\n"), ("text", "0,1\n1,abc\n"))],
+    *[(f"transport-{name}", TRANSPORT, {"cost.csv": f"0,{value}\n1,0\n"},
+       2, "ValueError", "finite") for name, value in (("nan", "nan"), ("inf", "inf"),
+                                                      ("minus-inf", "-inf"))],
+    ("transport-1e308", TRANSPORT, {"cost.csv": "0,1e308\n1e308,0\n"},
+     3, "FloatingPointError", ""),
+    ("transport-short-marginal", "transport cost.csv --w0 0.5",
+     {"cost.csv": lambda path: np.savetxt(path, np.eye(2), delimiter=",")},
+     2, "ValueError", "--w0"),
+    ("transport-nan-marginal", "transport cost.csv --w0 nan,nan --out plan.json",
+     {"cost.csv": "0,1\n1,0\n"}, 2, "InfeasibleWeights", ""),
+    ("transport-text-marginal", "transport cost.csv --w0 a,b --out plan.json",
+     {"cost.csv": "0,1\n1,0\n"}, 2, "ValueError", "--w0"),
+
+    *[(f"changepoint-{name}", CHANGEPOINT, {"D.csv": text}, 2, "ValueError", message)
+      for name, text, message in (
+          ("empty", "", "D.csv"), ("comment-only", "# D\n", "D.csv"),
+          ("ragged", "0,1\n1\n", "D.csv"), ("not-square", "0,1,2\n1,0,2\n", "square"),
+          ("nonzero-diagonal", "1,1,1,1\n1,1,1,1\n1,1,1,1\n1,1,1,1\n", "diagonal"))],
+    *[(f"changepoint-{name}", CHANGEPOINT, {"D.csv": distances(6, pair=pair)},
+       2, "ValueError", message)
+      for name, pair, message in (("nan", (NAN, NAN), "finite"), ("inf", (INF, INF), "finite"),
+                                  ("negative", (-1.0, -1.0), "negative"))],
+    ("changepoint-short-series", "changepoint D.csv --out cps.json",
+     {"D.csv": distances(10, fill=0.0)}, 2, "SegmentTooSmall", ""),
+    ("changepoint-overflowing-asymmetry", "changepoint D.csv --out cps.json",
+     {"D.csv": distances(30, fill=0.0, pair=(1e308, -1e308))}, 2, "NotSymmetric", ""),
+    ("changepoint-float-max", CHANGEPOINT, {"D.csv": distances(30, fill=1e308)},
+     2, "ValueError", "float maximum"),
+
+    *[(f"triangles-{name}", FORWARD, {"in.csv": text}, 2, "ValueError", message)
+      for name, text, message in (
+          ("empty", "", "in.csv"), ("comment-only", "# triangles\n", "in.csv"),
+          ("ragged", "0,0,1,0,0,1\n0,0,1\n", "in.csv"), ("five-columns", "0,0,1,0,0\n", "six"),
+          ("nan", "0,0,1,0,0,1\n0,nan,1,0,0,1\n", "finite"), ("inf", "0,0,inf,0,0,1\n", "finite"),
+          ("overflowing-vertices", "x11,x12,x21,x22,x31,x32\n0,0,1e200,0,0,1e200\n", ""),
+          ("1e308", "0,0,1e308,0,0,1e308\n", ""))],
+    ("triangles-degenerate", FORWARD,
+     {"in.csv": "x11,x12,x21,x22,x31,x32\n0,0,1,0,0,1\n2,2,2,2,2,2\n0,0,2,0,1,1.7\n"},
+     3, "DegenerateTriangle", ""),
+    *[(f"triangles-backward-{name}", BACKWARD, {"in.csv": text}, 2, "ValueError", message)
+      for name, text, message in (
+          ("empty", "", "in.csv"), ("short-row", "theta,phi\n0.1\n", "theta,phi"),
+          ("four-columns", "0.5,0.1,0.1,0.1\n", "theta,phi"),
+          ("theta-above-pi", "theta,phi\n0.5,0.1\n1.0,0.2\n3.2,0.3\n", "theta"),
+          ("nan-theta", "theta,phi\nnan,0.1\n", "theta"),
+          ("infinite-phi", "theta,phi\n0.5,inf\n", "finite"))],
+
+    ("contours-missing-dir", "contours nowhere --out mixes", {}, 2, "FileNotFoundError", ""),
+    ("contours-no-contour-file", "contours nothing --out mixes", {"nothing": None},
+     2, "ValueError", "nothing"),
+    *[(f"contours-{name}", CONTOURS, {"frames": write_frames, f"frames/{file}": text},
+       2, "ValueError", file)
+      for name, file, text in (("empty-first-json", "a0.json", "[]\n"),
+                               ("empty-later-json", "z9.json", "[]\n"),
+                               ("header-only-csv", "z9.csv", "x,y\n"),
+                               ("empty-csv", "z9.csv", ""), ("comment-only-csv", "z9.csv", "# x\n"),
+                               ("ragged-csv", "z9.csv", "x,y\n0,0\n1\n"),
+                               ("empty-json", "z9.json", ""), ("deep-nesting", "z9.json", DEEP))],
+    ("contours-json-object", CONTOURS, contours('{"a": 1}'), 2, "ValueError", ""),
+    ("contours-json-null", CONTOURS, contours("null"), 2, "TypeError", ""),
+    ("contours-three-rows", CONTOURS, contours("[[[0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 1, 1]]]"),
+     2, "ValueError", "2 x T"),
+    ("contours-nan", CONTOURS, contours(json.dumps([circle(), circle()]).replace("1.0", "NaN", 1)),
+     2, "ValueError", "finite"),
+    ("contours-1e308", CONTOURS, contours(json.dumps([circle(1e308), circle()])),
+     3, "FloatingPointError", ""),
+    ("contours-zero-length", CONTOURS, contours(json.dumps([circle(0.0), circle()])),
+     3, "DegenerateContour", ""),
+    ("contours-too-few-points", CONTOURS, contours(json.dumps([[[0, 1], [0, 0]], circle()])),
+     2, "ValueError", "4 boundary points"),
+    # the first two frames fit; nothing of theirs may be written
+    ("contours-later-frame-one-contour", CONTOURS, contours(json.dumps([circle()])),
+     3, "ClusterTooSmall", ""),
+]
+
+
+@pytest.mark.parametrize("argv, files, code, error, message",
+                         [row[1:] for row in CORPUS], ids=[row[0] for row in CORPUS])
+def test_malformed_input(tmp_path, monkeypatch, capsys, argv, files, code, error, message):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if content is None:
+            path.mkdir()
+        elif callable(content):
+            content(path)
+        else:
+            path.write_text(content)
+    before = sorted(tmp_path.rglob("*"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv.split()) == code
+    # a warning would print a second stderr line from the console command
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    failure = json.loads(err)
+    assert failure["error"] == error and message in failure["message"]
+    assert code in (2, 3)
+    assert issubclass(getattr(errors, error, None) or getattr(builtins, error), BaseException)
+    assert sorted(tmp_path.rglob("*")) == before

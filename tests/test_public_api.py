@@ -13,10 +13,10 @@ import bundlemw
 
 PUBLIC = [
     "AntipodalPoint", "BundleMWError", "ChangePoint", "ChangePointReport",
-    "ClusterTooSmall", "Clustering", "Contour", "DegenerateContour", "DegenerateFrame",
-    "DegenerateMatrix", "DegenerateTriangle", "DimensionMismatch", "EmptyCluster",
-    "FrameMismatch", "GaussianMixture", "InfeasibleWeights", "MW2Result", "MovingFrame",
-    "NoConvergence", "NotSymmetric", "OUTLIER", "Point", "SegmentTooSmall", "TransportPlan",
+    "ClusterTooSmall", "Clustering", "Contour", "DegenerateContour", "DegenerateMatrix",
+    "DegenerateTriangle", "DimensionMismatch", "EmptyCluster", "FrameMismatch",
+    "GaussianMixture", "InfeasibleWeights", "MW2Result", "MovingFrame", "NoConvergence",
+    "NotSymmetric", "NumericalError", "OUTLIER", "Point", "SegmentTooSmall", "TransportPlan",
     "align_shape", "check_same_frame", "clustering_to_dict", "contour_to_srvf",
     "e_divisive", "exp_batch", "fit_mixture", "frame_from_dict", "frame_to_dict",
     "frames_equal", "frechet_mean", "geodesic_distance", "hopf_backward", "hopf_forward",
@@ -31,8 +31,9 @@ PUBLIC = [
     "triangle_preshape",
 ]
 
-# The one-object-per-point layer over the array kernels, and the kernels'
-# former names: none of them is exported or defined any more.
+# The one-object-per-point layer over the array kernels, the kernels' former
+# names and an error class nothing raised: none of them is exported or
+# defined any more.
 REMOVED = {
     "geometry": """TangentVector sphere_exp sphere_log parallel_transport tangent_coordinates
         tangent_from_coordinates build_reference_frame transported_basis""",
@@ -43,6 +44,7 @@ REMOVED = {
     "transport": "mw2_distance",
     "changepoint": "energy_statistic best_split load_report report_from_dict",
     "estimation": "load_clustering clustering_from_dict",
+    "errors": "DegenerateFrame",
 }
 
 
