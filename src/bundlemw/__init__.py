@@ -27,9 +27,9 @@ _TABLE = {
         riemannian_kmeans save_clustering""",
     "gauss": """GaussianMixture check_same_frame load_mixture mixture_from_dict
         mixture_to_dict normalize_minimal_form pairwise_w2sq save_mixture""",
-    "geometry": """MovingFrame Point exp_batch frame_from_dict frame_to_dict frames_equal
-        frechet_mean geodesic_distance load_frame log_batch pairwise_geodesic save_frame
-        standard_frame transport_batch transport_frame""",
+    "geometry": """MovingFrame exp_batch frame_from_dict frame_to_dict frames_equal
+        frechet_mean load_frame log_batch pairwise_geodesic save_frame standard_frame
+        transport_batch transport_frame""",
     "sampling": "load_samples sample_mixture save_samples",
     "transport": """MW2Result TransportPlan mw2 pairwise_mw2 result_to_dict save_result
         solve_transportation""",

@@ -59,10 +59,10 @@ def cmd_simulate(args) -> int:
         if field not in cfg:
             raise _config_error(field, "missing")
     n = cfg["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # a bool is an int, but not a count
         raise _config_error("n", f"must be a positive integer, got {n!r}")
     seed = cfg["seed"]
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise _config_error("seed", f"must be an integer, got {seed!r}")
     mix_section = cfg["mixture"]
     for field in ("weights", "components"):
@@ -245,8 +245,8 @@ def cmd_contours(args) -> int:
     for name, Q in stacks.items():
         aligned, _ = align_shape(reference, Q, seam_search=True)
         mean = frechet_mean(aligned.reshape(len(Q), -1))
-        _, cov = shape_statistics(aligned, mean.coords.reshape(2, T), sphere_frame)
-        mixtures[name] = GaussianMixture([1.0], mean.coords[None], cov[None], sphere_frame)
+        _, cov = shape_statistics(aligned, mean.reshape(2, T), sphere_frame)
+        mixtures[name] = GaussianMixture([1.0], mean[None], cov[None], sphere_frame)
     # every frame is fitted before the first file is written, so a failing
     # frame leaves no output behind
     outdir = Path(args.out)

@@ -26,10 +26,8 @@ from .errors import ClusterTooSmall, DegenerateContour, DimensionMismatch, NoCon
 from .geometry import (
     _BLOCK_CELLS,
     MovingFrame,
-    Point,
     _unit_rows,
     frechet_mean,
-    geodesic_distance,
     log_batch,
     pairwise_geodesic,
     standard_frame,
@@ -194,9 +192,9 @@ def shape_frechet_mean(
     mean = Q[0]
     for _ in range(max_iter):
         aligned, _ = align_shape(mean, Q, seam_search)
-        new_flat = frechet_mean(aligned.reshape(len(Q), -1), tol=min(tol, 1e-10))
-        moved = geodesic_distance(Point(mean.ravel()), new_flat)
-        mean = new_flat.coords.reshape(mean.shape)
+        new = frechet_mean(aligned.reshape(len(Q), -1), tol=min(tol, 1e-10))
+        moved = pairwise_geodesic(_unit_rows(mean.reshape(1, -1)), new[None])[0, 0]
+        mean = new.reshape(mean.shape)
         if moved < tol:
             return mean, aligned
     raise NoConvergence(f"shape mean did not stabilize in {max_iter} rounds")

@@ -140,7 +140,7 @@ def riemannian_kmeans(
             converged = True
             break
         labels = new_labels
-        C = np.array([frechet_mean(X[labels == k], tol=tol).coords for k in range(K)])
+        C = np.array([frechet_mean(X[labels == k], tol=tol) for k in range(K)])
     sizes = list(np.bincount(labels, minlength=K))
     return Clustering(labels=labels, sizes=sizes, centers=C, converged=converged)
 
@@ -235,9 +235,9 @@ def fit_mixture(X, clustering: Clustering, frame: MovingFrame) -> GaussianMixtur
         If the rows of X do not lie in the frame's ambient dimension.
     """
     X = _unit_rows(X)
-    if X.shape[1] != frame.p.dim:
+    if X.shape[1] != frame.p.size:
         raise DimensionMismatch(
-            f"samples have {X.shape[1]} coordinates but the frame has {frame.p.dim}"
+            f"samples have {X.shape[1]} coordinates but the frame has {frame.p.size}"
         )
     if X.shape[0] != clustering.labels.size:
         raise ValueError("points and clustering labels have different lengths")
@@ -253,7 +253,7 @@ def fit_mixture(X, clustering: Clustering, frame: MovingFrame) -> GaussianMixtur
     elif clustering.modes is not None:
         means = _unit_rows(X[clustering.modes])
     else:
-        means = np.array([frechet_mean(X[idx]).coords for idx in members])
+        means = np.array([frechet_mean(X[idx]) for idx in members])
     covs = []
     for m, idx in zip(means, members):
         V = log_batch(m, X[idx]) @ transport_frame(frame, m).T

@@ -106,16 +106,17 @@ class GaussianMixture:
             raise ValueError("a mixture needs at least one component")
         S, roots = _check_covs(S)
         M = np.asarray(means, dtype=float)
-        if M.shape != (len(S), frame.p.dim) or S.shape[1] != frame.dim:
+        if M.shape != (len(S), frame.p.size) or S.shape[1] != frame.dim:
             raise DimensionMismatch("component dimension does not match the frame")
         w = np.asarray(weights, dtype=float)
         if w.shape != (len(S),):
             raise ValueError("weights and components have different lengths")
-        if not np.isfinite(w).all() or np.any(w < -1e-10) or abs(float(w.sum()) - 1.0) > 1e-10:
-            raise ValueError("weights must be a finite probability vector (sum 1 within 1e-10)")
+        with np.errstate(over="ignore"):  # an infinite sum is not 1
+            if not np.isfinite(w).all() or np.any(w < -1e-10) or abs(float(w.sum()) - 1.0) > 1e-10:
+                raise ValueError("weights must be a finite probability vector (sum 1 within 1e-10)")
         if not (np.abs(np.sqrt(np.vecdot(M, M)) - 1.0) <= 1e-10).all():
             raise ValueError("component basepoints must be unit vectors")
-        if np.any(np.vecdot(M, frame.p.coords) <= -1.0 + ANTIPODE_TOL):
+        if np.any(np.vecdot(M, frame.p) <= -1.0 + ANTIPODE_TOL):
             raise ValueError("component basepoint sits at the puncture of the frame")
         self.weights = _frozen(np.clip(w, 0.0, None))
         self.means = _frozen(M)

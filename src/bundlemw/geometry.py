@@ -4,9 +4,9 @@ Provides exponential/log maps, geodesic distance, parallel transport along
 minimal geodesics, Frechet means, and moving frames: an orthonormal tangent
 basis at a distinguished point, transported to arbitrary points to give a
 consistent coordinate system on every tangent space.  Points and tangent
-vectors are the rows of (n, D) arrays; a ``Point`` holds one unit vector,
-such as a frame's base point or a Frechet mean.  All operations are pure
-functions of immutable values and safe to share across threads.
+vectors are the rows of (n, D) arrays; a single point, such as a frame's
+base point or a Frechet mean, is one unit (D,) vector.  All operations are
+pure functions of immutable values and safe to share across threads.
 
 Accuracy is only guaranteed away from the puncture: transports and logs to
 points m with <p, m> <= -1 + 1e-10 raise :class:`AntipodalPoint`, and
@@ -25,29 +25,6 @@ from .errors import AntipodalPoint, NoConvergence
 
 # <p,q> at or below -1 + ANTIPODE_TOL counts as the puncture.
 ANTIPODE_TOL = 1e-10
-
-
-class Point:
-    """A point on the unit sphere, stored as a unit vector in R^D.
-
-    Coordinates are renormalized on construction; zero vectors are rejected.
-    """
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        c = np.asarray(coords, dtype=float)
-        if c.ndim != 1:
-            raise ValueError("point coordinates must be a vector in R^D, D >= 2")
-        self.coords = _unit_rows(c[None])[0]
-
-    @property
-    def dim(self) -> int:
-        """Ambient dimension D."""
-        return self.coords.size
-
-    def __repr__(self) -> str:
-        return f"Point({np.array2string(self.coords, precision=6)})"
 
 
 def _unit_rows(X) -> np.ndarray:
@@ -75,6 +52,7 @@ def _unit_rows(X) -> np.ndarray:
 class MovingFrame:
     """A distinguished point with a full orthonormal tangent basis.
 
+    ``p`` is given in R^D and stored scaled to unit norm, read-only;
     ``matrix`` holds the d = D - 1 basis vectors at ``p`` as the rows of a
     read-only d x D array.  Its entries must be finite and each row must be
     tangent at ``p`` to 1e-10 (relative to its norm); the residual normal
@@ -86,9 +64,10 @@ class MovingFrame:
 
     __slots__ = ("p", "matrix")
 
-    def __init__(self, p: Point, basis):
-        self.p = p
-        self.matrix = _tangent_basis(p.coords, basis)
+    def __init__(self, p, basis):
+        self.p = _unit_rows(np.asarray(p, dtype=float)[None])[0]
+        self.p.setflags(write=False)
+        self.matrix = _tangent_basis(self.p, basis)
 
     @property
     def dim(self) -> int:
@@ -135,17 +114,11 @@ def _last_axis_norm(A: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(A * A, axis=-1))
 
 
-def geodesic_distance(p: Point, q: Point) -> float:
-    """Great-circle distance arccos(<p, q>) in [0, pi], a one-row call of
-    :func:`pairwise_geodesic`."""
-    return float(pairwise_geodesic(p.coords[None], q.coords[None])[0, 0])
-
-
-def frechet_mean(X, weights=None, tol: float = 1e-10, max_iter: int = 200) -> Point:
-    """Weighted Frechet (Karcher) mean of the rows of X (n x D).
+def frechet_mean(X, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
+    """Frechet (Karcher) mean of the rows of X (n x D), a unit (D,) vector.
 
     Rows are normalized to the sphere first.  Starting from the normalized
-    Euclidean mean, iterates m <- exp_m(sum_i w_i log_m(x_i)) until the
+    Euclidean mean, iterates m <- exp_m(mean_i log_m(x_i)) until the
     tangent update norm drops below ``tol``.  Uniqueness is only guaranteed
     when the points lie in an open geodesic ball of radius < pi/2 around
     the initializer; this is not checked.
@@ -160,26 +133,16 @@ def frechet_mean(X, weights=None, tol: float = 1e-10, max_iter: int = 200) -> Po
     if len(X) == 0:
         raise ValueError("frechet_mean needs at least one point")
     X = _unit_rows(X)
-    n = X.shape[0]
-    if weights is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,) or np.any(w < -1e-12):
-            raise ValueError("weights must be a nonnegative vector matching the points")
-        s = float(w.sum())
-        if s <= 0:
-            raise ValueError("weights must not sum to zero")
-        w = np.clip(w, 0.0, None) / s
+    w = np.full(X.shape[0], 1.0 / X.shape[0])
     m = w @ X
     n0 = float(np.linalg.norm(m))
     if n0 < 1e-12:
-        raise ValueError("weighted Euclidean mean is zero; no stable initialization")
+        raise ValueError("Euclidean mean is zero; no stable initialization")
     m = m / n0
     for _ in range(max_iter):
         t = w @ log_batch(m, X)
         if float(np.linalg.norm(t)) < tol:
-            return Point(m)
+            return _unit_rows(m[None])[0]
         m = exp_batch(m, t[None])[0]
     raise NoConvergence(f"Frechet mean did not converge in {max_iter} iterations")
 
@@ -193,19 +156,18 @@ def transport_frame(frame: MovingFrame, m: np.ndarray) -> np.ndarray:
     its basis.  At the frame's own point the basis comes back as it is, since
     re-projecting its rows would move their last bits.
     """
-    if np.array_equal(frame.p.coords, m):
+    if np.array_equal(frame.p, m):
         return frame.matrix
-    return _tangent_basis(m, transport_batch(frame.matrix, frame.p.coords, m))
+    return _tangent_basis(m, transport_batch(frame.matrix, frame.p, m))
 
 
 def standard_frame(D: int) -> MovingFrame:
     """The frame at p = e_1 with basis (e_2, ..., e_D)."""
-    return MovingFrame(Point(np.eye(D)[0]), np.eye(D)[1:])
+    return MovingFrame(np.eye(D)[0], np.eye(D)[1:])
 
 
 # ---------------------------------------------------------------------------
-# Batch kernels over coordinate arrays.  Rows are points / tangent vectors;
-# geodesic_distance is a one-row call of pairwise_geodesic.
+# Batch kernels over coordinate arrays.  Rows are points / tangent vectors.
 
 def exp_batch(m: np.ndarray, V: np.ndarray) -> np.ndarray:
     """exp_m applied to each row of the tangent array V (n x D)."""
@@ -277,11 +239,11 @@ def pairwise_geodesic(X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarr
 # Serialization: frame.json = {"p": [...], "basis": [[...], ...]}
 
 def frame_to_dict(frame: MovingFrame) -> dict:
-    return {"p": frame.p.coords.tolist(), "basis": frame.matrix.tolist()}
+    return {"p": frame.p.tolist(), "basis": frame.matrix.tolist()}
 
 
 def frame_from_dict(data: dict) -> MovingFrame:
-    return MovingFrame(Point(data["p"]), data["basis"])
+    return MovingFrame(data["p"], data["basis"])
 
 
 def save_frame(path, frame: MovingFrame) -> None:
@@ -295,8 +257,7 @@ def load_frame(path) -> MovingFrame:
 def frames_equal(a: MovingFrame, b: MovingFrame, tol: float = 1e-8) -> bool:
     """Whether two frames have the same point and basis within ``tol``."""
     return (
-        a.dim == b.dim
-        and a.p.dim == b.p.dim
-        and np.max(np.abs(a.p.coords - b.p.coords)) <= tol
+        a.matrix.shape == b.matrix.shape
+        and np.max(np.abs(a.p - b.p)) <= tol
         and np.max(np.abs(a.matrix - b.matrix)) <= tol
     )

@@ -75,7 +75,7 @@ def sample_mixture(
     w = mix.weights / mix.weights.sum()
     label_rng = np.random.default_rng(np.random.SeedSequence(seed))
     labels = label_rng.choice(mix.K, size=n, p=w)
-    X = np.empty((n, mix.frame.p.dim))
+    X = np.empty((n, mix.frame.p.size))
     for k in range(mix.K):
         idx = np.flatnonzero(labels == k)
         if idx.size == 0:
@@ -97,6 +97,10 @@ def save_samples(path, X, labels=None) -> None:
 
 
 def load_samples(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read samples.csv back as (coords array, label array)."""
+    """Read samples.csv back as (coords array, label array).  A label that is
+    not an integer in int64 range raises ValueError naming the file."""
     _, data = read_table(path)
-    return data[:, :-1], data[:, -1].astype(int)
+    labels = data[:, -1]
+    if not ((labels >= -2.0**63) & (labels < 2.0**63) & (labels == np.trunc(labels))).all():
+        raise ValueError(f"{path}: labels must be integers in int64 range")
+    return data[:, :-1], labels.astype(int)

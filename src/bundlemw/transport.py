@@ -58,8 +58,9 @@ def _validate_simplex(w, n: int, name: str) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (n,):
         raise InfeasibleWeights(f"{name} has shape {w.shape}, expected ({n},)")
-    if not np.all(np.isfinite(w)) or np.any(w < -1e-10) or abs(float(w.sum()) - 1.0) > 1e-8:
-        raise InfeasibleWeights(f"{name} is not a probability vector")
+    with np.errstate(over="ignore"):  # an infinite sum is not 1
+        if not np.all(np.isfinite(w)) or np.any(w < -1e-10) or abs(float(w.sum()) - 1.0) > 1e-8:
+            raise InfeasibleWeights(f"{name} is not a probability vector")
     w = np.clip(w, 0.0, None)
     return w / w.sum()
 

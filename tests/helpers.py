@@ -9,27 +9,39 @@ from bundlemw.gauss import GaussianMixture
 from bundlemw.geometry import (
     _BLOCK_CELLS,
     MovingFrame,
-    Point,
     _angle_from_chords,
     _last_axis_norm,
-    geodesic_distance,
+    _unit_rows,
+    pairwise_geodesic,
 )
 
 
+def unit(v):
+    """v scaled to the unit sphere, bitwise as a MovingFrame scales its point."""
+    return _unit_rows(np.asarray(v, dtype=float)[None])[0]
+
+
+def geodesic(p, q):
+    """Great-circle distance between the unit vectors p and q: a one-row call
+    of pairwise_geodesic."""
+    return float(pairwise_geodesic(np.reshape(p, (1, -1)), np.reshape(q, (1, -1)))[0, 0])
+
+
 def random_frame(p, seed=0):
-    """A seeded orthonormal frame at the Point p: the eigenvectors of the Gram
+    """A seeded orthonormal frame at ``unit(p)``: the eigenvectors of the Gram
     operator of D - 1 random tangent directions, redrawn until they have full
     rank, each with its first nonzero entry positive."""
-    D, rng = p.dim, np.random.default_rng(seed)
+    p = unit(p)
+    D, rng = p.size, np.random.default_rng(seed)
     lam = [0.0]
     while lam[-1] <= 1e-10 * max(lam[0], 1e-30):
         W = rng.standard_normal((D - 1, D))
-        W -= np.outer(W @ p.coords, p.coords)
+        W -= np.outer(W @ p, p)
         evals, evecs = np.linalg.eigh(W.T @ W)
         order = np.argsort(evals)[::-1][: D - 1]
         lam = evals[order]
     B = evecs[:, order].T
-    B -= np.outer(B @ p.coords, p.coords)
+    B -= np.outer(B @ p, p)
     B /= np.linalg.norm(B, axis=1, keepdims=True)
     for row in B:
         nz = np.flatnonzero(np.abs(row) > 1e-9)
@@ -68,10 +80,10 @@ def eigh_roots(S):
 def make_mixture(rng, K, D, frame=None, cov_scale=0.1):
     """Random mixture with basepoints scattered around the frame point."""
     if frame is None:
-        frame = random_frame(Point(np.eye(D)[-1]), 17)
+        frame = random_frame(np.eye(D)[-1], 17)
     means, covs = [], []
     for _ in range(K):
-        means.append(Point(frame.p.coords + 0.8 * rng.standard_normal(D)).coords)
+        means.append(unit(frame.p + 0.8 * rng.standard_normal(D)))
         covs.append(random_spd(rng, D - 1, cov_scale))
     w = rng.random(K) + 0.1
     return GaussianMixture(w / w.sum(), means, covs, frame)
@@ -127,7 +139,7 @@ def peak_alloc_bytes(f, *args, **kwargs):
 def rowwise_shape_points(V):
     """Sphere rows, theta and phi of (n, 3, 2) triangles by the per-row
     code that hopf_forward replaced: one complex preshape, Hopf map and
-    Point per row."""
+    unit vector per row."""
     rows, thetas, phis = [], [], []
     for v in V:
         z = v[:, 0] + 1j * v[:, 1]
@@ -136,9 +148,9 @@ def rowwise_shape_points(V):
         z1, z2 = z[0], z[1]
         w = 2.0 * z1 * np.conj(z2)
         y = np.array([w.real, w.imag, abs(z2) ** 2 - abs(z1) ** 2])
-        p = Point(y / np.linalg.norm(y))
-        x1, x2, x3 = p.coords
-        rows.append(p.coords)
+        p = unit(y / np.linalg.norm(y))
+        x1, x2, x3 = p
+        rows.append(p)
         thetas.append(float(np.arccos(np.clip(x3, -1.0, 1.0))))
         phis.append(float(np.arctan2(x2, x1)))
     return np.array(rows), np.array(thetas), np.array(phis)
@@ -248,7 +260,7 @@ def loop_align_shape(a, b, seam_search=True):
 
 def loop_shape_distance(a, b, seam_search=True):
     aligned = loop_align_shape(a, b, seam_search)
-    return geodesic_distance(Point(a.ravel()), Point(aligned.ravel()))
+    return geodesic(unit(a.ravel()), unit(aligned.ravel()))
 
 
 def _ref_tree_potentials(cost, basis, K0, K1):

@@ -11,17 +11,15 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from helpers import make_mixture, random_frame
+from helpers import geodesic, make_mixture, random_frame, unit
 from bundlemw.changepoint import e_divisive
 from bundlemw.estimation import fit_mixture, riemannian_kmeans
 from bundlemw.contours import Contour, contour_to_srvf, pairwise_shape_distance
 from bundlemw.gauss import GaussianMixture
 from bundlemw.geometry import (
     MovingFrame,
-    Point,
     exp_batch,
     frechet_mean,
-    geodesic_distance,
     log_batch,
     pairwise_geodesic,
     standard_frame,
@@ -44,7 +42,7 @@ def reexpress(mix, new_frame):
 def exp_at(frame, v):
     """The point reached from the frame's point along the tangent vector
     whose frame coordinates are v."""
-    return exp_batch(frame.p.coords, (np.asarray(v) @ frame.matrix)[None])[0]
+    return exp_batch(frame.p, (np.asarray(v) @ frame.matrix)[None])[0]
 
 
 def distance(mix0, mix1):
@@ -56,8 +54,8 @@ def test_01_bures_vs_empirical_optimal_transport():
     start = time.perf_counter()
     frame = standard_frame(3)
     m = frame.p
-    M0 = GaussianMixture([1.0], [m.coords], [np.eye(2)], frame)
-    M1 = GaussianMixture([1.0], [m.coords], [np.diag([4.0, 1.0])], frame)
+    M0 = GaussianMixture([1.0], [m], [np.eye(2)], frame)
+    M1 = GaussianMixture([1.0], [m], [np.diag([4.0, 1.0])], frame)
     closed = mw2(M0, M1).distance_sq
     assert closed == pytest.approx(1.0, abs=1e-12)
     # commuting covariances: Bures is the squared distance of the root spectra
@@ -99,7 +97,7 @@ def test_02_lp_matches_brute_force_permutations():
 
 def test_03_frame_invariance_and_cross_basepoint_stability():
     """MW2 is frame-independent at a fixed puncture and stable across punctures."""
-    p = Point([0.0, 0.0, 1.0])
+    p = unit([0.0, 0.0, 1.0])
     for trial in range(20):
         rng = np.random.default_rng(300 + trial)
         F = random_frame(p, 2 * trial)
@@ -110,11 +108,11 @@ def test_03_frame_invariance_and_cross_basepoint_stability():
         dG = distance(reexpress(m0, G), reexpress(m1, G))
         assert abs(dF - dG) <= 1e-8
 
-    p2 = Point([np.sin(0.9), 0.0, np.cos(0.9)])
+    p2 = unit([np.sin(0.9), 0.0, np.cos(0.9)])
     for trial in range(20):
         rng = np.random.default_rng(600 + trial)
         F = random_frame(p, trial)
-        G = MovingFrame(p2, transport_frame(F, p2.coords))
+        G = MovingFrame(p2, transport_frame(F, p2))
         m0 = make_mixture(rng, 3, 3, frame=F)
         m1 = make_mixture(rng, 2, 3, frame=F)
         dF = distance(m0, m1)
@@ -124,7 +122,7 @@ def test_03_frame_invariance_and_cross_basepoint_stability():
 
 def test_04_metric_axioms():
     """Symmetry, identity, and triangle inequality over 100 random triples."""
-    frame = random_frame(Point([0.0, 0.0, 1.0]), 17)
+    frame = random_frame([0.0, 0.0, 1.0], 17)
     rng = np.random.default_rng(44)
     for _ in range(100):
         ms = [make_mixture(rng, int(rng.integers(1, 4)), 3, frame=frame) for _ in range(3)]
@@ -138,20 +136,20 @@ def test_04_metric_axioms():
 
 def test_05_zero_covariance_reduces_to_basepoint_transport():
     """All-zero covariances give exactly the geodesic-cost LP value."""
-    frame = random_frame(Point([0.0, 0.0, 1.0]), 0)
+    frame = random_frame([0.0, 0.0, 1.0], 0)
     rng = np.random.default_rng(55)
     for _ in range(20):
         K0 = int(rng.integers(2, 5))
         K1 = int(rng.integers(2, 5))
 
         def mk(K):
-            pts = [Point(frame.p.coords + 0.7 * rng.standard_normal(3)) for _ in range(K)]
+            pts = [unit(frame.p + 0.7 * rng.standard_normal(3)) for _ in range(K)]
             w = rng.random(K) + 0.2
-            mix = GaussianMixture(w / w.sum(), [p.coords for p in pts], np.zeros((K, 2, 2)), frame)
+            mix = GaussianMixture(w / w.sum(), pts, np.zeros((K, 2, 2)), frame)
             return mix, pts
 
         (m0, pts0), (m1, pts1) = mk(K0), mk(K1)
-        base = np.array([[geodesic_distance(p, q) ** 2 for q in pts1] for p in pts0])
+        base = np.array([[geodesic(p, q) ** 2 for q in pts1] for p in pts0])
         ref = solve_transportation(base, m0.weights, m1.weights)
         assert mw2(m0, m1).distance_sq == ref.cost
 
@@ -159,7 +157,7 @@ def test_05_zero_covariance_reduces_to_basepoint_transport():
 def test_06_estimation_round_trip():
     """Cluster-then-fit recovers a well-separated three-component mixture."""
     start = time.perf_counter()
-    frame = random_frame(Point([0.0, 0.0, 1.0]), 5)
+    frame = random_frame([0.0, 0.0, 1.0], 5)
     dirs = [np.array([0.0, 0.0]), np.array([1.25, 0.0]), np.array([-0.5, 1.2])]
     means = np.array([exp_at(frame, v) for v in dirs])
     seps = pairwise_geodesic(means)
@@ -176,13 +174,13 @@ def test_06_estimation_round_trip():
 
     matched = []
     for m in truth.means:
-        dists = [geodesic_distance(Point(m), Point(h)) for h in est.means]
+        dists = [geodesic(m, h) for h in est.means]
         matched.append(int(np.argmin(dists)))
     assert sorted(matched) == [0, 1, 2]
     for k, m in enumerate(truth.means):
         h = est.means[matched[k]]
         assert abs(truth.weights[k] - est.weights[matched[k]]) <= 0.03
-        assert geodesic_distance(Point(m), Point(h)) <= 0.05
+        assert geodesic(m, h) <= 0.05
     assert distance(truth, est) <= 0.1
     assert time.perf_counter() - start < 30.0
 
@@ -287,14 +285,14 @@ def test_09_changepoint_synthetic_sequence():
 
 def test_10_sampler_statistics():
     """Sample moments of one bundle Gaussian match its parameters."""
-    frame = random_frame(Point([0.0, 0.0, 1.0]), 9)
+    frame = random_frame([0.0, 0.0, 1.0], 9)
     m = exp_at(frame, [0.7, 0.0])
     cov = 0.01 * np.eye(2)
     mix = GaussianMixture([1.0], [m], [cov], frame)
     points, _ = sample_mixture(mix, 5000, seed=11)
 
     mean = frechet_mean(points)
-    assert geodesic_distance(mean, Point(m)) <= 0.05
+    assert geodesic(mean, m) <= 0.05
 
     V = log_batch(m, points) @ transport_frame(frame, m).T
     emp = V.T @ V / len(points)

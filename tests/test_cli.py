@@ -16,7 +16,6 @@ from bundlemw.contours import (
 )
 from bundlemw.gauss import GaussianMixture, load_mixture, save_mixture
 from bundlemw.geometry import (
-    Point,
     frame_to_dict,
     frames_equal,
     frechet_mean,
@@ -321,7 +320,7 @@ class TestContours:
         m1 = load_mixture(out / "t1.json")
         assert m0.K == 1 and m1.K == 1
         assert frames_equal(m0.frame, m1.frame)
-        assert m0.frame.p.dim == 60
+        assert m0.frame.p.size == 60
         assert m0.dim == 59
         # the downstream distance matrix is immediately computable
         assert run(["distmat", out, "--out", tmp / "sd.csv"]) == 0
@@ -359,8 +358,8 @@ class TestContours:
         for name, qs in shapes.items():
             aligned = np.array([loop_align_shape(reference, q) for q in qs])
             mean = frechet_mean(aligned.reshape(len(qs), -1))
-            _, cov = shape_statistics(aligned, mean.coords.reshape(2, 30), frame)
-            mix = GaussianMixture([1.0], mean.coords[None], cov[None], frame)
+            _, cov = shape_statistics(aligned, mean.reshape(2, 30), frame)
+            mix = GaussianMixture([1.0], mean[None], cov[None], frame)
             save_mixture(tmp / "ref.json", mix)
             assert (tmp / "mixes" / f"{name}.json").read_bytes() == (tmp / "ref.json").read_bytes()
 
@@ -482,6 +481,8 @@ CORPUS = [
     ("simulate-huge-n", SIMULATE, {"config.json": config(n=10**30)}, 2, "OverflowError", ""),
     ("simulate-zero-n", SIMULATE, {"config.json": config(n=0)}, 2, "ValueError", "'n'"),
     ("simulate-float-n", SIMULATE, {"config.json": config(n=2.5)}, 2, "ValueError", "'n'"),
+    ("simulate-bool-n", SIMULATE, {"config.json": config(n=True)}, 2, "ValueError", "'n'"),
+    ("simulate-bool-seed", SIMULATE, {"config.json": config(seed=True)}, 2, "ValueError", "'seed'"),
     ("simulate-missing-section", SIMULATE,
      {"config.json": json.dumps({k: v for k, v in CONFIG.items() if k != "mixture"})},
      2, "ValueError", "mixture"),
@@ -505,6 +506,8 @@ CORPUS = [
     ("fit-one-column", FIT, fit_files("1\n2\n3\n"), 2, "ValueError", "R^D"),
     ("fit-inf", FIT, fit_files(SAMPLES + "inf,0,0,-1\n"), 2, "ValueError", "finite"),
     ("fit-kmodes-minus-inf", KMODES, fit_files(SAMPLES + "-inf,0,0,-1\n"), 2, "ValueError", "finite"),
+    *[(f"fit-{label}-label", FIT, fit_files(SAMPLES + f"1,0,0,{label}\n"), 2, "ValueError",
+       "samples.csv") for label in ("nan", "inf", "1e300", "0.5")],
     ("fit-all-at-puncture", "fit samples.csv --frame frame.json --K 1 --out fit",
      fit_files("x0,x1,x2,label\n-1,0,0,-1\n-1,0,0,-1\n-1,0,0,-1\n"), 3, "AntipodalPoint", ""),
     ("fit-more-clusters-than-points", "fit samples.csv --frame frame.json --K 99 --out fit",
@@ -553,14 +556,14 @@ CORPUS = [
      2, "OverflowError", ""),
     ("mw2-1e308-weights", MW2,
      {"bad.json": mixture([GOOD, GOOD], [1e308, 1e308]), "good.json": mixture()},
-     3, "FloatingPointError", ""),
+     2, "ValueError", "probability"),
     ("mw2-zero-components", MW2, {"bad.json": mixture([], []), "good.json": mixture()},
      2, "ValueError", ""),
     ("mw2-missing-frame", MW2,
      {"bad.json": json.dumps({"weights": [1.0], "components": [GOOD]}), "good.json": mixture()},
      2, "KeyError", ""),
     ("mw2-other-frame", MW2, {"bad.json": mixture(frame=frame_to_dict(random_frame(
-        Point([1.0, 0.0, 0.0]), 5))), "good.json": mixture()}, 2, "FrameMismatch", ""),
+        [1.0, 0.0, 0.0], 5))), "good.json": mixture()}, 2, "FrameMismatch", ""),
     ("mw2-1e308-cov-big-small", "mw2 big.json small.json --out out",
      {"big.json": one_component([[1e308, 0.0], [0.0, 1e308]]), "small.json": mixture()},
      3, "FloatingPointError", ""),
@@ -612,7 +615,7 @@ CORPUS = [
     ("distmat-frame-mismatch", DISTMAT,
      {f"mixes/m{i}.json": json.dumps(dict(CONFIG["mixture"], frame=frame))
       for i, frame in enumerate([FRAME, FRAME, frame_to_dict(random_frame(
-          Point([1.0, 0.0, 0.0]), 5))])}, 2, "FrameMismatch", ""),
+          [1.0, 0.0, 0.0], 5))])}, 2, "FrameMismatch", ""),
     ("distmat-1e308-cov", "distmat mixes --out out",
      {"mixes/big.json": one_component([[1e308, 0.0], [0.0, 1e308]]), "mixes/small.json": mixture()},
      3, "FloatingPointError", ""),
@@ -630,6 +633,8 @@ CORPUS = [
      2, "ValueError", "--w0"),
     ("transport-nan-marginal", "transport cost.csv --w0 nan,nan --out plan.json",
      {"cost.csv": "0,1\n1,0\n"}, 2, "InfeasibleWeights", ""),
+    ("transport-1e308-marginal", "transport cost.csv --w0 1e308,1e308 --out plan.json",
+     {"cost.csv": "0,1\n1,0\n"}, 2, "InfeasibleWeights", "w0"),
     ("transport-text-marginal", "transport cost.csv --w0 a,b --out plan.json",
      {"cost.csv": "0,1\n1,0\n"}, 2, "ValueError", "--w0"),
 

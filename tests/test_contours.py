@@ -20,12 +20,14 @@ from bundlemw.contours import (
     shape_frechet_mean,
     shape_statistics,
 )
-from bundlemw.geometry import Point, geodesic_distance, log_batch
+from bundlemw.geometry import log_batch
 from helpers import (
+    geodesic,
     loop_align_shape,
     loop_contour_to_srvf,
     loop_procrustes_rotation,
     loop_shape_distance,
+    unit,
 )
 
 
@@ -257,14 +259,14 @@ class TestAlignmentKernelMatchesPerShapeLoop:
 
 
 def point(q):
-    return Point(np.ravel(q))
+    return unit(np.ravel(q))
 
 
 class TestShapeMean:
     def test_identical_shapes(self):
         q = srvf(ellipse_contour(), 50)
         mean, aligned = shape_frechet_mean([q.copy() for _ in range(4)])
-        assert geodesic_distance(point(mean), point(q)) < 1e-12
+        assert geodesic(point(mean), point(q)) < 1e-12
         for s in aligned:
             assert np.max(np.abs(s - q)) < 1e-12
 
@@ -272,10 +274,10 @@ class TestShapeMean:
         q0 = srvf(circle_contour(), 60)
         q1 = align_shape(q0, srvf(ellipse_contour(1.5, 1.0), 60)[None])[0][0]
         mean, aligned = shape_frechet_mean([q0, q1])
-        d0 = geodesic_distance(point(mean), point(aligned[0]))
-        d1 = geodesic_distance(point(mean), point(aligned[1]))
+        d0 = geodesic(point(mean), point(aligned[0]))
+        d1 = geodesic(point(mean), point(aligned[1]))
         assert d0 == pytest.approx(d1, abs=1e-8)
-        total = geodesic_distance(point(aligned[0]), point(aligned[1]))
+        total = geodesic(point(aligned[0]), point(aligned[1]))
         assert d0 + d1 == pytest.approx(total, abs=1e-8)
 
     def test_mean_is_fixed_point(self):
@@ -286,7 +288,7 @@ class TestShapeMean:
         ]
         mean, aligned = shape_frechet_mean(shapes, tol=1e-12)
         mean2, _ = shape_frechet_mean([mean], tol=1e-12)
-        assert geodesic_distance(point(mean), point(mean2)) < 1e-10
+        assert geodesic(point(mean), point(mean2)) < 1e-10
 
     def test_mismatched_T_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -314,14 +316,14 @@ class TestShapeStatistics:
     def test_parseval_row_norms(self):
         mean, aligned = self.setup_shapes()
         V, _ = shape_statistics(aligned, mean)
-        logs = log_batch(point(mean).coords, aligned.reshape(len(aligned), -1))
+        logs = log_batch(point(mean), aligned.reshape(len(aligned), -1))
         assert np.allclose(np.linalg.norm(V, axis=1), np.linalg.norm(logs, axis=1),
                            rtol=0.0, atol=1e-10)
 
     def test_trace_identity(self):
         mean, aligned = self.setup_shapes()
         V, S = shape_statistics(aligned, mean)
-        total = sum(geodesic_distance(point(mean), point(s)) ** 2 for s in aligned)
+        total = sum(geodesic(point(mean), point(s)) ** 2 for s in aligned)
         assert np.trace(S) == pytest.approx(total / (len(aligned) - 1), abs=1e-10)
 
     def test_needs_two_shapes(self):

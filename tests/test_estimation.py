@@ -18,13 +18,18 @@ from bundlemw.estimation import (
 from bundlemw.gauss import GaussianMixture
 from bundlemw.geometry import (
     MovingFrame,
-    Point,
     frechet_mean,
-    geodesic_distance,
     pairwise_geodesic,
 )
 from bundlemw.sampling import sample_mixture
-from helpers import broadcast_geodesic, peak_alloc_bytes, random_frame, unit_rows
+from helpers import (
+    broadcast_geodesic,
+    geodesic,
+    peak_alloc_bytes,
+    random_frame,
+    unit,
+    unit_rows,
+)
 
 
 def cap_samples(rng, center, std, n):
@@ -33,7 +38,7 @@ def cap_samples(rng, center, std, n):
     c = np.asarray(center, dtype=float)
     c /= np.linalg.norm(c)
     for _ in range(n):
-        pts.append(Point(c + std * rng.standard_normal(c.size)).coords)
+        pts.append(unit(c + std * rng.standard_normal(c.size)))
     return np.array(pts)
 
 
@@ -102,7 +107,7 @@ class TestRiemannianKmeans:
         assert out.sizes == [40]
         assert out.converged
         ref = frechet_mean(pts)
-        assert geodesic_distance(Point(out.centers[0]), ref) < 1e-8
+        assert geodesic(out.centers[0], ref) < 1e-8
 
     def test_two_separated_caps(self):
         rng = np.random.default_rng(1)
@@ -318,11 +323,11 @@ class TestFitMixture:
     def test_two_point_cluster_formula(self):
         # tangent coordinates +-a along the first frame direction give
         # variance 2a^2 with the n-1 divisor
-        frame = MovingFrame(Point([0.0, 0.0, 1.0]), np.eye(3)[:2])
+        frame = MovingFrame([0.0, 0.0, 1.0], np.eye(3)[:2])
         a = 0.3
         pts = np.array([
-            Point([np.sin(a), 0.0, np.cos(a)]).coords,
-            Point([-np.sin(a), 0.0, np.cos(a)]).coords,
+            unit([np.sin(a), 0.0, np.cos(a)]),
+            unit([-np.sin(a), 0.0, np.cos(a)]),
         ])
         clus = Clustering(
             labels=np.array([0, 0]), sizes=[2], centers=[[0.0, 0.0, 1.0]]
@@ -334,15 +339,15 @@ class TestFitMixture:
         assert abs(cov[0, 1]) < 1e-12 and abs(cov[1, 1]) < 1e-12
 
     def test_identical_points_zero_covariance(self):
-        frame = random_frame(Point([0.0, 0.0, 1.0]), 0)
-        p = Point([0.0, 1.0, 0.0])
-        clus = Clustering(labels=np.zeros(4, dtype=int), sizes=[4], centers=[p.coords])
-        mix = fit_mixture(np.array([p.coords] * 4), clus, frame)
+        frame = random_frame([0.0, 0.0, 1.0], 0)
+        p = unit([0.0, 1.0, 0.0])
+        clus = Clustering(labels=np.zeros(4, dtype=int), sizes=[4], centers=[p])
+        mix = fit_mixture(np.array([p] * 4), clus, frame)
         assert np.allclose(mix.covs[0], 0.0)
-        assert np.allclose(mix.means[0], p.coords)
+        assert np.allclose(mix.means[0], p)
 
     def test_small_cluster_rejected(self):
-        frame = random_frame(Point([0.0, 0.0, 1.0]), 0)
+        frame = random_frame([0.0, 0.0, 1.0], 0)
         clus = Clustering(
             labels=np.array([0, 0, 1]),
             sizes=[2, 1],
@@ -353,14 +358,14 @@ class TestFitMixture:
             fit_mixture(pts, clus, frame)
 
     def test_sample_dimension_must_match_the_frame(self):
-        frame = random_frame(Point([0.0, 0.0, 0.0, 1.0]), 0)
+        frame = random_frame([0.0, 0.0, 0.0, 1.0], 0)
         pts = cap_samples(np.random.default_rng(8), [0.0, 0.0, 1.0], 0.05, 6)
         clus = Clustering(labels=np.zeros(6, dtype=int), sizes=[6], centers=[[0.0, 0.0, 1.0]])
         with pytest.raises(DimensionMismatch, match="3.*4"):
             fit_mixture(pts, clus, frame)
 
     def test_outliers_excluded_from_weights(self):
-        frame = random_frame(Point([0.0, 0.0, 1.0]), 0)
+        frame = random_frame([0.0, 0.0, 1.0], 0)
         rng = np.random.default_rng(6)
         pts = np.vstack([cap_samples(rng, [0.0, 0.0, 1.0], 0.05, 8), [[1.0, 0.0, 0.0]]])
         labels = np.array([0] * 8 + [OUTLIER])
@@ -371,7 +376,7 @@ class TestFitMixture:
         assert np.array_equal(mix.means[0], pts[0])
 
     def test_round_trip_recovery(self):
-        frame = random_frame(Point([0.0, 0.0, 1.0]), 1)
+        frame = random_frame([0.0, 0.0, 1.0], 1)
         truth = GaussianMixture(
             [0.5, 0.5],
             [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
@@ -384,7 +389,7 @@ class TestFitMixture:
         assert mix.K == 2
         # match fitted components to truth by basepoint
         for m in truth.means:
-            dists = [geodesic_distance(Point(m), Point(h)) for h in mix.means]
+            dists = [geodesic(m, h) for h in mix.means]
             j = int(np.argmin(dists))
             assert dists[j] < 0.05
             assert abs(mix.weights[j] - 0.5) < 0.03
@@ -393,7 +398,7 @@ class TestFitMixture:
 
     def test_weights_form_simplex_and_covs_psd(self):
         rng = np.random.default_rng(8)
-        frame = random_frame(Point([0.0, 0.0, 1.0]), 2)
+        frame = random_frame([0.0, 0.0, 1.0], 2)
         pts = cap_samples(rng, [0.0, 0.3, 1.0], 0.3, 90)
         clus = riemannian_kmeans(pts, 3, seed=1)
         mix = fit_mixture(pts, clus, frame)

@@ -22,15 +22,21 @@ from bundlemw.gauss import (
     save_mixture,
 )
 from bundlemw.geometry import (
-    Point,
     _unit_rows,
-    geodesic_distance,
     pairwise_geodesic,
     standard_frame,
 )
 from bundlemw.transport import mw2
 
-from helpers import eigh_roots, loop_minimal_form, make_mixture, random_frame, random_spd
+from helpers import (
+    eigh_roots,
+    geodesic,
+    loop_minimal_form,
+    make_mixture,
+    random_frame,
+    random_spd,
+    unit,
+)
 
 
 def check_cov(S):
@@ -91,7 +97,7 @@ class TestRoots:
             S = F @ np.swapaxes(F, 1, 2)
             S = 0.5 * (S + np.swapaxes(S, 1, 2))
         f = standard_frame(d + 1)
-        mix = GaussianMixture(np.full(3, 1.0 / 3), np.tile(f.p.coords, (3, 1)), S, f)
+        mix = GaussianMixture(np.full(3, 1.0 / 3), np.tile(f.p, (3, 1)), S, f)
         assert np.array_equal(mix.roots, eigh_roots(mix.covs))
         for k in range(3):
             cov, root = check_cov(S[k])
@@ -199,8 +205,8 @@ class TestBundleGaussianW2:
         rng = np.random.default_rng(6)
         f = standard_frame(4)
         for _ in range(10):
-            g0 = gaussian(Point(rng.standard_normal(4)).coords, random_spd(rng, 3), f)
-            g1 = gaussian(Point(rng.standard_normal(4)).coords, random_spd(rng, 3), f)
+            g0 = gaussian(unit(rng.standard_normal(4)), random_spd(rng, 3), f)
+            g1 = gaussian(unit(rng.standard_normal(4)), random_spd(rng, 3), f)
             a = mw2(g0, g1).distance_sq
             b = mw2(g1, g0).distance_sq
             assert a == pytest.approx(b, abs=1e-8)
@@ -213,9 +219,9 @@ class TestBundleGaussianW2:
 
 class TestGaussianMixture:
     def test_weight_validation(self):
-        p = Point([0.0, 0.0, 1.0])
+        p = unit([0.0, 0.0, 1.0])
         f = random_frame(p, 0)
-        means, covs = [p.coords] * 2, [np.eye(2)] * 2
+        means, covs = [p] * 2, [np.eye(2)] * 2
         with pytest.raises(ValueError):
             GaussianMixture([0.5, 0.4], means, covs, f)
         with pytest.raises(ValueError):
@@ -272,9 +278,9 @@ class TestGaussianMixture:
 
 class TestNormalizeMinimalForm:
     def test_merges_duplicates(self):
-        p = Point([0.0, 0.0, 1.0])
+        p = unit([0.0, 0.0, 1.0])
         f = random_frame(p, 0)
-        mix = GaussianMixture([0.5, 0.5], [p.coords] * 2, [np.eye(2)] * 2, f)
+        mix = GaussianMixture([0.5, 0.5], [p] * 2, [np.eye(2)] * 2, f)
         out = normalize_minimal_form(mix)
         assert out.K == 1
         assert out.weights[0] == pytest.approx(1.0)
@@ -287,13 +293,13 @@ class TestNormalizeMinimalForm:
         assert np.allclose(out.weights, mix.weights)
 
     def test_drops_zero_weight(self):
-        p = Point([0.0, 0.0, 1.0])
-        q = Point([1.0, 0.0, 0.0])
+        p = unit([0.0, 0.0, 1.0])
+        q = unit([1.0, 0.0, 0.0])
         f = random_frame(p, 0)
-        mix = GaussianMixture([1.0, 0.0], [p.coords, q.coords], [np.eye(2)] * 2, f)
+        mix = GaussianMixture([1.0, 0.0], [p, q], [np.eye(2)] * 2, f)
         out = normalize_minimal_form(mix)
         assert out.K == 1
-        assert np.allclose(out.means[0], p.coords)
+        assert np.allclose(out.means[0], p)
 
     def test_idempotent(self):
         rng = np.random.default_rng(9)
@@ -356,7 +362,7 @@ class TestNormalizeMinimalForm:
 class TestPairwiseAndIO:
     def test_pairwise_matches_scalar(self):
         rng = np.random.default_rng(11)
-        f = random_frame(Point(np.eye(4)[-1]), 17)
+        f = random_frame(np.eye(4)[-1], 17)
         m0 = make_mixture(rng, 3, 4, frame=f)
         m1 = make_mixture(rng, 5, 4, frame=f)
         P = pairwise_w2sq(m0, m1)
@@ -367,7 +373,7 @@ class TestPairwiseAndIO:
                 S0, S1 = m0.covs[i], m1.covs[j]
                 R0 = sqrtm(S0).real
                 bures = np.trace(S0 + S1 - 2.0 * sqrtm(R0 @ S1 @ R0).real)
-                base = geodesic_distance(Point(m0.means[i]), Point(m1.means[j])) ** 2
+                base = geodesic(m0.means[i], m1.means[j]) ** 2
                 assert P[i, j] == pytest.approx(base + bures, abs=1e-10)
 
     def test_pairwise_is_geodesic_plus_bures_of_eigh_roots(self):
@@ -384,11 +390,11 @@ class TestPairwiseAndIO:
         rng = np.random.default_rng(15)
         d = 59
         Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        f = random_frame(Point(np.eye(d + 1)[-1]), 17)
+        f = random_frame(np.eye(d + 1)[-1], 17)
 
         def mix(K):
             evals = rng.uniform(0.1, 1.0, (K, d))
-            means = [Point(f.p.coords + 0.3 * rng.standard_normal(d + 1)).coords for _ in evals]
+            means = [unit(f.p + 0.3 * rng.standard_normal(d + 1)) for _ in evals]
             covs = [Q @ np.diag(a) @ Q.T for a in evals]
             return GaussianMixture(np.full(K, 1.0 / K), means, covs, f), evals
 

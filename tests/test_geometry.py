@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from bundlemw.errors import AntipodalPoint, NoConvergence
 from bundlemw.geometry import (
     MovingFrame,
-    Point,
     exp_batch,
     frames_equal,
     frechet_mean,
-    geodesic_distance,
     load_frame,
     log_batch,
     pairwise_geodesic,
@@ -23,20 +21,17 @@ from bundlemw.geometry import (
 )
 from helpers import (
     broadcast_geodesic,
+    geodesic,
     peak_alloc_bytes,
     random_frame,
     trailing_axis_geodesic,
+    unit,
     unit_rows,
 )
 
 
-def unit(v):
-    v = np.asarray(v, dtype=float)
-    return v / np.linalg.norm(v)
-
-
 def random_point(rng, D):
-    return Point(rng.standard_normal(D)).coords
+    return unit(rng.standard_normal(D))
 
 
 def near_point(rng, p):
@@ -50,21 +45,32 @@ def random_tangents(rng, p, n=1):
     return V - np.outer(V @ p, p)
 
 
-class TestPoint:
-    def test_point_normalizes(self):
-        p = Point([0.0, 0.0, 2.0])
-        assert np.allclose(p.coords, [0, 0, 1])
-        assert p.dim == 3
+class TestFramePoint:
+    def test_frame_point_normalizes(self):
+        f = MovingFrame([0.0, 0.0, 2.0], np.eye(3)[:2])
+        assert np.array_equal(f.p, [0, 0, 1])
+        assert f.p.size == 3
 
-    def test_point_rejects_zero(self):
+    def test_frame_point_rejects_zero(self):
         with pytest.raises(ValueError):
-            Point([0.0, 0.0, 0.0])
+            MovingFrame([0.0, 0.0, 0.0], np.eye(3)[:2])
 
-    def test_point_rejects_scalar_and_nan(self):
+    def test_frame_point_rejects_scalar_matrix_and_nan(self):
+        for p in (1.0, np.eye(3), [np.nan, 0.0, 1.0]):
+            with pytest.raises(ValueError):
+                MovingFrame(p, np.eye(3)[:2])
+
+    def test_frame_point_and_mean_are_unit_arrays(self):
+        rng = np.random.default_rng(2)
+        p = 3.0 * unit(rng.standard_normal(4))
+        f = random_frame(p, 0)
+        for x in (f.p, frechet_mean(p + 0.1 * rng.standard_normal((5, 4)))):
+            assert type(x) is np.ndarray and x.shape == (4,)
+            assert abs(np.sqrt(x @ x) - 1.0) <= 1e-15
+        assert np.array_equal(MovingFrame(p, f.matrix).p, unit(p))
+        assert not f.p.flags.writeable
         with pytest.raises(ValueError):
-            Point(1.0)
-        with pytest.raises(ValueError):
-            Point([np.nan, 0.0, 1.0])
+            f.p[0] = 1.0
 
 
 class TestExpLogDistance:
@@ -86,10 +92,10 @@ class TestExpLogDistance:
             log_batch(np.array([0.0, 0.0, 1.0]), np.array([[0.0, 0.0, -1.0]]))
 
     def test_distance_quarter_and_half(self):
-        p = Point([1.0, 0.0, 0.0])
-        assert geodesic_distance(p, Point([0.0, 1.0, 0.0])) == pytest.approx(np.pi / 2)
-        assert geodesic_distance(p, Point([-1.0, 0.0, 0.0])) == pytest.approx(np.pi)
-        assert geodesic_distance(p, p) == 0.0
+        p = [1.0, 0.0, 0.0]
+        assert geodesic(p, [0.0, 1.0, 0.0]) == pytest.approx(np.pi / 2)
+        assert geodesic(p, [-1.0, 0.0, 0.0]) == pytest.approx(np.pi)
+        assert geodesic(p, p) == 0.0
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 8))
     @settings(max_examples=60, deadline=None)
@@ -190,34 +196,19 @@ class TestParallelTransport:
 class TestFrechetMean:
     def test_midpoint_of_two_points(self):
         m = frechet_mean(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-        assert np.allclose(m.coords, unit([1.0, 1.0, 0.0]), atol=1e-10)
+        assert np.allclose(m, unit([1.0, 1.0, 0.0]), atol=1e-10)
 
     def test_single_point(self):
-        p = Point(unit([2.0, -1.0, 0.5]))
-        m = frechet_mean(np.array([p.coords]))
-        assert np.allclose(m.coords, p.coords)
-
-    def test_weighted_mean_respects_weights(self):
-        X = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        m = frechet_mean(X, weights=[3.0, 1.0])
-        # stationarity: 0.75 log_m(p) + 0.25 log_m(q) = 0
-        assert np.max(np.abs(np.array([0.75, 0.25]) @ log_batch(m.coords, X))) < 1e-9
+        p = unit([2.0, -1.0, 0.5])
+        m = frechet_mean(np.array([p]))
+        assert np.allclose(m, p)
 
     def test_stationarity_of_result(self):
         rng = np.random.default_rng(7)
         base = unit([0.0, 0.0, 1.0, 0.0])
-        X = np.array([Point(base + 0.3 * rng.standard_normal(4)).coords for _ in range(25)])
+        X = np.array([unit(base + 0.3 * rng.standard_normal(4)) for _ in range(25)])
         m = frechet_mean(X)
-        assert np.linalg.norm(log_batch(m.coords, X).mean(axis=0)) < 1e-9
-
-    def test_bad_weights_rejected(self):
-        X = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        with pytest.raises(ValueError):
-            frechet_mean(X, weights=[1.0])
-        with pytest.raises(ValueError):
-            frechet_mean(X, weights=[-1.0, 1.0])
-        with pytest.raises(ValueError):
-            frechet_mean(X, weights=[0.0, 0.0])
+        assert np.linalg.norm(log_batch(m, X).mean(axis=0)) < 1e-9
 
     def test_degenerate_spread_raises(self):
         with pytest.raises((ValueError, NoConvergence, AntipodalPoint)):
@@ -226,27 +217,27 @@ class TestFrechetMean:
 
 class TestFrames:
     def test_explicit_basis(self):
-        f = MovingFrame(Point([0.0, 0.0, 1.0]), [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+        f = MovingFrame([0.0, 0.0, 1.0], [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
         assert np.allclose(f.matrix, [[-1, 0, 0], [0, -1, 0]])
 
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(ValueError):
-            MovingFrame(Point([0.0, 0.0, 1.0]), [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+            MovingFrame([0.0, 0.0, 1.0], [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
 
     def test_frame_requires_full_rank_count(self):
-        p = Point([0.0, 0.0, 1.0])
+        p = [0.0, 0.0, 1.0]
         with pytest.raises(ValueError):
             MovingFrame(p, [[1.0, 0.0, 0.0]])
 
     def test_basis_row_with_normal_component_rejected(self):
-        p = Point([0.0, 0.0, 1.0])
+        p = [0.0, 0.0, 1.0]
         with pytest.raises(ValueError):
             MovingFrame(p, [[1.0, 0.0, 1e-9], [0.0, 1.0, 0.0]])
         f = MovingFrame(p, [[1.0, 0.0, 1e-12], [0.0, 1.0, 0.0]])
         assert np.array_equal(f.matrix, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
     def test_basis_of_wrong_shape_rejected(self):
-        p = Point([0.0, 0.0, 1.0])
+        p = [0.0, 0.0, 1.0]
         for basis in (
             [[1.0, 0.0, 0.0]],
             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],
@@ -257,35 +248,35 @@ class TestFrames:
 
     def test_standard_frame(self):
         f = standard_frame(4)
-        assert np.allclose(f.p.coords, [1, 0, 0, 0])
+        assert np.allclose(f.p, [1, 0, 0, 0])
         assert np.allclose(f.matrix, np.eye(4)[1:])
 
     def test_transport_frame_stays_orthonormal(self):
         rng = np.random.default_rng(3)
-        f = random_frame(Point(rng.standard_normal(6)), 1)
-        m = near_point(rng, f.p.coords)
+        f = random_frame(rng.standard_normal(6), 1)
+        m = near_point(rng, f.p)
         B = transport_frame(f, m)
         assert not B.flags.writeable
         assert np.max(np.abs(B @ B.T - np.eye(5))) < 1e-9
         assert np.max(np.abs(B @ m)) < 1e-9
 
     def test_transport_frame_to_base_is_identity(self):
-        f = random_frame(Point(unit([1.0, -1.0, 2.0])), 9)
-        assert transport_frame(f, f.p.coords) is f.matrix
+        f = random_frame(unit([1.0, -1.0, 2.0]), 9)
+        assert transport_frame(f, f.p) is f.matrix
 
     def test_transport_frame_is_the_transported_basis(self):
         rng = np.random.default_rng(4)
-        f = random_frame(Point(rng.standard_normal(5)), 3)
-        m = near_point(rng, f.p.coords)
-        expect = MovingFrame(Point(m), transport_batch(f.matrix, f.p.coords, m)).matrix
+        f = random_frame(rng.standard_normal(5), 3)
+        m = near_point(rng, f.p)
+        expect = MovingFrame(m, transport_batch(f.matrix, f.p, m)).matrix
         assert np.array_equal(transport_frame(f, m), expect)
 
     def test_transport_preserves_frame_coordinates(self):
         # coordinates of a transported vector in the transported frame match
         # the original coordinates: transport commutes with the frame
         rng = np.random.default_rng(11)
-        f = random_frame(Point(rng.standard_normal(5)), 2)
-        p = f.p.coords
+        f = random_frame(rng.standard_normal(5), 2)
+        p = f.p
         m = near_point(rng, p)
         V = random_tangents(rng, p, 4)
         c0 = V @ f.matrix.T
@@ -294,19 +285,19 @@ class TestFrames:
 
     def test_coordinate_roundtrip(self):
         rng = np.random.default_rng(5)
-        f = random_frame(Point(rng.standard_normal(4)), 0)
-        V = random_tangents(rng, f.p.coords, 4)
+        f = random_frame(rng.standard_normal(4), 0)
+        V = random_tangents(rng, f.p, 4)
         assert np.max(np.abs((V @ f.matrix.T) @ f.matrix - V)) < 1e-12
 
     def test_frames_equal_within_tolerance(self):
-        f = random_frame(Point(unit([1.0, 2.0, 3.0, 4.0])), 42)
+        f = random_frame(unit([1.0, 2.0, 3.0, 4.0]), 42)
         assert frames_equal(f, random_frame(f.p, 42), tol=0.0)
         assert not frames_equal(f, random_frame(f.p, 43), tol=1e-6)
-        shifted = MovingFrame(f.p, f.matrix + 1e-11 * f.p.coords)
+        shifted = MovingFrame(f.p, f.matrix + 1e-11 * f.p)
         assert frames_equal(f, shifted, tol=1e-10)
 
     def test_save_load_roundtrip(self, tmp_path):
-        f = random_frame(Point(unit([0.1, 0.2, -0.3, 0.9])), 4)
+        f = random_frame(unit([0.1, 0.2, -0.3, 0.9]), 4)
         path = tmp_path / "frame.json"
         save_frame(path, f)
         g = load_frame(path)
@@ -324,9 +315,7 @@ class TestBatchKernels:
         assert Dm.shape == (6, 6)
         assert np.allclose(np.diag(Dm), 0.0, atol=1e-7)
         assert np.allclose(Dm, Dm.T)
-        assert Dm[1, 4] == pytest.approx(
-            geodesic_distance(Point(X[1]), Point(X[4])), abs=1e-12
-        )
+        assert Dm[1, 4] == pytest.approx(geodesic(X[1], X[4]), abs=1e-12)
 
     @pytest.mark.parametrize("n, D", [(1, 3), (300, 3), (257, 7), (129, 60)])
     def test_pairwise_geodesic_bitwise_equals_broadcast(self, n, D):
@@ -361,10 +350,10 @@ class TestBatchKernels:
         Y[80:120] /= np.linalg.norm(Y[80:120], axis=1, keepdims=True)
         Y[120:160] = X[120:160] + 1e-9 * unit_rows(rng, 40, D)  # near-identical pairs
         Y[120:160] /= np.linalg.norm(Y[120:160], axis=1, keepdims=True)
-        ps, qs = [Point(x) for x in X], [Point(y) for y in Y]
-        P = pairwise_geodesic(np.array([p.coords for p in ps]), np.array([q.coords for q in qs]))
+        ps, qs = [unit(x) for x in X], [unit(y) for y in Y]
+        P = pairwise_geodesic(np.array(ps), np.array(qs))
         for i, (p, q) in enumerate(zip(ps, qs)):
-            assert geodesic_distance(p, q) == P[i, i] == scalar(p.coords, q.coords)
+            assert pairwise_geodesic(p[None], q[None])[0, 0] == P[i, i] == scalar(p, q)
         assert np.all(np.diag(P)[:40] == 0.0)
 
     @pytest.mark.parametrize("D", [2, 3, 4, 5, 6, 7, 8, 9, 60, 200])

@@ -3,9 +3,7 @@ import pytest
 
 from bundlemw.gauss import GaussianMixture
 from bundlemw.geometry import (
-    Point,
     frechet_mean,
-    geodesic_distance,
     log_batch,
     transport_frame,
 )
@@ -14,12 +12,12 @@ from bundlemw.sampling import (
     sample_mixture,
     save_samples,
 )
-from helpers import random_frame
+from helpers import geodesic, random_frame, unit
 
 
 @pytest.fixture
 def frame3():
-    return random_frame(Point([0.0, 0.0, 1.0]), 0)
+    return random_frame([0.0, 0.0, 1.0], 0)
 
 
 def sample_one(m, cov, frame, n, seed, stats=None):
@@ -30,11 +28,11 @@ def sample_one(m, cov, frame, n, seed, stats=None):
 
 class TestSampleGaussian:
     def test_zero_covariance_returns_basepoint(self, frame3):
-        m = Point([0.0, 1.0, 0.0])
-        pts = sample_one(m.coords, np.zeros((2, 2)), frame3, 7, seed=1)
+        m = unit([0.0, 1.0, 0.0])
+        pts = sample_one(m, np.zeros((2, 2)), frame3, 7, seed=1)
         assert len(pts) == 7
         for p in pts:
-            assert np.allclose(p, m.coords, atol=1e-15)
+            assert np.allclose(p, m, atol=1e-15)
 
     def test_deterministic_given_seed(self, frame3):
         a = sample_one([0.0, 0.0, 1.0], 0.05 * np.eye(2), frame3, 50, seed=9)
@@ -50,12 +48,12 @@ class TestSampleGaussian:
             assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-12)
 
     def test_statistical_recovery(self, frame3):
-        m = Point([0.0, 0.0, 1.0])
+        m = unit([0.0, 0.0, 1.0])
         sigma = 0.01 * np.eye(2)
-        pts = sample_one(m.coords, sigma, frame3, 5000, seed=3)
+        pts = sample_one(m, sigma, frame3, 5000, seed=3)
         mean = frechet_mean(pts)
-        assert geodesic_distance(mean, m) < 0.05
-        V = log_batch(mean.coords, pts) @ transport_frame(frame3, mean.coords).T
+        assert geodesic(mean, m) < 0.05
+        V = log_batch(mean, pts) @ transport_frame(frame3, mean).T
         S = V.T @ V / (len(pts) - 1)
         assert np.linalg.norm(S - sigma) / np.linalg.norm(sigma) < 0.10
 
@@ -109,8 +107,7 @@ class TestSampleMixture:
         mix = self.make(frame3, [0.5, 0.5])
         pts, labels = sample_mixture(mix, 400, seed=10)
         for p, lab in zip(pts, labels):
-            m = Point(mix.means[lab])
-            assert geodesic_distance(Point(p), m) < 1.0
+            assert geodesic(p, mix.means[lab]) < 1.0
 
 
 class TestSamplesIO:

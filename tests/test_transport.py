@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 
 from bundlemw.errors import FrameMismatch, InfeasibleWeights
 from bundlemw.gauss import GaussianMixture, pairwise_w2sq
-from bundlemw.geometry import MovingFrame, Point, geodesic_distance, standard_frame
+from bundlemw.geometry import MovingFrame, standard_frame
 from bundlemw.transport import (
     MW2Result,
     TransportPlan,
@@ -18,7 +18,7 @@ from bundlemw.transport import (
     solve_transportation,
 )
 
-from helpers import make_mixture, random_frame, reference_transportation
+from helpers import geodesic, make_mixture, random_frame, reference_transportation, unit
 
 
 def linprog_cost(C, w0, w1):
@@ -199,7 +199,7 @@ def continuous_problems(rng, n, k_max):
 
 def mixture_problems(rng, n):
     """Pairwise squared W2 costs between S^2 mixtures of 6 to 16 components."""
-    f = random_frame(Point(np.eye(3)[-1]), 17)
+    f = random_frame(np.eye(3)[-1], 17)
     problems = []
     for _ in range(n):
         m0, m1 = (make_mixture(rng, int(rng.integers(6, 17)), 3, frame=f) for _ in range(2))
@@ -249,7 +249,7 @@ class TestMW2:
         other = make_mixture(rng, 1, 3)
         m1 = GaussianMixture([1.0], other.means, other.covs, m0.frame)
         res = mw2(m0, m1)
-        base = geodesic_distance(Point(m0.means[0]), Point(m1.means[0]))
+        base = geodesic(m0.means[0], m1.means[0])
         S0, S1 = m0.covs[0], m1.covs[0]
         root = sqrtm(S0).real
         exact = base**2 + np.trace(S0 + S1 - 2.0 * sqrtm(root @ S1 @ root).real)
@@ -258,28 +258,28 @@ class TestMW2:
 
     def test_zero_covariance_reduces_to_base_transport(self):
         rng = np.random.default_rng(7)
-        frame = random_frame(Point([0.0, 0.0, 1.0]), 0)
+        frame = random_frame([0.0, 0.0, 1.0], 0)
         for _ in range(5):
             K0 = int(rng.integers(2, 5))
             K1 = int(rng.integers(2, 5))
-            draw = lambda K: [Point(frame.p.coords + 0.7 * rng.standard_normal(3)) for _ in range(K)]
+            draw = lambda K: [unit(frame.p + 0.7 * rng.standard_normal(3)) for _ in range(K)]
             pts0 = draw(K0)
             pts1 = draw(K1)
             mk = lambda pts: GaussianMixture(
                 np.full(len(pts), 1.0 / len(pts)),
-                [p.coords for p in pts],
+                pts,
                 np.zeros((len(pts), 2, 2)),
                 frame,
             )
             m0, m1 = mk(pts0), mk(pts1)
             res = mw2(m0, m1)
-            base = np.array([[geodesic_distance(p, q) ** 2 for q in pts1] for p in pts0])
+            base = np.array([[geodesic(p, q) ** 2 for q in pts1] for p in pts0])
             ref = solve_transportation(base, m0.weights, m1.weights)
             assert res.distance_sq == ref.cost
 
     def test_symmetry(self):
         rng = np.random.default_rng(8)
-        f = random_frame(Point(np.eye(3)[-1]), 17)
+        f = random_frame(np.eye(3)[-1], 17)
         for _ in range(10):
             m0 = make_mixture(rng, 3, 3, frame=f)
             m1 = make_mixture(rng, 4, 3, frame=f)
@@ -289,7 +289,7 @@ class TestMW2:
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(9)
-        f = random_frame(Point(np.eye(3)[-1]), 17)
+        f = random_frame(np.eye(3)[-1], 17)
         for _ in range(30):
             ms = [make_mixture(rng, int(rng.integers(1, 4)), 3, frame=f) for _ in range(3)]
             d01 = mw2(ms[0], ms[1]).distance
@@ -307,7 +307,7 @@ class TestMW2:
 
     def test_result_serialization(self, tmp_path):
         rng = np.random.default_rng(11)
-        f = random_frame(Point(np.eye(3)[-1]), 17)
+        f = random_frame(np.eye(3)[-1], 17)
         res = mw2(make_mixture(rng, 2, 3, frame=f), make_mixture(rng, 3, 3, frame=f))
         d = result_to_dict(res)
         assert set(d) == {"cost", "distance", "plan", "pairwise"}
@@ -325,7 +325,7 @@ class TestPairwiseMW2:
     @pytest.mark.parametrize("k_low, k_high", [(1, 2), (2, 6)])
     def test_entries_equal_mw2_exactly(self, k_low, k_high):
         rng = np.random.default_rng(12)
-        f = random_frame(Point(np.eye(4)[-1]), 17)
+        f = random_frame(np.eye(4)[-1], 17)
         ms = [make_mixture(rng, int(rng.integers(k_low, k_high)), 4, frame=f) for _ in range(6)]
         D = pairwise_mw2(ms)
         assert D.shape == (6, 6)
@@ -355,7 +355,7 @@ class TestPairwiseMW2:
 
     def test_frame_mismatch_raises(self):
         rng = np.random.default_rng(14)
-        f = random_frame(Point(np.eye(3)[-1]), 17)
+        f = random_frame(np.eye(3)[-1], 17)
         ms = [make_mixture(rng, 2, 3, frame=f) for _ in range(3)]
         f2 = random_frame(f.p, 123)
         ms.append(GaussianMixture(ms[0].weights, ms[0].means, ms[0].covs, f2))
