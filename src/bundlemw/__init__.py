@@ -24,7 +24,7 @@ _TABLE = {
         DegenerateTriangle DimensionMismatch EmptyCluster FrameMismatch InfeasibleWeights
         NoConvergence NotSymmetric NumericalError SegmentTooSmall""",
     "estimation": """OUTLIER Clustering clustering_to_dict fit_mixture kmodes_cluster
-        riemannian_kmeans save_clustering""",
+        kmodes_from_points riemannian_kmeans save_clustering""",
     "gauss": """GaussianMixture check_same_frame load_mixture mixture_from_dict
         mixture_to_dict normalize_minimal_form pairwise_w2sq save_mixture""",
     "geometry": """MovingFrame exp_batch frame_from_dict frame_to_dict frames_equal

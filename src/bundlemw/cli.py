@@ -85,10 +85,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    from .estimation import KMODES_MAX_POINTS, fit_mixture, kmodes_cluster, riemannian_kmeans
+    from .estimation import KMODES_MAX_POINTS, fit_mixture, kmodes_from_points, riemannian_kmeans
     from .estimation import save_clustering
     from .gauss import save_mixture
-    from .geometry import _unit_rows, load_frame, pairwise_geodesic
+    from .geometry import load_frame
     from .sampling import load_samples
 
     X, _ = load_samples(args.samples)
@@ -100,7 +100,7 @@ def cmd_fit(args) -> int:
     elif len(X) > KMODES_MAX_POINTS:
         raise ValueError(f"--method kmodes takes at most {KMODES_MAX_POINTS} points, got {len(X)}")
     else:
-        clustering = kmodes_cluster(pairwise_geodesic(_unit_rows(X)), q=args.q)
+        clustering = kmodes_from_points(X, q=args.q)
     mix = fit_mixture(X, clustering, frame)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -2,11 +2,12 @@
 
 Two clusterers feed the same covariance estimator.  Riemannian K-means
 runs Lloyd iterations with geodesic assignments and Frechet-mean updates.
-The mode-based alternative works purely from a distance matrix: it counts
-neighbors within a quantile radius, takes local maxima of the neighbor
-count as cluster modes, sends every point uphill to its mode, and flags
-isolated points as outliers.  Mode clustering picks its own number of
-clusters, which K-means cannot.
+The mode-based alternative works purely from pairwise distances, given as
+a matrix or computed from the points in row blocks of its upper triangle:
+it counts neighbors within a quantile radius, takes local maxima of the
+neighbor count as cluster modes, sends every point uphill to its mode, and
+flags isolated points as outliers.  Mode clustering picks its own number
+of clusters, which K-means cannot.
 
 Covariances are fitted from shooting vectors: the log map of each member
 at the cluster center, expressed in the transported frame, accumulated in
@@ -35,8 +36,10 @@ from .geometry import (
 )
 
 OUTLIER = -1
-# Largest n that `fit --method kmodes` takes; its distances plus clustering
-# peak near 8.8 n^2 bytes at the default q = 0.1 and 12 n^2 at q >= 0.5.
+# Largest n that `fit --method kmodes` takes.  Clustering from the points
+# peaks near 2.3 n^2 bytes in 151 ms at the default q = 0.1, and near
+# 8.6 n^2 in 153 ms at q = 1.0 (n = 2000, D = 3: tracemalloc, and the
+# fastest of 15 runs in process on a shared 2-vCPU host).
 KMODES_MAX_POINTS = 10_000
 
 
@@ -145,34 +148,150 @@ def riemannian_kmeans(
     return Clustering(labels=labels, sizes=sizes, centers=C, converged=converged)
 
 
-def _offdiag_quantile(D, q):
-    """``np.quantile`` of an exactly symmetric n x n matrix's off-diagonal
-    entries, with their maximum.  Sorted, the k-th off-diagonal entry is the
-    (k // 2)-th of the strict upper triangle, so numpy's own interpolation
-    between the two around the virtual index gives its bits.  The triangle
-    streams row by row through a buffer of twice the ``keep`` entries the
-    ranks need plus one row (at most the whole triangle), partitioned down
-    to the ``keep`` smallest whenever the next row does not fit."""
-    n = D.shape[0]
+def _upper_blocks(n):
+    """(i, j) spans of the row blocks i..j-1 over columns i..n-1, of about
+    2^14 cells each, that cover the upper triangle of an n x n matrix."""
+    i = 0
+    while i < n:
+        j = min(n, i + max(1, _BLOCK_CELLS // (n - i)))
+        yield i, j
+        i = j
+
+
+def _above(M):
+    """The bool block M of rows i.. over columns i.., cleared in place on and
+    below the diagonal, which only its first len(M) columns cross."""
+    M[:, :len(M)] &= ~np.tri(len(M), dtype=bool)
+    return M
+
+
+def _radius_ranks(n, q):
+    """The ranks in the strict upper triangle of the two entries that the
+    ``q``-quantile of an exactly symmetric n x n matrix's off-diagonal
+    entries interpolates between, the fraction between them, and the size
+    of a buffer for them: twice the entries the ranks need plus one block,
+    at most the triangle.  Sorted, the k-th off-diagonal entry is the
+    (k // 2)-th of the triangle, so numpy's own interpolation between the
+    two around the virtual index gives the quantile's bits."""
     N = n * (n - 1)
     h = (N - 1) * q
     lo = int(h)
     ks = [lo // 2, min(lo + 1, N - 1) // 2]
+    return ks, h - lo, min(2 * ks[1] + 2 + max(n, _BLOCK_CELLS), N // 2)
+
+
+def _radius(kept, ks, frac):
+    """The quantile from ``kept``, every entry of the triangle up to rank
+    ks[1] and any larger ones, partitioned in place.  ks[1] is ks[0] or the
+    next rank, the smallest entry past ks[0]."""
+    kept.partition(ks[0])
+    pair = [kept[ks[0]], kept[ks[0]] if ks[1] == ks[0] else kept[ks[0] + 1:].min()]
+    return float(np.quantile(np.array(pair), frac))
+
+
+def _ball_held(n, q, blocks):
+    """The radius and the ball of the upper blocks ``blocks``, all at hand
+    (views of a matrix): where they are within the radius, above the
+    diagonal, as one flat mask over their cells in order.  Their values
+    stream through the buffer, partitioned in place down to the ``keep``
+    smallest whenever the next block does not fit; once the radius is known,
+    each block is compared with it once.
+    """
+    ks, frac, cap = _radius_ranks(n, q)
     keep = ks[1] + 1
-    buf = np.empty(min(2 * keep + n, N // 2))
-    fill, top = 0, 0.0
-    for i in range(n - 1):
-        row = D[i, i + 1:]
-        if fill + row.size > buf.size:
-            top = max(top, buf[:fill].max())
+    buf = np.empty(cap)
+    fill = 0
+    for B in blocks:
+        v = B[_above(np.ones(B.shape, dtype=bool))]
+        if fill + v.size > cap:
             buf[:fill].partition(keep - 1)
             fill = keep
-        buf[fill:fill + row.size] = row
-        fill += row.size
-    kept = buf[:fill]
-    top = max(top, kept.max())
-    kept.partition(ks)
-    return float(np.quantile(kept[ks], h - lo)), float(top)
+        buf[fill:fill + v.size] = v
+        fill += v.size
+    r = _radius(buf[:fill], ks, frac)
+    del buf
+    ball = np.empty(sum(B.size for B in blocks), dtype=bool)
+    off = 0
+    for B in blocks:
+        ball[off:off + B.size] = _above(B <= r).ravel()
+        off += B.size
+    return r, ball
+
+
+def _ball_streamed(n, q, blocks):
+    """:func:`_ball_held` of upper blocks that are computed one at a time
+    and seen once.  The ball starts as the mask of the cells whose values
+    the buffer holds, in order.  When the next block does not fit, the
+    buffer keeps its entries <= t, its keep-th smallest, ties included, and
+    later blocks enter filtered by <= t, so every entry within the radius
+    survives to mark the ball.
+    """
+    ks, frac, cap = _radius_ranks(n, q)
+    keep = ks[1] + 1
+    ball = np.zeros(sum((j - i) * (n - i) for i, j in _upper_blocks(n)), dtype=bool)
+    vals = np.empty(cap)
+    fill, t, off = 0, np.inf, 0
+    for B in blocks:
+        below = _above(B <= t).ravel()
+        v = B.ravel()[below]
+        if fill + v.size > vals.size:
+            t = np.partition(vals[:fill], keep - 1)[keep - 1]
+            kept = vals[:fill] <= t
+            seen = ball[:off]
+            seen[seen] = kept
+            fill = int(np.count_nonzero(kept))
+            vals[:fill] = vals[:kept.size][kept]
+            if fill + v.size > vals.size:  # ties at t: make room, up to the triangle
+                size = min(max(2 * vals.size, fill + v.size), n * (n - 1) // 2)
+                vals = np.concatenate([vals[:fill], np.empty(size - fill)])
+        vals[fill:fill + v.size] = v
+        ball[off:off + B.size] = below
+        fill += v.size
+        off += B.size
+    r = _radius(vals[:fill].copy(), ks, frac)
+    ball[ball] = vals[:fill] <= r
+    return r, ball
+
+
+def _kmodes(n, q, block, held):
+    """Mode clustering of n points from their distances, given as the upper
+    row blocks ``block(i, j)``: the distances of rows i..j-1 to columns
+    i..n-1, of which only the strict upper triangle is read.  ``held`` says
+    whether all the blocks may be at hand at once, as views of a matrix are.
+
+    A point's neighbors are the other points within the radius.  Its ascent
+    target is the member j of its ball, itself included, with the most
+    neighbors, the smallest index on ties: the largest key
+    counts[j] n + (n - 1 - j).  The targets' fixed points that have a
+    neighbor are the modes.
+    """
+    if not 0.0 < q <= 1.0:
+        raise ValueError("quantile q must be in (0, 1]")
+    if n < 2:
+        return Clustering(labels=np.zeros(n, dtype=int), sizes=[n], modes=[0])
+    blocks = (block(i, j) for i, j in _upper_blocks(n))
+    _, ball = _ball_held(n, q, list(blocks)) if held else _ball_streamed(n, q, blocks)
+    views, off = [], 0
+    for i, j in _upper_blocks(n):
+        views.append((i, j, ball[off:off + (j - i) * (n - i)].reshape(j - i, n - i)))
+        off += (j - i) * (n - i)
+    counts = np.zeros(n, dtype=np.intp)
+    for i, j, M in views:
+        counts[i:j] += np.count_nonzero(M, axis=1)
+        counts[i:] += np.count_nonzero(M, axis=0)
+    key = counts * n + np.arange(n - 1, -1, -1)
+    best = key.copy()
+    for i, j, M in views:
+        np.maximum(best[i:j], np.where(M, key[i:], -1).max(axis=1), out=best[i:j])
+        np.maximum(best[i:], np.where(M, key[i:j, None], -1).max(axis=0), out=best[i:])
+    target = n - 1 - best % n
+    root = target
+    while not np.array_equal(root[root], root):
+        root = root[root]
+    modes = np.flatnonzero((target == np.arange(n)) & (counts > 0))
+    labels = np.where(counts > 0, np.searchsorted(modes, root), OUTLIER)
+    sizes = list(np.bincount(labels[labels != OUTLIER], minlength=len(modes)))
+    return Clustering(labels=labels, sizes=sizes, modes=modes.tolist())
 
 
 def kmodes_cluster(distmat, q: float = 0.1) -> Clustering:
@@ -182,40 +301,33 @@ def kmodes_cluster(distmat, q: float = 0.1) -> Clustering:
     distances.  Points with no neighbor within r are outliers; every other
     point walks to the neighbor with the highest neighbor count (smallest
     index on ties) until it reaches a local maximum, and those maxima are
-    the cluster modes.  If every pairwise distance is zero the matrix
-    carries no structure and all points form one cluster around mode 0.
+    the cluster modes.  If every pairwise distance is zero, every point is
+    every other's neighbor, and all points form one cluster around mode 0.
 
     Memory beyond the input peaks at the quantile's buffer, about 8 q n^2
-    bytes for q < 0.5 and 4 n^2 bytes (the strict upper triangle) from
-    there on; the ascent runs in row blocks and holds no n x n array.
+    bytes for q < 0.5 and 4 n^2 bytes (the strict upper triangle) from there
+    on; the ball, one byte per pair, follows it.  At n = 2000 that is
+    0.9 n^2 bytes in 79 ms at q = 0.1 and 4.1 n^2 in 73 ms at q = 1.0
+    (tracemalloc, and the fastest of 15 runs in process on a shared 2-vCPU
+    host).
     """
     D = check_distmat(distmat)
-    n = D.shape[0]
-    if not 0.0 < q <= 1.0:
-        raise ValueError("quantile q must be in (0, 1]")
-    r, top = _offdiag_quantile(D, q) if n > 1 else (0.0, 0.0)
-    if top <= 0.0:
-        return Clustering(labels=np.zeros(n, dtype=int), sizes=[n], modes=[0])
-    rows = max(1, _BLOCK_CELLS // n)
-    blocks = [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
-    counts = np.concatenate([np.count_nonzero(D[b] <= r, axis=1) for b in blocks])
-    counts -= D.diagonal() <= r
+    return _kmodes(D.shape[0], q, lambda i, j: D[i:j, i:], held=True)
 
-    # ascent target: the ball member (self included, whatever the diagonal
-    # holds) maximizing (neighbor count, -index); fixed points are the modes
-    target = np.empty(n, dtype=np.intp)
-    for b in blocks:
-        own = np.arange(b.start, b.stop)
-        rank = np.where(D[b] <= r, counts, -1)
-        rank[own - b.start, own] = counts[own]
-        target[b] = np.argmax(rank, axis=1)
-    root = target
-    while not np.array_equal(root[root], root):
-        root = root[root]
-    modes = np.flatnonzero((target == np.arange(n)) & (counts > 0))
-    labels = np.where(counts > 0, np.searchsorted(modes, root), OUTLIER)
-    sizes = list(np.bincount(labels[labels != OUTLIER], minlength=len(modes)))
-    return Clustering(labels=labels, sizes=sizes, modes=modes.tolist())
+
+def kmodes_from_points(X, q: float = 0.1) -> Clustering:
+    """:func:`kmodes_cluster` of the geodesic distances between the rows of X
+    (n x D, normalized to the sphere), with the same labels, modes and sizes,
+    from upper row blocks of distances computed once each, with no n x n
+    matrix.
+
+    Memory peaks near 2.3 n^2 bytes at q = 0.1: the quantile's buffer, a
+    copy of its values and the ball, one byte per pair.  From q = 0.5 on,
+    the buffer holds the triangle's values, and the peak is near 8.6 n^2
+    bytes.  ``KMODES_MAX_POINTS`` gives times.
+    """
+    X = _unit_rows(X)
+    return _kmodes(len(X), q, lambda i, j: pairwise_geodesic(X[i:j], X[i:]), held=False)
 
 
 def fit_mixture(X, clustering: Clustering, frame: MovingFrame) -> GaussianMixture:

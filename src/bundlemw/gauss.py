@@ -26,6 +26,7 @@ from .errors import DegenerateMatrix, DimensionMismatch, FrameMismatch, NotSymme
 from .geometry import (
     ANTIPODE_TOL,
     MovingFrame,
+    _json_floats,
     _unit_rows,
     frame_from_dict,
     frame_to_dict,
@@ -201,13 +202,14 @@ def mixture_to_dict(mix: GaussianMixture) -> dict:
 
 def mixture_from_dict(data: dict) -> GaussianMixture:
     """The mixture of a mixture.json dict.  Basepoints need not be unit;
-    components of different sizes raise DimensionMismatch."""
+    components of different sizes raise DimensionMismatch, and a boolean
+    where a number belongs raises ValueError."""
     frame = frame_from_dict(data["frame"])
-    means = [np.asarray(c["basepoint"], dtype=float) for c in data["components"]]
-    covs = [np.asarray(c["cov"], dtype=float) for c in data["components"]]
+    means = [_json_floats(c["basepoint"], "basepoint") for c in data["components"]]
+    covs = [_json_floats(c["cov"], "cov") for c in data["components"]]
     if len({m.shape for m in means}) > 1 or len({S.shape for S in covs}) > 1:
         raise DimensionMismatch("mixture components differ in dimension")
-    return GaussianMixture(data["weights"], _unit_rows(means), covs, frame)
+    return GaussianMixture(_json_floats(data["weights"], "weights"), _unit_rows(means), covs, frame)
 
 
 def save_mixture(path, mix: GaussianMixture) -> None:

@@ -242,8 +242,22 @@ def frame_to_dict(frame: MovingFrame) -> dict:
     return {"p": frame.p.tolist(), "basis": frame.matrix.tolist()}
 
 
+def _json_floats(value, field) -> np.ndarray:
+    """``value``, numbers read from JSON, as a float array.  Python's json
+    reads ``true`` and ``false`` as bools, which numpy takes for 1 and 0, so
+    the rows that hold a 0 or a 1 are checked: a bool raises ValueError
+    naming ``field``."""
+    A = np.asarray(value, dtype=float)
+    if A.ndim <= 2:
+        rows = value if A.ndim == 2 else [value] if A.ndim == 1 else [[value]]
+        hits = np.atleast_2d((A == 0.0) | (A == 1.0)).any(axis=1)
+        if any(bool in set(map(type, rows[i])) for i in np.flatnonzero(hits)):
+            raise ValueError(f"'{field}' must hold numbers, not booleans")
+    return A
+
+
 def frame_from_dict(data: dict) -> MovingFrame:
-    return MovingFrame(data["p"], data["basis"])
+    return MovingFrame(_json_floats(data["p"], "p"), _json_floats(data["basis"], "basis"))
 
 
 def save_frame(path, frame: MovingFrame) -> None:

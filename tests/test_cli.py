@@ -1,5 +1,6 @@
 import builtins
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -146,7 +147,7 @@ class TestFit:
         def refuse(*args):
             raise AssertionError("the distance matrix must not be built")
 
-        monkeypatch.setattr("bundlemw.geometry.pairwise_geodesic", refuse)
+        monkeypatch.setattr("bundlemw.estimation.pairwise_geodesic", refuse)
         code = run(
             ["fit", tmp / "big.csv", "--frame", tmp / "frame.json",
              "--method", "kmodes", "--out", tmp / "fitkm"]
@@ -155,6 +156,23 @@ class TestFit:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert "10000" in err["message"]
+
+    def test_kmodes_fit_holds_no_distance_matrix(self, workspace, capsys):
+        # the n x n matrix alone would be 8 n^2 bytes; at the default q = 0.1
+        # clustering from the points peaks near 2.3 n^2
+        tmp, config = workspace
+        n = 2000
+        (tmp / "big.json").write_text(json.dumps(dict(config, n=n)))
+        run(["simulate", tmp / "big.json", "--out", tmp / "big.csv"])
+        argv = ["fit", tmp / "big.csv", "--frame", tmp / "frame.json",
+                "--method", "kmodes", "--out", tmp / "fitkm"]
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * n
 
     def test_memory_error_exits_3(self, workspace, capsys, monkeypatch):
         tmp, _ = workspace
@@ -518,6 +536,12 @@ CORPUS = [
      {"samples.csv": SAMPLES}, 2, "FileNotFoundError", ""),
     ("fit-frame-deep-nesting", FIT, fit_files(frame=DEEP), 2, "ValueError", "frame.json"),
     ("fit-frame-list", FIT, fit_files(frame="[1, 2]"), 2, "TypeError", ""),
+    ("fit-frame-bool-basis", FIT,
+     fit_files(frame=json.dumps({"p": [1, 0, 0], "basis": [[0, True, 0], [0, 0, True]]})),
+     2, "ValueError", "'basis'"),
+    ("fit-frame-bool-point", FIT,
+     fit_files(frame=json.dumps({"p": [True, 0, 0], "basis": [[0, 1, 0], [0, 0, 1]]})),
+     2, "ValueError", "'p'"),
     ("fit-frame-inf-basis", FIT,
      fit_files(frame=json.dumps({"p": [1, 0, 0], "basis": [[0, INF, 0], [0, 0, 1]]})),
      2, "ValueError", "finite"),
@@ -557,6 +581,12 @@ CORPUS = [
     ("mw2-1e308-weights", MW2,
      {"bad.json": mixture([GOOD, GOOD], [1e308, 1e308]), "good.json": mixture()},
      2, "ValueError", "probability"),
+    ("mw2-bool-weights", MW2, {"bad.json": mixture(weights=[True]), "good.json": mixture()},
+     2, "ValueError", "'weights'"),
+    ("mw2-bool-frame-point", MW2, {"bad.json": mixture(frame=dict(FRAME, p=[True, False, False])),
+                                   "good.json": mixture()}, 2, "ValueError", "'p'"),
+    ("mw2-bool-cov", MW2, {"bad.json": one_component([[True, False], [False, True]]),
+                           "good.json": mixture()}, 2, "ValueError", "'cov'"),
     ("mw2-zero-components", MW2, {"bad.json": mixture([], []), "good.json": mixture()},
      2, "ValueError", ""),
     ("mw2-missing-frame", MW2,
@@ -612,6 +642,13 @@ CORPUS = [
     ("distmat-nan-basepoint", DISTMAT,
      {"mixes/a.json": mixture(), "mixes/b.json": one_component(GOOD["cov"], [NAN, 0.6, 0.8])},
      2, "ValueError", "finite"),
+    ("distmat-bool-basepoint", DISTMAT,
+     {"mixes/a.json": mixture(), "mixes/b.json": one_component(GOOD["cov"], [False, True, False])},
+     2, "ValueError", "'basepoint'"),
+    ("distmat-bool-frame-basis", DISTMAT,
+     {"mixes/a.json": mixture(), "mixes/b.json": mixture(
+         frame=dict(FRAME, basis=[[False, True, False], [False, False, True]]))},
+     2, "ValueError", "'basis'"),
     ("distmat-frame-mismatch", DISTMAT,
      {f"mixes/m{i}.json": json.dumps(dict(CONFIG["mixture"], frame=frame))
       for i, frame in enumerate([FRAME, FRAME, frame_to_dict(random_frame(

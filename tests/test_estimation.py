@@ -2,22 +2,29 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundlemw.errors import ClusterTooSmall, DimensionMismatch, EmptyCluster
 from bundlemw.estimation import (
     OUTLIER,
     Clustering,
+    _ball_held,
+    _ball_streamed,
     _kmeanspp_indices,
-    _offdiag_quantile,
+    _kmodes,
+    _upper_blocks,
     clustering_to_dict,
     fit_mixture,
     kmodes_cluster,
+    kmodes_from_points,
     riemannian_kmeans,
     save_clustering,
 )
 from bundlemw.gauss import GaussianMixture
 from bundlemw.geometry import (
     MovingFrame,
+    _unit_rows,
     frechet_mean,
     pairwise_geodesic,
 )
@@ -85,6 +92,21 @@ def kmodes_by_row_loop(D, q):
         labels[i] = mode_pos[j]
     sizes = list(np.bincount(labels[labels != OUTLIER], minlength=len(modes)))
     return labels, modes, sizes
+
+
+def assert_matches_row_loop(out, D, q):
+    labels, modes, sizes = kmodes_by_row_loop(D, q)
+    assert np.array_equal(out.labels, labels)
+    assert out.modes == modes
+    assert out.sizes == sizes
+
+
+def repeated_blob_points(rng, n, D):
+    """n points of four blobs in R^D, a third of them exact copies of others,
+    so that distances tie at 0 and wherever a copied pair repeats one."""
+    X = rng.standard_normal((4, D))[rng.integers(0, 4, n)] + 0.3 * rng.standard_normal((n, D))
+    X[rng.choice(n, n // 3, replace=False)] = X[rng.integers(0, n, n // 3)]
+    return X
 
 
 def tie_heavy_distmat(rng, n, isolated):
@@ -236,10 +258,7 @@ class TestKmodes:
         rng = np.random.default_rng(seed)
         D = tie_heavy_distmat(rng, int(rng.integers(2, 160)), isolated=seed % 3)
         out = kmodes_cluster(D, q=q)
-        labels, modes, sizes = kmodes_by_row_loop(D, q)
-        assert np.array_equal(out.labels, labels)
-        assert out.modes == modes
-        assert out.sizes == sizes
+        assert_matches_row_loop(out, D, q)
 
     @pytest.mark.parametrize("q", [0.02, 0.1])
     def test_matches_row_loop_on_sphere_data(self, q):
@@ -247,10 +266,7 @@ class TestKmodes:
         X = np.vstack([cap_samples(rng, c, 0.15, 150) for c in np.eye(3)])
         D = pairwise_geodesic(X)
         out = kmodes_cluster(D, q=q)
-        labels, modes, sizes = kmodes_by_row_loop(D, q)
-        assert np.array_equal(out.labels, labels)
-        assert out.modes == modes
-        assert out.sizes == sizes
+        assert_matches_row_loop(out, D, q)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("q", [0.002, 0.005])
@@ -261,10 +277,14 @@ class TestKmodes:
             D[i, i + 1] = D[i + 1, i] = 0.0
         np.fill_diagonal(D, 1e-13)
         out = kmodes_cluster(D, q=q)
-        labels, modes, sizes = kmodes_by_row_loop(D, q)
-        assert np.array_equal(out.labels, labels)
-        assert out.modes == modes
-        assert out.sizes == sizes
+        assert_matches_row_loop(out, D, q)
+
+    @pytest.mark.parametrize("q", [0.002, 0.02, 0.1])
+    def test_streamed_blocks_match_row_loop_on_ties(self, q):
+        # n = 700 overflows the buffer, and integer distances tie at every t
+        D = tie_heavy_distmat(np.random.default_rng(3), 700, isolated=2)
+        out = _kmodes(700, q, lambda i, j: D[i:j, i:], held=False)
+        assert_matches_row_loop(out, D, q)
 
     @pytest.mark.parametrize("q, per_n2, slack_mib", [(0.1, 8 * 0.1, 2), (1.0, 4, 4)])
     def test_memory_is_the_quantile_buffer(self, q, per_n2, slack_mib):
@@ -275,11 +295,17 @@ class TestKmodes:
 
     @staticmethod
     def assert_offdiag_quantile_is_numpys(D, q):
-        off = D[~np.eye(D.shape[0], dtype=bool)]
-        got, top = _offdiag_quantile(D, q)
-        ref = np.quantile(off, q)
-        assert np.float64(got).view(np.int64) == np.float64(ref).view(np.int64)
-        assert top == np.max(off)
+        # both ball builders: the radius is bitwise numpy's quantile, and the
+        # ball is every upper-triangle cell of the row blocks within it
+        n = D.shape[0]
+        ref = np.quantile(D[~np.eye(n, dtype=bool)], q)
+        spans = list(_upper_blocks(n))
+        ball = np.concatenate([((D[i:j, i:] <= ref) & np.triu(np.ones((j - i, n - i), dtype=bool),
+                                                               1)).ravel() for i, j in spans])
+        for got, mask in (_ball_held(n, q, [D[i:j, i:] for i, j in spans]),
+                          _ball_streamed(n, q, (D[i:j, i:] for i, j in spans))):
+            assert np.float64(got).view(np.int64) == np.float64(ref).view(np.int64)
+            assert np.array_equal(mask, ball)
 
     @pytest.mark.parametrize("q", [1e-9, 0.02, 0.1, 0.5, 1.0])
     @pytest.mark.parametrize("n", [2, 3, 7, 160])
@@ -317,6 +343,66 @@ class TestKmodes:
             kmodes_cluster(bad)
         with pytest.raises(ValueError):
             kmodes_cluster(np.zeros((3, 3)), q=0.0)
+
+
+class TestKmodesFromPoints:
+    """The points entry runs the matrix path's rule on distances it computes
+    in blocks: labels, modes and sizes are those of kmodes_cluster."""
+
+    @staticmethod
+    def assert_matches_matrix_and_row_loop(X, q):
+        out = kmodes_from_points(X, q)
+        D = pairwise_geodesic(_unit_rows(X))
+        ref = kmodes_cluster(D, q)
+        assert np.array_equal(out.labels, ref.labels)
+        assert out.modes == ref.modes and out.sizes == ref.sizes
+        assert_matches_row_loop(out, D, q)
+
+    @pytest.mark.parametrize("D", [3, 8, 59])
+    @pytest.mark.parametrize("q", [0.02, 0.1, 0.5, 1.0])
+    def test_matches_matrix_path_and_row_loop(self, D, q):
+        # n = 400 overflows the streamed buffer at q <= 0.1
+        self.assert_matches_matrix_and_row_loop(
+            repeated_blob_points(np.random.default_rng(D), 400, D), q)
+
+    @pytest.mark.parametrize("q", [0.02, 0.1, 0.5, 1.0])
+    def test_few_distinct_points_tie_at_the_radius(self, q):
+        # five places, 80 points each: distances take at most 11 values
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((5, 3))[np.repeat(np.arange(5), 80)]
+        D = pairwise_geodesic(_unit_rows(X))
+        r = np.quantile(D[~np.eye(400, dtype=bool)], q)
+        assert np.count_nonzero(np.triu(D == r, 1)) > 1
+        self.assert_matches_matrix_and_row_loop(X, q)
+
+    @pytest.mark.parametrize("n", [2, 3, 400])
+    def test_identical_points_are_one_cluster(self, n):
+        out = kmodes_from_points(np.tile([0.3, -0.2, 0.9], (n, 1)))
+        assert out.modes == [0] and out.sizes == [n]
+        assert list(out.labels) == [0] * n
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("q", [0.02, 0.1, 0.5, 1.0])
+    def test_two_and_three_points(self, n, q):
+        X = np.random.default_rng(n).standard_normal((n, 4))
+        self.assert_matches_matrix_and_row_loop(X, q)
+        self.assert_matches_matrix_and_row_loop(np.vstack([X[:1], X[:1], X[1:]])[:n], q)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.integers(1, 30),
+           st.integers(2, 5), st.floats(1e-6, 1.0))
+    @settings(max_examples=80, deadline=None)
+    def test_small_point_sets_with_duplicates(self, seed, n, distinct, D, q):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((distinct, D))[rng.integers(0, distinct, n)]
+        self.assert_matches_matrix_and_row_loop(X, q)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            kmodes_from_points(np.eye(3), q=0.0)
+        with pytest.raises(ValueError):
+            kmodes_from_points(np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            kmodes_from_points(np.ones((3, 1)))
 
 
 class TestFitMixture:

@@ -20,7 +20,8 @@ PUBLIC = [
     "align_shape", "check_same_frame", "clustering_to_dict", "contour_to_srvf",
     "e_divisive", "exp_batch", "fit_mixture", "frame_from_dict", "frame_to_dict",
     "frames_equal", "frechet_mean", "hopf_backward", "hopf_forward",
-    "kmodes_cluster", "load_contour_dir", "load_contour_file", "load_distmat", "load_frame",
+    "kmodes_cluster", "kmodes_from_points", "load_contour_dir", "load_contour_file",
+    "load_distmat", "load_frame",
     "load_mixture", "load_samples", "load_triangles", "log_batch", "mixture_from_dict",
     "mixture_to_dict", "mw2", "normalize_minimal_form", "pairwise_geodesic", "pairwise_mw2",
     "pairwise_shape_distance", "pairwise_w2sq", "report_to_dict", "result_to_dict",
@@ -50,7 +51,7 @@ REMOVED = {
 
 
 def test_every_public_name_is_exported():
-    assert len(PUBLIC) == 73
+    assert len(PUBLIC) == 74
     assert set(bundlemw.__all__) == set(PUBLIC)
     for name in PUBLIC:
         assert hasattr(bundlemw, name), name
