@@ -10,6 +10,7 @@ first candidate whose permutation p-value exceeds the threshold.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -26,20 +27,22 @@ def check_distmat(D):
 
     It must be square, nonempty, finite, symmetric to 1e-8 (else
     NotSymmetric), nonnegative, and zero on the diagonal to 1e-12.  Checked in
-    row blocks of about 2^14 cells, an exactly symmetric float64 array comes
-    back uncopied with no n x n temporary, any other as a new D / 2 + D.T / 2.
+    square tiles of at most 2^14 cells, each against its mirror tile, an
+    exactly symmetric float64 array comes back uncopied with no n x n
+    temporary, any other as a new D / 2 + D.T / 2.
     """
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {D.shape}")
     if D.size == 0:
         raise ValueError("distance matrix is empty")
-    rows = max(1, _BLOCK_CELLS // D.shape[0])
-    blocks = [slice(i, i + rows) for i in range(0, D.shape[0], rows)]
-    if not all(np.isfinite(D[b]).all() for b in blocks):
+    side = math.isqrt(_BLOCK_CELLS)
+    blocks = [slice(i, i + side) for i in range(0, D.shape[0], side)]
+    tiles = [(a, b) for a in blocks for b in blocks]
+    if not all(np.isfinite(D[t]).all() for t in tiles):
         raise ValueError("distance matrix contains non-finite entries")
     with np.errstate(over="ignore"):  # an infinite difference is asymmetric
-        gap = max(np.max(np.abs(D[b] - D[:, b].T)) for b in blocks)
+        gap = max(np.max(np.abs(D[a, b] - D[b, a].T)) for a, b in tiles if a.start <= b.start)
     if gap > 1e-8:
         raise NotSymmetric("distance matrix is asymmetric beyond 1e-8")
     if np.min(D) < 0:
@@ -49,9 +52,19 @@ def check_distmat(D):
     if gap == 0.0:
         return D
     S = D * 0.5  # halved before adding, so entries near the float max cannot overflow
-    for b in blocks:
-        S[b] += D[:, b].T * 0.5
+    for a, b in tiles:
+        S[a, b] += D[b, a].T * 0.5
     return S
+
+
+@functools.lru_cache(maxsize=8)
+def _scan_terms(L, min_size):
+    """Strict lower and upper triangle masks of an L x L block and, for the
+    splits m = min_size..L-min_size, n = L - m: m n / (m + n), m n, m (m - 1), n (n - 1)."""
+    m = np.arange(min_size, L - min_size + 1).astype(float)
+    n = L - m
+    return (np.tri(L, k=-1, dtype=bool), ~np.tri(L, dtype=bool),
+            m * n / (m + n), m * n, m * (m - 1), n * (n - 1))
 
 
 def _scan_segment(A, min_size):
@@ -64,23 +77,17 @@ def _scan_segment(A, min_size):
     L = A.shape[0]
     if L < 2 * min_size:
         return None
-    lower = np.tril(A, -1).sum(axis=1)
-    upper = np.triu(A, 1).sum(axis=1)
+    low, up, scale, mn, mm, nn = _scan_terms(L, min_size)
+    lower = np.where(low, A, 0.0).sum(axis=1)
+    upper = np.where(up, A, 0.0).sum(axis=1)
     # head[k] = sum over i<j<k of A[i,j]; tail[k] = same for the block k..L
     head = np.concatenate([[0.0], np.cumsum(lower)])
     tail = np.concatenate([np.cumsum(upper[::-1])[::-1], [0.0]])
-    total = head[L]
-    ks = np.arange(min_size, L - min_size + 1)
-    m = ks.astype(float)
-    n = L - m
-    cross = total - head[ks] - tail[ks]
-    q = (m * n / (m + n)) * (
-        2.0 * cross / (m * n)
-        - 2.0 * head[ks] / (m * (m - 1))
-        - 2.0 * tail[ks] / (n * (n - 1))
-    )
+    ks = slice(min_size, L - min_size + 1)
+    cross = head[L] - head[ks] - tail[ks]
+    q = scale * (2.0 * cross / mn - 2.0 * head[ks] / mm - 2.0 * tail[ks] / nn)
     best = int(np.argmax(q))
-    return int(ks[best]), float(q[best])
+    return min_size + best, float(q[best])
 
 
 @dataclass(frozen=True)
@@ -134,9 +141,7 @@ def e_divisive(D, R=499, p0=0.0125, min_size=12, alpha=1.0, seed=0):
         raise ValueError("min_size must be at least 2")
     N = D.shape[0]
     if N < 2 * min_size:
-        raise SegmentTooSmall(
-            f"need at least {2 * min_size} time points, got {N}"
-        )
+        raise SegmentTooSmall(f"need at least {2 * min_size} time points, got {N}")
     top = float(np.max(D))
     if top > 0.0 and 2.0 * math.log(N) + alpha * math.log(top) > math.log(sys.float_info.max):
         raise ValueError(
@@ -152,23 +157,18 @@ def e_divisive(D, R=499, p0=0.0125, min_size=12, alpha=1.0, seed=0):
         candidate = None
         for lo, hi in segments:
             hit = _scan_segment(A[lo:hi, lo:hi], min_size)
-            if hit is None:
-                continue
-            k, q = hit
-            if candidate is None or q > candidate[0]:
-                candidate = (q, lo + k, lo, hi)
+            if hit is not None and (candidate is None or hit[1] > candidate[0]):
+                candidate = (hit[1], lo + hit[0], lo, hi)
         if candidate is None:
             break
         q_obs, split, lo, hi = candidate
 
+        block = A[lo:hi, lo:hi]
         exceed = 0
         for r in range(R):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(round_idx, r))
-            )
-            perm = rng.permutation(hi - lo)
-            block = A[lo:hi, lo:hi][np.ix_(perm, perm)]
-            _, q_perm = _scan_segment(block, min_size)
+            seq = np.random.SeedSequence(entropy=seed, spawn_key=(round_idx, r))
+            perm = np.random.Generator(np.random.PCG64(seq)).permutation(hi - lo)
+            _, q_perm = _scan_segment(block[perm][:, perm], min_size)
             if q_perm >= q_obs:
                 exceed += 1
         p = (1.0 + exceed) / (R + 1.0)

@@ -2,8 +2,8 @@
 
 The solver is a transportation simplex: least-cost start, spanning tree
 duals, and Dantzig's rule, which enters the most negative reduced cost.  One
-basis tree is kept for the whole solve and swaps one edge per pivot; one walk
-of it gives the duals and the parent pointers that close the pivot cycle.  A
+basis tree is kept for the whole solve and swaps one edge per pivot; only the
+subtree that moved is walked again, for its duals and parent pointers.  A
 tiny perturbation of the marginals keeps every basis nondegenerate, so each
 pivot strictly lowers the cost and the simplex cannot cycle.
 Exactness (up to arithmetic) matters downstream: change-point statistics
@@ -66,14 +66,13 @@ def _validate_simplex(w, n: int, name: str) -> np.ndarray:
 
 
 def _least_cost_start(C: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Initial basic feasible solution; returns the plan and basis cells.
+    """Initial basic feasible solution; returns the flow of each basis cell.
 
     Allocates to the cheapest cell whose row and column are both open, then
     closes one of them but never the last open row, so the cells span a tree.
     """
     K0, K1 = a.size, b.size
-    x = np.zeros((K0, K1))
-    basis = []
+    flow = {}
     a_rem = a.copy()
     b_rem = b.copy()
     rows, cols = set(range(K0)), set(range(K1))
@@ -81,18 +80,17 @@ def _least_cost_start(C: np.ndarray, a: np.ndarray, b: np.ndarray):
         i, j = divmod(int(flat), K1)
         if i not in rows or j not in cols:
             continue
-        basis.append((i, j))
         move = min(a_rem[i], b_rem[j])
-        x[i, j] = move
+        flow[i, j] = float(move)
         a_rem[i] -= move
         b_rem[j] -= move
         if len(rows) > 1 and (len(cols) == 1 or a_rem[i] <= b_rem[j]):
             rows.remove(i)
         else:
             cols.remove(j)
-        if len(basis) == K0 + K1 - 1:
+        if len(flow) == K0 + K1 - 1:
             break
-    return x, basis
+    return flow
 
 
 def _cell(node: int, other: int, K0: int):
@@ -100,16 +98,13 @@ def _cell(node: int, other: int, K0: int):
     return (node, other - K0) if node < K0 else (other, node - K0)
 
 
-def _tree_walk(costs, adj, K0: int):
-    """Potentials, parents and depths of the basis tree rooted at row 0.
-
-    Nodes are rows 0..K0-1 and then columns.  The root's potential is 0 and
-    every other is its edge's cost minus its parent's potential, so each one
-    is a signed sum along its path from the root, whatever the visit order.
-    """
-    n = len(adj)
-    pot, parent, depth = [0.0] * n, [-1] * n, [0] * n
-    stack = [0]
+def _tree_walk(costs, adj, K0: int, pot, parent, depth, node: int) -> None:
+    """Set the potentials, parents and depths of the nodes below ``node``,
+    whose own are set, in the basis tree rooted at row 0 (rows 0..K0-1, then
+    columns).  Each potential is its edge's cost minus its parent's, a signed
+    sum along the path from the root whatever the visit order, so re-walking
+    a moved subtree gives the bits of a walk from the root."""
+    stack = [node]
     while stack:
         node = stack.pop()
         for nxt in adj[node]:
@@ -118,7 +113,6 @@ def _tree_walk(costs, adj, K0: int):
                 pot[nxt] = costs[i][j] - pot[node]
                 parent[nxt], depth[nxt] = node, depth[node] + 1
                 stack.append(nxt)
-    return pot, parent, depth
 
 
 def _tree_path(parent, depth, start: int, goal: int, K0: int):
@@ -195,17 +189,18 @@ def solve_transportation(cost, w0, w1) -> TransportPlan:
 
     # one spanning tree for the whole solve: neighbour sets over the row
     # nodes 0..K0-1 and the column nodes K0.., and a mask of its cells
-    x, basis = _least_cost_start(C, a, b)
+    flow = _least_cost_start(C, a, b)
     adj = [set() for _ in range(K0 + K1)]
     basic = np.zeros((K0, K1), dtype=bool)
-    for i, j in basis:
+    for i, j in flow:
         adj[i].add(K0 + j)
         adj[K0 + j].add(i)
         basic[i, j] = True
     costs = C.tolist()
+    pot, parent, depth = [0.0] * (K0 + K1), [-1] * (K0 + K1), [0] * (K0 + K1)
+    _tree_walk(costs, adj, K0, pot, parent, depth, 0)
     max_iter = 200 * (K0 + K1) ** 2 + 1000
     for _ in range(max_iter):
-        pot, parent, depth = _tree_walk(costs, adj, K0)
         u, v = np.array(pot[:K0]), np.array(pot[K0:])
         reduced = C - u[:, None] - v[None, :]
         reduced[basic] = np.inf
@@ -215,18 +210,23 @@ def solve_transportation(cost, w0, w1) -> TransportPlan:
         ei, ej = entering = divmod(flat, K1)
         path = _tree_path(parent, depth, ei, K0 + ej, K0)
         minus = path[0::2]
-        theta = min(x[c] for c in minus)
-        li, lj = leaving = min(c for c in minus if x[c] <= theta)
-        for c in [entering] + path[1::2]:
-            x[c] += theta
+        theta = min(flow[c] for c in minus)
+        li, lj = leaving = min(c for c in minus if flow[c] <= theta)
+        for c in path[1::2]:
+            flow[c] += theta
         for c in minus:
-            x[c] -= theta
-        x[leaving] = 0.0
+            flow[c] -= theta
+        flow[entering] = flow.pop(leaving) + theta
         adj[li].discard(K0 + lj)
         adj[K0 + lj].discard(li)
         adj[ei].add(K0 + ej)
         adj[K0 + ej].add(ei)
         basic[leaving], basic[entering] = False, True
+        # the leaving edge cut off the subtree of its deeper end; the cycle from
+        # row ei meets li first, so ei is in that subtree iff li is deeper
+        sub, top = (ei, K0 + ej) if depth[li] > depth[K0 + lj] else (K0 + ej, ei)
+        pot[sub], parent[sub], depth[sub] = costs[ei][ej] - pot[top], top, depth[top] + 1
+        _tree_walk(costs, adj, K0, pot, parent, depth, sub)
     else:
         raise NoConvergence("transportation simplex exceeded its iteration budget")
 

@@ -353,7 +353,10 @@ def reference_transportation(cost, w0, w1):
     a = a0 + _EPS_PERTURB
     b = b0.copy()
     b[-1] += K0 * _EPS_PERTURB
-    x, basis = _least_cost_start(C, a, b)
+    flow = _least_cost_start(C, a, b)
+    basis = list(flow)
+    x = np.zeros((K0, K1))
+    x[tuple(zip(*basis))] = list(flow.values())
     while True:
         u, v = _ref_tree_potentials(C, basis, K0, K1)
         reduced = C - u[:, None] - v[None, :]
@@ -375,3 +378,60 @@ def reference_transportation(cost, w0, w1):
     x = _ref_tree_solve(basis, a0, b0)
     x[x <= _CLEANUP] = 0.0
     return x, float(np.sum(x * C)), (u, v)
+
+
+def _loop_scan_segment(A, min_size):
+    L = A.shape[0]
+    if L < 2 * min_size:
+        return None
+    lower = np.tril(A, -1).sum(axis=1)
+    upper = np.triu(A, 1).sum(axis=1)
+    head = np.concatenate([[0.0], np.cumsum(lower)])
+    tail = np.concatenate([np.cumsum(upper[::-1])[::-1], [0.0]])
+    total = head[L]
+    ks = np.arange(min_size, L - min_size + 1)
+    m = ks.astype(float)
+    n = L - m
+    cross = total - head[ks] - tail[ks]
+    q = (m * n / (m + n)) * (
+        2.0 * cross / (m * n)
+        - 2.0 * head[ks] / (m * (m - 1))
+        - 2.0 * tail[ks] / (n * (n - 1))
+    )
+    best = int(np.argmax(q))
+    return int(ks[best]), float(q[best])
+
+
+def loop_e_divisive(D, R, p0, min_size, alpha, seed):
+    """(index, p_value, accepted, statistic) of every candidate by the
+    E-divisive loop that rebuilt its triangle masks and split coefficients
+    for every scan: np.tril/np.triu, np.ix_ gathers and default_rng.  D
+    must be exactly symmetric and the parameters valid."""
+    A = np.asarray(D, dtype=float) ** float(alpha)
+    segments, points, round_idx = [(0, len(A))], [], 0
+    while True:
+        candidate = None
+        for lo, hi in segments:
+            hit = _loop_scan_segment(A[lo:hi, lo:hi], min_size)
+            if hit is not None and (candidate is None or hit[1] > candidate[0]):
+                candidate = (hit[1], lo + hit[0], lo, hi)
+        if candidate is None:
+            break
+        q_obs, split, lo, hi = candidate
+        exceed = 0
+        for r in range(R):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(round_idx, r))
+            )
+            perm = rng.permutation(hi - lo)
+            _, q_perm = _loop_scan_segment(A[lo:hi, lo:hi][np.ix_(perm, perm)], min_size)
+            exceed += q_perm >= q_obs
+        p = (1.0 + exceed) / (R + 1.0)
+        points.append((split, p, p <= p0, q_obs))
+        if p > p0:
+            break
+        segments.remove((lo, hi))
+        segments.extend([(lo, split), (split, hi)])
+        segments.sort()
+        round_idx += 1
+    return points

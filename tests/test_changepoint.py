@@ -16,7 +16,7 @@ from bundlemw.changepoint import (
 )
 from bundlemw.errors import NotSymmetric, SegmentTooSmall
 from bundlemw.estimation import kmodes_cluster
-from helpers import energy_statistic, peak_alloc_bytes
+from helpers import energy_statistic, loop_e_divisive, peak_alloc_bytes
 
 
 def block_distmat(n, boundary, within=0.0, cross=1.0):
@@ -96,6 +96,16 @@ class TestCheckDistmat:
         D[-1, -2] = D[-2, -1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             check_distmat(D)
+
+    @pytest.mark.parametrize("i, j", [(0, 299), (299, 0), (130, 5), (257, 140), (200, 199)])
+    def test_asymmetry_in_any_tile_is_found(self, i, j):
+        D = null_distmat(np.random.default_rng(6), 300)
+        D[i, j] += 2e-8
+        with pytest.raises(NotSymmetric):
+            check_distmat(D)
+        D[i, j] -= 1.5e-8
+        out = check_distmat(D)
+        assert out[i, j] == out[j, i] == D[i, j] * 0.5 + D[j, i] * 0.5
 
     def test_overflowing_asymmetry_is_not_symmetric(self):
         D = np.zeros((3, 3))
@@ -206,6 +216,23 @@ class TestEDivisive:
         accepted = report.accepted_indices
         assert accepted[0] == 40
         assert 70 in accepted
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_report_equals_the_loop_that_rebuilt_every_scan(self, alpha):
+        # three planted segments with noise, so the test runs two or more rounds
+        rng = np.random.default_rng(int(alpha * 10))
+        rounds = []
+        for trial in range(6):
+            n = int(rng.integers(30, 60))
+            cuts = np.sort(rng.choice(np.arange(8, n - 8), size=2, replace=False))
+            segment = np.searchsorted(cuts, np.arange(n), "right")
+            x = rng.standard_normal((n, 2)) + 2.5 * segment[:, None]
+            D = np.sqrt(np.sum((x[:, None] - x[None]) ** 2, axis=-1))
+            report = e_divisive(D, R=39, p0=0.05, min_size=5, alpha=alpha, seed=trial)
+            got = [(p.index, p.p_value, p.accepted, p.statistic) for p in report.points]
+            assert got == loop_e_divisive(D, 39, 0.05, 5, alpha, trial)
+            rounds.append(len(got))
+        assert max(rounds) >= 3
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(6)

@@ -1,12 +1,17 @@
 """The CSV table files: exact bytes written, the arrays read back from every
-layout the readers accept, and one typed error for a malformed table."""
+layout the readers accept, and one typed error for a malformed table.  The
+JSON writer: the bytes of json.dumps(obj, indent=2, sort_keys=True) plus a
+newline, and json's own error with no file for a value it cannot encode."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bundlemw import cli
+from bundlemw._jsonfile import write_json
 from bundlemw.contours import load_contour_file, load_distmat, save_distmat
 from bundlemw.sampling import load_samples, save_samples
 from bundlemw.transport import solve_transportation
@@ -201,3 +206,65 @@ def test_malformed_table_exits_2_naming_the_file(tmp_path, capsys, case):
              "triangles": ["--out", tmp_path / "out.csv"]}.get(command, [])
     assert run([command, path, *extra]) == 2
     _stderr_message(capsys, path)
+
+
+NUMBERS = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e308,
+                           -1e308, 10**30, -(10**30), 0, 7]) | st.floats() | st.integers()
+STRINGS = st.sampled_from([", ", '"', "\n", "[", "{", "], [", "[]", "\u00e9t\u00e9, \u4e2d",
+                           '{"a": [1, 2]}']) | st.text(max_size=8)
+SCALARS = NUMBERS | STRINGS | st.booleans() | st.none()
+ROWS = st.lists(st.lists(NUMBERS | st.booleans() | st.none(), max_size=4), max_size=4)
+JSON_VALUES = st.recursive(
+    SCALARS | ROWS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(STRINGS, inner, max_size=4)
+        # a list that starts with a number and holds a list, dict or string later
+        | st.tuples(NUMBERS, inner, SCALARS).map(list)
+        | st.tuples(inner, NUMBERS).map(lambda t: [[[t[0]]], t[1]])
+    ),
+    max_leaves=24,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_json_file_is_json_dumps_indented(tmp_path, obj):
+    path = tmp_path / "value.json"
+    write_json(path, obj)
+    assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("obj", [
+    [[1.0, 2.0], [3.0, -0.0]],
+    [[[float("nan")]], 1e308],
+    [1, [2.5, 3], {"b": 1, "a": [2, "x, y"]}, "], ["],
+    {"w": [0.25, 0.75], "z": [], "y": {}, "x": [[]], "v": {2: "a", 0.5: [1], False: {}}},
+    [[1, 2], [3], [], (4, 5)],
+    [["a, b", "c"], ["\u00e9"]],
+    [True, False, None, 10**30, -5e-324],
+    [1.5, {"b": 2, "a": 1}, "s"],
+    [[1, {"b": 2, "a": 1}]],
+])
+def test_json_file_edge_cases(tmp_path, obj):
+    write_json(tmp_path / "value.json", obj)
+    expected = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "value.json").read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("obj", [
+    {"a": [1.0, 2.0], "b": {1, 2}},
+    [1.0, np.float32(2.0)],
+    [[1.0], [np.float32(2.0)]],
+    {"cov": [[1.0, 0.0], [0.0, 1.0]], "p": [np.int64(1)]},
+    {(1, 2): "tuple key"},
+])
+def test_unencodable_value_raises_json_error_and_writes_no_file(tmp_path, obj):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        write_json(tmp_path / "value.json", obj)
+    assert str(got.value) == str(expected.value)
+    assert not (tmp_path / "value.json").exists()

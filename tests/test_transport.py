@@ -197,6 +197,12 @@ def continuous_problems(rng, n, k_max):
     return problems
 
 
+def integer_problems(rng, n, k_max):
+    """continuous_problems with costs cut down to {0, ..., 4}: tied costs
+    under marginals that do not tie."""
+    return [(np.floor(C / 2.0), w0, w1) for C, w0, w1 in continuous_problems(rng, n, k_max)]
+
+
 def mixture_problems(rng, n):
     """Pairwise squared W2 costs between S^2 mixtures of 6 to 16 components."""
     f = random_frame(np.eye(3)[-1], 17)
@@ -220,6 +226,8 @@ class TestMatchesRebuildingReference:
                          id="continuous"),
             pytest.param(lambda: tie_heavy_problems(np.random.default_rng(22), 40, 40),
                          id="tie_heavy"),
+            pytest.param(lambda: integer_problems(np.random.default_rng(23), 40, 20),
+                         id="integer"),
             pytest.param(lambda: [(np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 2.0], [3.0, 2.0, 1.0]]),
                                    np.full(3, 1.0 / 3.0), np.full(3, 1.0 / 3.0))],
                          id="degenerate"),
