@@ -2,9 +2,27 @@
 sort_keys=True)`` plus ``"\\n"``, UTF-8, written whole by :func:`write_json`.
 The C encoder runs only without indent, so a list of scalars, or of rows of
 scalars, takes one call of it with a newline and the indent in its item
-separator; rows are then split by ``str.replace``."""
+separator; rows are then split by ``str.replace``.  A symmetric float matrix,
+such as a covariance, is written from the reprs of its upper triangle."""
 
 import json
+from itertools import chain
+from operator import itemgetter
+
+
+def _mirrored(obj, sep, rowsep):
+    """The entries of the square matrix obj joined by ``sep`` and its rows by
+    ``rowsep``, each off-diagonal repr made once; None unless obj is float rows
+    equal to their transpose bit for bit.  Zeros, whose sign == ignores, and
+    nan or infinity, which json spells differently, are left to the encoder."""
+    if (any(len(r) != len(obj) for r in obj) or list(map(tuple, obj)) != list(zip(*obj))
+            or any(0.0 in r for r in obj) or {*map(type, chain.from_iterable(obj))} != {float}):
+        return None
+    full = []
+    for i, row in enumerate(obj):
+        full.append([*map(itemgetter(i), full), *map(float.__repr__, row[i:])])
+    body = rowsep.join(map(sep.join, full))
+    return None if "n" in body else body
 
 
 def _layout(obj, pad, out):
@@ -15,6 +33,8 @@ def _layout(obj, pad, out):
         rows = all(isinstance(r, (list, tuple)) for r in obj)
         if rows or not isinstance(obj[0], dict):
             cell = inner + "  " if rows else inner
+            if rows and (body := _mirrored(obj, "," + cell, inner + "]," + inner + "[" + cell)):
+                return out.extend(("[" + inner + "[" + cell, body, inner + "]" + pad + "]"))
             text = json.JSONEncoder(separators=("," + cell, ": ")).encode(obj)
             # no scalar's text holds a newline, so every separator is structural
             # once the checks admit no dict and no deeper or empty list

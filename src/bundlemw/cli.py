@@ -142,7 +142,8 @@ def cmd_distmat(args) -> int:
     if len(paths) < 2:
         raise ValueError(f"need at least two mixture files in {indir}")
     names = [p.stem for p in paths]
-    D = pairwise_mw2([load_mixture(p) for p in paths])
+    frames = {}
+    D = pairwise_mw2([load_mixture(p, frames) for p in paths])
     save_distmat(args.out, D, names=names)
     _emit({"n": len(names), "names": names, "out": str(args.out)})
     return 0

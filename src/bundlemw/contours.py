@@ -64,19 +64,17 @@ class Contour:
 
 def _resample_closed(P: np.ndarray, T: int) -> np.ndarray:
     """Uniform arc-length resampling of a closed polygon to T points."""
-    closed = np.column_stack([P, P[:, 0]])
-    seg = np.linalg.norm(np.diff(closed, axis=1), axis=0)
+    closed = np.concatenate([P, P[:, :1]], axis=1)
+    d = closed[:, 1:] - closed[:, :-1]
+    seg = np.sqrt(d[0] * d[0] + d[1] * d[1])  # the edge norms, summed as np.linalg.norm does
     keep = seg > 0.0
-    if not np.any(keep):
+    if not keep.any():
         raise DegenerateContour("contour has zero total length")
     # merge zero-length edges so interpolation breakpoints stay increasing
-    verts = np.column_stack([closed[:, :-1][:, keep], closed[:, -1]])
+    verts = np.concatenate([closed[:, :-1][:, keep], closed[:, -1:]], axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg[keep])])
-    total = cum[-1]
-    s = np.arange(T) * (total / T)
-    x = np.interp(s, cum, verts[0])
-    y = np.interp(s, cum, verts[1])
-    return np.vstack([x, y])
+    s = np.arange(T) * (cum[-1] / T)
+    return np.array([np.interp(s, cum, verts[0]), np.interp(s, cum, verts[1])])
 
 
 def contour_to_srvf(contours, T: int = 100) -> np.ndarray:
@@ -219,7 +217,7 @@ def shape_statistics(
     M = _stack([mean]).reshape(1, -1)
     if frame is None:
         frame = standard_frame(M.shape[1])
-    m = _unit_rows(M)[0]
+    m = M[0]  # unit within 1e-10; normalizing it again would move its last bits
     V = log_batch(m, X.reshape(len(X), -1)) @ transport_frame(frame, m).T
     return V, V.T @ V / (len(X) - 1)
 

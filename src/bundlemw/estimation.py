@@ -335,9 +335,10 @@ def fit_mixture(X, clustering: Clustering, frame: MovingFrame) -> GaussianMixtur
     normalized to the sphere).
 
     Cluster k contributes weight n_k / n (outliers excluded from n), mean
-    equal to the cluster center (Frechet mean or mode point), and the
-    Gram-form covariance of its frame-coordinate shooting vectors with the
-    n_k - 1 divisor.  The result is reduced to minimal form.
+    equal to the cluster center (Frechet mean or mode point, taken as it is:
+    both are unit), and the Gram-form covariance of its frame-coordinate
+    shooting vectors with the n_k - 1 divisor.  The result is reduced to
+    minimal form.
 
     Raises
     ------
@@ -361,9 +362,9 @@ def fit_mixture(X, clustering: Clustering, frame: MovingFrame) -> GaussianMixtur
         if idx.size < 2:
             raise ClusterTooSmall(f"cluster {k} has {idx.size} members, needs at least 2")
     if clustering.centers is not None:
-        means = _unit_rows(clustering.centers)
+        means = clustering.centers
     elif clustering.modes is not None:
-        means = _unit_rows(X[clustering.modes])
+        means = X[clustering.modes]
     else:
         means = np.array([frechet_mean(X[idx]) for idx in members])
     covs = []

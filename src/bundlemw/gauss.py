@@ -6,7 +6,10 @@ coordinates of a moving frame transported to m, which makes the change of
 basis between two basepoints the identity and reduces the squared
 2-Wasserstein distance between two bundle Gaussians to
 
-    d(m0, m1)^2 + tr(S0 + S1 - 2 (S0^{1/2} S1 S0^{1/2})^{1/2}).
+    d(m0, m1)^2 + min_U ||F0 - F1 U||^2 = d(m0, m1)^2 + tr S0 + tr S1 - 2 ||F1^T F0||_*
+
+over orthogonal r x r U, for factors S = F F^T of r columns (Bhatia, Jain and
+Lim 2019), so a covariance of rank r << d, such as a contour's, works in r x r.
 
 A mixture is three arrays, weights (K,), means (K, D) and covariances
 (K, d, d), plus the frame they are expressed in, so that distances between
@@ -37,12 +40,14 @@ from .geometry import (
 
 def _check_covs(S) -> tuple[np.ndarray, np.ndarray]:
     """The stack S (K, d, d) of covariances, checked and symmetric, and its
-    PSD square roots.
+    square-root factors F (K, d, r), S = F F^T.
 
     Asymmetry beyond 1e-6 is rejected and below it symmetrized away; an
     exactly symmetric stack comes back as it is.  Eigenvalues below -1e-10,
-    from one stacked ``eigh``, are rejected; the roots come from the same
-    ``eigh``, with smaller negative roundoff clamped to zero.
+    from one stacked ``eigh``, are rejected.  F = V sqrt(lambda) keeps the
+    eigenvalues above d eps lambda_max of their matrix, since the rest are
+    rounding noise whose roots would swamp a small Bures term; r is the most
+    any component keeps, at least 1, and a component's other columns are 0.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 3 or S.shape[1] != S.shape[2]:
@@ -59,8 +64,9 @@ def _check_covs(S) -> tuple[np.ndarray, np.ndarray]:
     evals, evecs = np.linalg.eigh(S)
     if np.min(evals) < -1e-10:
         raise DegenerateMatrix("covariance has an eigenvalue below -1e-10")
-    roots = evecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]
-    return S, roots @ np.swapaxes(evecs, 1, 2)
+    keep = evals > S.shape[1] * np.finfo(float).eps * evals[:, -1:]
+    r = max(1, int(keep.sum(axis=1).max()))
+    return S, evecs[:, :, -r:] * np.sqrt(np.where(keep, evals, 0.0)[:, None, -r:])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -70,20 +76,33 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _bures(roots: np.ndarray, S0: np.ndarray, S1: np.ndarray) -> np.ndarray:
-    """K0 x K1 Bures terms between the stacks S0 and S1, given the PSD
-    square roots of S0.  The cross terms S0^{1/2} S1 S0^{1/2} come from one
-    batched ``matmul``, O(K0 K1 d^3), and their eigenvalues from one stacked
-    ``eigvalsh``.  Identical pairs are exactly zero."""
-    tr0 = np.trace(S0, axis1=1, axis2=2)
-    tr1 = np.trace(S1, axis1=1, axis2=2)
-    inner = roots[:, None] @ S1[None] @ roots[:, None]
-    inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
-    cross = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum(axis=-1)
-    bures = np.clip(tr0[:, None] + tr1[None, :] - 2.0 * cross, 0.0, None)
-    # identical pairs are exactly at distance zero; zero them out so
-    # roundoff in the eigendecompositions cannot survive the final sqrt
-    bures[(S0[:, None] == S1[None]).all(axis=(-2, -1))] = 0.0
+def _bures(mix0: GaussianMixture, mix1: GaussianMixture) -> np.ndarray:
+    """K0 x K1 Bures terms between the components of two mixtures, from their
+    factors padded to a common r and A = F1^T F0 (r x r) for every pair.
+
+    The Gram form tr S0 + tr S1 - 2 sum sqrt(eig(A^T A)) is kept where r = d,
+    the smallest eigenvalue of A^T A is above 1e-8 of its largest and the value
+    is at least 1e-3 (tr S0 + tr S1): there no small root or difference loses
+    digits.  Other pairs, rank-deficient ones among them, take the polar
+    residual ||F0 - F1 U||^2, U = W V^T from the SVD A = W s V^T, accurate at
+    any rank.  Identical covariances are exactly 0."""
+    r = max(mix0.factors.shape[2], mix1.factors.shape[2])
+    F0, F1 = (F if F.shape[2] == r else np.pad(F, ((0, 0), (0, 0), (0, r - F.shape[2])))
+              for F in (mix0.factors, mix1.factors))
+    A = np.swapaxes(F1, 1, 2)[None] @ F0[:, None]
+    tr = np.trace(mix0.covs, axis1=1, axis2=2)[:, None] + np.trace(mix1.covs, axis1=1, axis2=2)
+    bures = np.full(A.shape[:2], -np.inf)
+    if r == F0.shape[1]:
+        mu = np.linalg.eigvalsh(np.swapaxes(A, -1, -2) @ A)
+        gram = tr - 2.0 * np.sqrt(np.clip(mu, 0.0, None)).sum(axis=-1)
+        bures = np.where(mu[..., 0] > 1e-8 * mu[..., -1], gram, bures)
+    polar = ~(bures >= 1e-3 * tr)
+    if polar.any():
+        W, _, Vt = np.linalg.svd(A[polar])
+        i, j = np.nonzero(polar)
+        R = (F0[i] - F1[j] @ (W @ Vt)).reshape(len(i), -1)
+        bures[polar] = np.vecdot(R, R)
+    bures[(mix0.covs[:, None] == mix1.covs[None]).all(axis=(-2, -1))] = 0.0
     return bures
 
 
@@ -94,18 +113,18 @@ class GaussianMixture:
     summing to one within 1e-10.  ``means`` (K, D) must be unit rows within
     1e-10, and are checked, not normalized again.  Every mean must lie off
     the puncture of the frame, since the covariances ``covs`` (K, d, d) are
-    interpreted in the frame transported to it; ``roots`` (K, d, d) holds
-    their PSD square roots.  The arrays are stored read-only, so mixtures
-    can share them.
+    interpreted in the frame transported to it; ``factors`` (K, d, r) holds
+    their square-root factors S = F F^T (:func:`_check_covs`).  The arrays
+    are stored read-only, so mixtures can share them.
     """
 
-    __slots__ = ("weights", "means", "covs", "roots", "frame")
+    __slots__ = ("weights", "means", "covs", "factors", "frame")
 
     def __init__(self, weights, means, covs, frame: MovingFrame):
         S = np.asarray(covs, dtype=float)
         if len(S) == 0:
             raise ValueError("a mixture needs at least one component")
-        S, roots = _check_covs(S)
+        S, F = _check_covs(S)
         M = np.asarray(means, dtype=float)
         if M.shape != (len(S), frame.p.size) or S.shape[1] != frame.dim:
             raise DimensionMismatch("component dimension does not match the frame")
@@ -122,8 +141,7 @@ class GaussianMixture:
         self.weights = _frozen(np.clip(w, 0.0, None))
         self.means = _frozen(M)
         self.covs = _frozen(S)
-        roots.setflags(write=False)
-        self.roots = roots
+        self.factors = _frozen(F)
         self.frame = frame
 
     @property
@@ -174,8 +192,8 @@ def pairwise_w2sq(mix0: GaussianMixture, mix1: GaussianMixture) -> np.ndarray:
     """K0 x K1 matrix of squared W2 distances between all component pairs.
 
     Entry (i, j) is the squared W2 distance between components i and j:
-    the squared geodesic distance between their means plus :func:`_bures`
-    from mix0's stored square roots.
+    the squared geodesic distance between their means plus the Bures term
+    of their covariances from the stored factors (:func:`_bures`).
 
     Raises
     ------
@@ -184,7 +202,7 @@ def pairwise_w2sq(mix0: GaussianMixture, mix1: GaussianMixture) -> np.ndarray:
     """
     check_same_frame(mix0, mix1)
     base = pairwise_geodesic(mix0.means, mix1.means) ** 2
-    return base + _bures(mix0.roots, mix0.covs, mix1.covs)
+    return base + _bures(mix0, mix1)
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +218,11 @@ def mixture_to_dict(mix: GaussianMixture) -> dict:
     }
 
 
-def mixture_from_dict(data: dict) -> GaussianMixture:
+def mixture_from_dict(data: dict, frames: dict | None = None) -> GaussianMixture:
     """The mixture of a mixture.json dict.  Basepoints need not be unit;
     components of different sizes raise DimensionMismatch, and a boolean
-    where a number belongs raises ValueError."""
-    frame = frame_from_dict(data["frame"])
+    where a number belongs raises ValueError.  ``frames``: see :func:`frame_from_dict`."""
+    frame = frame_from_dict(data["frame"], frames)
     means = [_json_floats(c["basepoint"], "basepoint") for c in data["components"]]
     covs = [_json_floats(c["cov"], "cov") for c in data["components"]]
     if len({m.shape for m in means}) > 1 or len({S.shape for S in covs}) > 1:
@@ -216,6 +234,6 @@ def save_mixture(path, mix: GaussianMixture) -> None:
     write_json(path, mixture_to_dict(mix))
 
 
-def load_mixture(path) -> GaussianMixture:
-    return mixture_from_dict(read_json(path))
+def load_mixture(path, frames: dict | None = None) -> GaussianMixture:
+    return mixture_from_dict(read_json(path), frames)
 

@@ -100,10 +100,11 @@ def _angle_from_chords(c, chord, cochord):
 
     Using 2*arcsin(chord/2) for acute pairs and pi - 2*arcsin(cochord/2)
     for obtuse ones keeps the result well conditioned at both ends; in
-    particular bitwise-equal inputs give exactly zero.
+    particular bitwise-equal inputs give exactly zero.  Chords are norms, so
+    only their upper end is clipped.
     """
-    acute = 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
-    obtuse = np.pi - 2.0 * np.arcsin(np.clip(0.5 * cochord, 0.0, 1.0))
+    acute = 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0))
+    obtuse = np.pi - 2.0 * np.arcsin(np.minimum(0.5 * cochord, 1.0))
     return np.where(c >= 0.0, acute, obtuse)
 
 
@@ -227,8 +228,9 @@ def pairwise_geodesic(X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarr
         A, B = ((X[:, i:i + s, None], Y[:, None, j:]) if lead
                 else (X[i:i + s, None, :], Y[None, j:, :]))
         dif, tot = A - B, A + B
-        block = _angle_from_chords(np.sum(A * B, axis=axis), np.sqrt(np.sum(dif * dif, axis=axis)),
-                                   np.sqrt(np.sum(tot * tot, axis=axis)))
+        add = np.add.reduce  # np.sum's own reduction, without its wrapper
+        block = _angle_from_chords(add(A * B, axis=axis), np.sqrt(add(dif * dif, axis=axis)),
+                                   np.sqrt(add(tot * tot, axis=axis)))
         out[i:i + s, j:] = block
         if mirror:
             out[j:, i:i + s] = block.T
@@ -256,8 +258,17 @@ def _json_floats(value, field) -> np.ndarray:
     return A
 
 
-def frame_from_dict(data: dict) -> MovingFrame:
-    return MovingFrame(_json_floats(data["p"], "p"), _json_floats(data["basis"], "basis"))
+def frame_from_dict(data: dict, frames: Optional[dict] = None) -> MovingFrame:
+    """The frame of a frame.json dict.  ``frames``, a dict kept between calls,
+    holds the previous frame under the bits of its arrays: the same bits get it."""
+    p, basis = _json_floats(data["p"], "p"), _json_floats(data["basis"], "basis")
+    if frames is None:
+        return MovingFrame(p, basis)
+    key = (p.shape, basis.shape, p.tobytes(), basis.tobytes())
+    if key not in frames:
+        frames.clear()
+        frames[key] = MovingFrame(p, basis)
+    return frames[key]
 
 
 def save_frame(path, frame: MovingFrame) -> None:

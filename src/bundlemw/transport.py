@@ -58,10 +58,10 @@ def _validate_simplex(w, n: int, name: str) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (n,):
         raise InfeasibleWeights(f"{name} has shape {w.shape}, expected ({n},)")
-    with np.errstate(over="ignore"):  # an infinite sum is not 1
-        if not np.all(np.isfinite(w)) or np.any(w < -1e-10) or abs(float(w.sum()) - 1.0) > 1e-8:
+    with np.errstate(over="ignore", invalid="ignore"):  # a nan or an infinity fails the sum
+        if not abs(float(w.sum()) - 1.0) <= 1e-8 or w.min() < -1e-10:
             raise InfeasibleWeights(f"{name} is not a probability vector")
-    w = np.clip(w, 0.0, None)
+    w = np.clip(w, 0.0, None) if w.min() <= 0.0 else w  # clip also turns -0.0 into 0.0
     return w / w.sum()
 
 
@@ -167,9 +167,10 @@ def solve_transportation(cost, w0, w1) -> TransportPlan:
     if C.ndim != 2:
         raise ValueError("cost must be a matrix")
     K0, K1 = C.shape
-    if not np.all(np.isfinite(C)) or np.any(C < -1e-12):
+    lo = C.min(initial=np.inf)  # nan and -inf fail the first test, +inf the second
+    if not (lo >= -1e-12 and C.max(initial=0.0) < np.inf):
         raise ValueError("cost entries must be finite and nonnegative")
-    C = np.clip(C, 0.0, None)
+    C = np.clip(C, 0.0, None) if lo <= 0.0 else C  # clip also turns -0.0 into 0.0
     a = _validate_simplex(w0, K0, "w0")
     b = _validate_simplex(w1, K1, "w1")
 

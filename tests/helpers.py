@@ -70,11 +70,18 @@ def random_spd(rng, d, scale=1.0):
     return scale * (A @ A.T) + 0.05 * np.eye(d)
 
 
-def eigh_roots(S):
-    """PSD square roots (K, d, d) of the stack S from one stacked ``eigh``,
-    by the formula the mixture's roots must follow bit for bit."""
-    evals, evecs = np.linalg.eigh(S)
-    return (evecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]) @ np.swapaxes(evecs, 1, 2)
+def eigh_factors(S):
+    """Square-root factors (K, d, r) of the stack S, one ``eigh`` per matrix,
+    by the rule the mixture's factors must follow bit for bit: V sqrt(lambda)
+    over the eigenvalues above d eps lambda_max, r the most any matrix keeps,
+    and zero columns in front of the kept ones."""
+    out = []
+    for A in S:
+        lam, V = np.linalg.eigh(A)
+        kept = lam > A.shape[0] * np.finfo(float).eps * lam[-1]
+        out.append(V[:, kept] * np.sqrt(lam[kept]))
+    r = max(1, max(F.shape[1] for F in out))
+    return np.array([np.hstack([np.zeros((len(F), r - F.shape[1])), F]) for F in out])
 
 
 def make_mixture(rng, K, D, frame=None, cov_scale=0.1):

@@ -1,8 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import sqrtm
+from scipy.linalg import sqrtm, svdvals
 from scipy.optimize import linear_sum_assignment
+from scipy.stats import ortho_group
 
+from bundlemw.contours import Contour, align_shape, contour_to_srvf, shape_statistics
 from bundlemw.errors import (
     DegenerateMatrix,
     DimensionMismatch,
@@ -23,13 +26,14 @@ from bundlemw.gauss import (
 )
 from bundlemw.geometry import (
     _unit_rows,
+    frechet_mean,
     pairwise_geodesic,
     standard_frame,
 )
 from bundlemw.transport import mw2
 
 from helpers import (
-    eigh_roots,
+    eigh_factors,
     geodesic,
     loop_minimal_form,
     make_mixture,
@@ -40,21 +44,25 @@ from helpers import (
 
 
 def check_cov(S):
-    """One covariance through the stack check: the checked matrix and its root."""
-    S, roots = _check_covs(np.array([S], dtype=float))
-    return S[0], roots[0]
+    """One covariance through the stack check: the checked matrix and its factor."""
+    S, F = _check_covs(np.array([S], dtype=float))
+    return S[0], F[0]
+
+
+def single(S):
+    """The K = 1 mixture of covariance S at the point of the standard frame."""
+    f = standard_frame(len(S) + 1)
+    return GaussianMixture([1.0], f.p[None], np.array([S], dtype=float), f)
 
 
 def bures(S0, S1):
     """The Bures term of one pair of covariances, by the stacked kernel."""
-    A, roots = _check_covs(np.array([S0], dtype=float))
-    B, _ = _check_covs(np.array([S1], dtype=float))
-    return float(_bures(roots, A, B)[0, 0])
+    return float(_bures(single(S0), single(S1))[0, 0])
 
 
 class TestCovarianceCheck:
     def test_symmetrizes_small_asymmetry(self):
-        S, _ = check_cov([[1.0, 1e-8], [0.0, 2.0]])
+        S = check_cov([[1.0, 1e-8], [0.0, 2.0]])[0]
         assert np.array_equal(S, S.T)
 
     def test_exactly_symmetric_stack_comes_back_as_it_is(self):
@@ -74,7 +82,7 @@ class TestCovarianceCheck:
             check_cov([[-1.0, 0.0], [0.0, 1.0]])
 
     def test_allows_rank_deficient(self):
-        S, _ = check_cov([[1.0, 0.0], [0.0, 0.0]])
+        S = check_cov([[1.0, 0.0], [0.0, 0.0]])[0]
         assert S.shape == (2, 2)
 
     def test_rejects_nonsquare(self):
@@ -82,12 +90,13 @@ class TestCovarianceCheck:
             check_cov(np.zeros((2, 3)))
 
 
-class TestRoots:
-    """The roots a mixture or a matrix keeps are the eigh roots, bit for bit."""
+class TestFactors:
+    """The factors a mixture or a matrix keeps are the eigh factors over the
+    eigenvalues above d eps lambda_max, bit for bit, and multiply back to S."""
 
     @pytest.mark.parametrize("d", [2, 5, 59])
     @pytest.mark.parametrize("rank", [None, 1])
-    def test_roots_are_eigh_roots(self, d, rank):
+    def test_factors_are_eigh_factors(self, d, rank):
         rng = np.random.default_rng(d)
         if rank is None:
             S = np.array([random_spd(rng, d) for _ in range(3)])
@@ -98,33 +107,43 @@ class TestRoots:
             S = 0.5 * (S + np.swapaxes(S, 1, 2))
         f = standard_frame(d + 1)
         mix = GaussianMixture(np.full(3, 1.0 / 3), np.tile(f.p, (3, 1)), S, f)
-        assert np.array_equal(mix.roots, eigh_roots(mix.covs))
+        assert mix.factors.shape == (3, d, rank or d)
+        assert np.array_equal(mix.factors, eigh_factors(mix.covs))
         for k in range(3):
-            cov, root = check_cov(S[k])
-            assert np.array_equal(root, eigh_roots(cov[None])[0])
+            cov, factor = check_cov(S[k])
+            assert np.array_equal(factor, eigh_factors(cov[None])[0])
 
-
-class TestPsdSqrt:
     def test_identity(self):
-        R = check_cov(np.eye(3))[1]
-        assert np.allclose(R, np.eye(3))
+        F = check_cov(np.eye(3))[1]
+        assert np.allclose(F @ F.T, np.eye(3), rtol=0.0, atol=1e-15)
 
     def test_diagonal(self):
-        R = check_cov(np.diag([4.0, 9.0]))[1]
-        assert np.allclose(R, np.diag([2.0, 3.0]))
+        F = check_cov(np.diag([4.0, 9.0]))[1]
+        assert np.allclose(np.abs(F), np.diag([2.0, 3.0]), rtol=0.0, atol=1e-15)
 
-    def test_square_recovers_input(self):
-        rng = np.random.default_rng(0)
-        for d in (2, 3, 6):
-            S = random_spd(rng, d)
-            R = check_cov(S)[1]
-            rel = np.linalg.norm(R @ R - S) / np.linalg.norm(S)
-            assert rel < 1e-8
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_product_recovers_input(self, d):
+        S = random_spd(np.random.default_rng(d), d)
+        F = check_cov(S)[1]
+        assert np.linalg.norm(F @ F.T - S) / np.linalg.norm(S) < 1e-14
 
     def test_rank_deficient_input(self):
         S = np.diag([1.0, 0.0])
-        R = check_cov(S)[1]
-        assert np.allclose(R @ R, S, atol=1e-12)
+        F = check_cov(S)[1]
+        assert F.shape == (2, 1)
+        assert np.array_equal(F @ F.T, S)
+
+    def test_zero_covariance_has_one_zero_column(self):
+        F = check_cov(np.zeros((3, 3)))[1]
+        assert F.shape == (3, 1) and not F.any()
+
+    def test_components_pad_to_the_largest_rank(self):
+        # ranks 1 and 3 in d = 3: the rank-1 factor leads with two zero columns
+        v = np.array([[1.0], [2.0], [2.0]]) / 3.0
+        S = np.array([v @ v.T, np.diag([1.0, 2.0, 3.0])])
+        F = _check_covs(S)[1]
+        assert F.shape == (2, 3, 3) and not F[0, :, :2].any()
+        assert np.allclose(F[0] @ F[0].T, S[0], rtol=0.0, atol=1e-15)
 
 
 class TestBuresTerm:
@@ -176,6 +195,73 @@ class TestBuresTerm:
         emp = np.mean(costs)
         exact = bures(S0, S1)
         assert abs(emp - exact) / exact < 0.05
+
+
+class TestBuresAccuracy:
+    """Bures terms against closed forms and 50-digit values where the
+    covariances are nearly identical or of low rank."""
+
+    @pytest.mark.parametrize("d, rank, eps", [
+        (2, 2, 1e-6), (2, 2, 1e-8), (10, 10, 1e-6), (10, 10, 1e-8), (50, 50, 1e-6),
+        (50, 50, 1e-8), (59, 5, 1e-4), (59, 5, 1e-6), (59, 5, 1e-8),
+    ])
+    def test_commuting_oracle(self, d, rank, eps):
+        # S = Q diag(a) Q^T on `rank` shared eigenvectors: Bures is
+        # sum (sqrt a - sqrt b)^2 with b a relative perturbation eps of a
+        rng = np.random.default_rng(d + rank)
+        Q = ortho_group.rvs(d, random_state=d + rank)[:, :rank]
+        a = rng.uniform(0.1, 1.0, rank)
+        b = a * (1.0 + eps * rng.uniform(-1.0, 1.0, rank))
+        S0, S1 = ((Q * e) @ Q.T for e in (a, b))
+        expect = np.sum((np.sqrt(a) - np.sqrt(b)) ** 2)
+        got = bures(0.5 * (S0 + S0.T), 0.5 * (S1 + S1.T))
+        assert abs(got - expect) <= 1e-6 * expect
+
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("kappa", [1e3, 1e7])
+    def test_ill_conditioned_pairs_match_mpmath(self, d, kappa):
+        # full rank with eigenvalues from 1 down to 1/kappa, S1 = G S0 G^T a
+        # few percent away; 40 digits from the same float64 matrices
+        rng = np.random.default_rng(d)
+        Q = ortho_group.rvs(d, random_state=d)
+        S0 = (Q * np.geomspace(1.0, 1.0 / kappa, d)) @ Q.T
+        G = np.eye(d) + 0.05 * rng.standard_normal((d, d))
+        S0, S1 = (0.5 * (S + S.T) for S in (S0, G @ S0 @ G.T))
+        mpmath.mp.dps = 40
+        E, V = mpmath.eigsy(mpmath.matrix(S0.tolist()))
+        R = V * mpmath.diag([mpmath.sqrt(e) for e in E]) * V.T
+        cross = mpmath.eigsy(R * mpmath.matrix(S1.tolist()) * R, eigvals_only=True)
+        expect = np.trace(S0) + np.trace(S1) - 2 * sum(mpmath.sqrt(e) for e in cross)
+        assert abs(bures(S0, S1) - expect) <= 1e-10 * expect
+
+    def test_contour_pairs_match_mpmath(self):
+        # four frames of six contours at T = 8 (d = 15, rank 5), as the
+        # contours command fits them; the 50-digit Bures term comes from the
+        # float64 shooting vectors V, since S = V^T V / (n - 1) = F F^T with
+        # F = V^T / sqrt(n - 1)
+        rng = np.random.default_rng(8)
+        T, t = 8, np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
+        frame = standard_frame(2 * T)
+        ref, frames = None, []
+        for f in range(4):
+            radius = [1.0 + 0.3 * np.cos(2 * t) + 0.35 * (f >= 2) * np.cos(3 * t)
+                      + 0.03 * rng.standard_normal(t.size) for _ in range(6)]
+            Q = contour_to_srvf([Contour(np.vstack([r * np.cos(t), r * np.sin(t)]))
+                                 for r in radius], T)
+            ref = Q[0] if ref is None else ref
+            aligned, _ = align_shape(ref, Q)
+            mean = frechet_mean(aligned.reshape(len(Q), -1))
+            V, S = shape_statistics(aligned, mean.reshape(2, T), frame)
+            frames.append((V, GaussianMixture([1.0], mean[None], S[None], frame)))
+        mpmath.mp.dps = 50
+        for i in range(4):
+            for j in range(i + 1, 4):
+                (V0, m0), (V1, m1) = frames[i], frames[j]
+                F0, F1 = (mpmath.matrix(V.tolist()).T / mpmath.sqrt(len(V) - 1) for V in (V0, V1))
+                nuclear = sum(mpmath.svd_r(F1.T * F0, compute_uv=False))
+                expect = sum(x**2 for x in F0) + sum(x**2 for x in F1) - 2 * nuclear
+                got = _bures(m0, m1)[0, 0]
+                assert abs(got - expect) <= 1e-12 * expect, (i, j)
 
 
 def gaussian(m, S, frame):
@@ -248,7 +334,7 @@ class TestGaussianMixture:
     def test_arrays_read_only_and_shared(self):
         rng = np.random.default_rng(3)
         mix = make_mixture(rng, 2, 3)
-        for a in (mix.weights, mix.means, mix.covs, mix.roots):
+        for a in (mix.weights, mix.means, mix.covs, mix.factors):
             with pytest.raises(ValueError):
                 a[0] = 0.0
         f2 = random_frame(mix.frame.p, 4)
@@ -376,14 +462,28 @@ class TestPairwiseAndIO:
                 base = geodesic(m0.means[i], m1.means[j]) ** 2
                 assert P[i, j] == pytest.approx(base + bures, abs=1e-10)
 
-    def test_pairwise_is_geodesic_plus_bures_of_eigh_roots(self):
+    @pytest.mark.parametrize("rank", [None, 2])
+    def test_pairwise_is_geodesic_plus_nuclear_norm_of_eigh_factors(self, rank):
+        # full rank takes the Gram form, rank 2 in d = 5 the polar form; both
+        # against tr S0 + tr S1 - 2 ||F1^T F0||_* by scipy's singular values
         rng = np.random.default_rng(16)
-        m0 = make_mixture(rng, 3, 6)
-        m1 = make_mixture(rng, 4, 6, frame=m0.frame)
-        expect = pairwise_geodesic(m0.means, m1.means) ** 2 + _bures(
-            eigh_roots(m0.covs), m0.covs, m1.covs
-        )
-        assert np.array_equal(pairwise_w2sq(m0, m1), expect)
+        f = random_frame(np.eye(6)[-1], 17)
+
+        def mix(K):
+            if rank is None:
+                return make_mixture(rng, K, 6, frame=f)
+            G = 0.3 * rng.standard_normal((K, 5, rank))
+            means = [unit(f.p + 0.8 * rng.standard_normal(6)) for _ in range(K)]
+            return GaussianMixture(np.full(K, 1.0 / K), means, G @ np.swapaxes(G, 1, 2), f)
+
+        m0, m1 = mix(3), mix(4)
+        F0, F1 = eigh_factors(m0.covs), eigh_factors(m1.covs)
+        expect = pairwise_geodesic(m0.means, m1.means) ** 2
+        for i in range(3):
+            for j in range(4):
+                nuclear = svdvals(F1[j].T @ F0[i]).sum()
+                expect[i, j] += np.trace(m0.covs[i]) + np.trace(m1.covs[j]) - 2.0 * nuclear
+        assert np.allclose(pairwise_w2sq(m0, m1), expect, rtol=1e-12, atol=0.0)
 
     def test_pairwise_commuting_closed_form(self):
         # S = Q diag(a) Q^T with one shared Q: Bures is sum (sqrt a - sqrt b)^2
@@ -424,6 +524,22 @@ class TestPairwiseAndIO:
         assert np.allclose(back.means, mix.means)
         assert np.allclose(back.covs, mix.covs)
         assert np.allclose(back.frame.matrix, mix.frame.matrix)
+
+    def test_files_in_one_frame_share_it(self, tmp_path):
+        # the frame arrays of b.json hold a.json's bits; c.json's basis is one
+        # ulp away, and d.json's has -0.0 where a.json has 0.0
+        mix = make_mixture(np.random.default_rng(17), 2, 3, frame=standard_frame(3))
+        data = mixture_to_dict(mix)
+        files = {name: mixture_to_dict(mix) for name in "abcd"}
+        files["c"]["frame"]["basis"][0][1] = np.nextafter(data["frame"]["basis"][0][1], 2.0)
+        files["d"]["frame"]["basis"][0][0] = -0.0
+        frames = {}
+        a, b, c, d = (mixture_from_dict(files[name], frames) for name in "abcd")
+        assert a.frame is b.frame
+        assert c.frame is not b.frame and d.frame is not c.frame
+        for m in (c, d):
+            check_same_frame(a, m)
+        assert mixture_from_dict(data).frame is not mixture_from_dict(data).frame
 
     def test_dict_keys(self):
         rng = np.random.default_rng(14)

@@ -4,6 +4,7 @@ JSON writer: the bytes of json.dumps(obj, indent=2, sort_keys=True) plus a
 newline, and json's own error with no file for a value it cannot encode."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -232,6 +233,43 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_json_file_is_json_dumps_indented(tmp_path, obj):
+    path = tmp_path / "value.json"
+    write_json(path, obj)
+    assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+@st.composite
+def square_matrices(draw):
+    """Square float matrices that equal their transpose bit for bit, or miss
+    by one entry: one ulp, -0.0 against 0.0, or an int against its float;
+    with nan, an infinity, 5e-324, 1e308, a zero or an int mirrored in place;
+    1 x 1 up to 7 x 7, and some with a column dropped, so not square."""
+    n = draw(st.integers(1, 7))
+    nonzero = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+    upper = {(i, j): draw(nonzero) for i in range(n) for j in range(i, n)}
+    M = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
+    change = draw(st.sampled_from(["none", "ulp", "signed zero", "int", "special"]))
+    if change == "ulp" and i != j:
+        M[j][i] = math.nextafter(M[i][j], math.inf)
+    elif change == "signed zero" and i != j:
+        M[i][j], M[j][i] = 0.0, -0.0
+    elif change == "int":
+        M[i][j], M[j][i] = 3.0, 3
+    elif change == "special":
+        M[i][j] = M[j][i] = draw(st.sampled_from([float("nan"), float("inf"), -float("inf"),
+                                                  5e-324, 1e308, 0.0, -0.0, 3]))
+    if n > 1 and draw(st.booleans()):
+        M = [row[:-1] for row in M]
+    return M
+
+
+@given(square_matrices(), st.booleans())
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mirrored_matrix_file_is_json_dumps_indented(tmp_path, matrix, nested):
+    # a covariance is written from its upper triangle: the bytes must not change
+    obj = {"components": [{"cov": matrix}]} if nested else matrix
     path = tmp_path / "value.json"
     write_json(path, obj)
     assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
