@@ -3,8 +3,8 @@
 Two clusterers feed the same covariance estimator.  Riemannian K-means
 runs Lloyd iterations with geodesic assignments and Frechet-mean updates.
 The mode-based alternative works purely from pairwise distances, given as
-a matrix or computed from the points in row blocks of its upper triangle:
-it counts neighbors within a quantile radius, takes local maxima of the
+a matrix or ranked by the points' dot products, exact near the radius: it
+counts neighbors within a quantile radius, takes local maxima of the
 neighbor count as cluster modes, sends every point uphill to its mode, and
 flags isolated points as outliers.  Mode clustering picks its own number
 of clusters, which K-means cannot.
@@ -28,6 +28,7 @@ from .gauss import GaussianMixture, normalize_minimal_form
 from .geometry import (
     _BLOCK_CELLS,
     MovingFrame,
+    _pair_geodesic,
     _unit_rows,
     frechet_mean,
     log_batch,
@@ -37,10 +38,12 @@ from .geometry import (
 
 OUTLIER = -1
 # Largest n that `fit --method kmodes` takes.  Clustering from the points
-# peaks near 2.3 n^2 bytes in 151 ms at the default q = 0.1, and near
-# 8.6 n^2 in 153 ms at q = 1.0 (n = 2000, D = 3: tracemalloc, and the
-# fastest of 15 runs in process on a shared 2-vCPU host).
+# peaks near 0.64 n^2 bytes, in 44 ms at the default q = 0.1 and 41 ms at
+# q = 1.0 (n = 2000, D = 3: tracemalloc, and the fastest of 15 runs in
+# process on a shared 2-vCPU host).
 KMODES_MAX_POINTS = 10_000
+# Bins over [-1, 1] of the dot-product histogram that finds the radius.
+_DOT_BINS = 4096
 
 
 @dataclass
@@ -168,96 +171,115 @@ def _above(M):
 def _radius_ranks(n, q):
     """The ranks in the strict upper triangle of the two entries that the
     ``q``-quantile of an exactly symmetric n x n matrix's off-diagonal
-    entries interpolates between, the fraction between them, and the size
-    of a buffer for them: twice the entries the ranks need plus one block,
-    at most the triangle.  Sorted, the k-th off-diagonal entry is the
-    (k // 2)-th of the triangle, so numpy's own interpolation between the
-    two around the virtual index gives the quantile's bits."""
+    entries interpolates between, and the fraction between them.  Sorted,
+    the k-th off-diagonal entry is the (k // 2)-th of the triangle, so
+    numpy's own interpolation between the two around the virtual index gives
+    the quantile's bits."""
     N = n * (n - 1)
     h = (N - 1) * q
     lo = int(h)
-    ks = [lo // 2, min(lo + 1, N - 1) // 2]
-    return ks, h - lo, min(2 * ks[1] + 2 + max(n, _BLOCK_CELLS), N // 2)
+    return [lo // 2, min(lo + 1, N - 1) // 2], h - lo
 
 
-def _radius(kept, ks, frac):
-    """The quantile from ``kept``, every entry of the triangle up to rank
-    ks[1] and any larger ones, partitioned in place.  ks[1] is ks[0] or the
-    next rank, the smallest entry past ks[0]."""
-    kept.partition(ks[0])
-    pair = [kept[ks[0]], kept[ks[0]] if ks[1] == ks[0] else kept[ks[0] + 1:].min()]
-    return float(np.quantile(np.array(pair), frac))
-
-
-def _ball_held(n, q, blocks):
-    """The radius and the ball of the upper blocks ``blocks``, all at hand
-    (views of a matrix): where they are within the radius, above the
-    diagonal, as one flat mask over their cells in order.  Their values
-    stream through the buffer, partitioned in place down to the ``keep``
-    smallest whenever the next block does not fit; once the radius is known,
-    each block is compared with it once.
-    """
-    ks, frac, cap = _radius_ranks(n, q)
+def _select(chunks, ks, frac, total, n):
+    """The quantile of the ``total`` values in ``chunks``, arrays of at most
+    one upper block of an n x n matrix: np.quantile's linear formula, t >=
+    0.5 branch included, at ``frac`` between the values of ranks ks, ks[1]
+    being ks[0] or the next.  They stream through a buffer of twice the
+    ks[1] + 1 smallest plus a block, at most ``total``, partitioned down to
+    those whenever the next chunk does not fit."""
     keep = ks[1] + 1
-    buf = np.empty(cap)
+    buf = np.empty(min(2 * keep + max(n, _BLOCK_CELLS), total))
     fill = 0
-    for B in blocks:
-        v = B[_above(np.ones(B.shape, dtype=bool))]
-        if fill + v.size > cap:
+    for v in chunks:
+        if fill + v.size > buf.size:
             buf[:fill].partition(keep - 1)
             fill = keep
         buf[fill:fill + v.size] = v
         fill += v.size
-    r = _radius(buf[:fill], ks, frac)
-    del buf
-    ball = np.empty(sum(B.size for B in blocks), dtype=bool)
-    off = 0
-    for B in blocks:
-        ball[off:off + B.size] = _above(B <= r).ravel()
-        off += B.size
-    return r, ball
+    kept = buf[:fill]
+    kept.partition(ks[0])
+    a = float(kept[ks[0]])
+    b = a if ks[1] == ks[0] else float(kept[ks[0] + 1:].min())
+    return b - (b - a) * (1 - frac) if frac >= 0.5 else a + (b - a) * frac
 
 
-def _ball_streamed(n, q, blocks):
-    """:func:`_ball_held` of upper blocks that are computed one at a time
-    and seen once.  The ball starts as the mask of the cells whose values
-    the buffer holds, in order.  When the next block does not fit, the
-    buffer keeps its entries <= t, its keep-th smallest, ties included, and
-    later blocks enter filtered by <= t, so every entry within the radius
-    survives to mark the ball.
+def _ball_held(n, q, blocks):
+    """The radius and the ball of the upper blocks ``blocks``, all at hand
+    (views of a matrix): each block's cells above the diagonal within the
+    radius.  Their values stream through :func:`_select`, then each block
+    is compared with the radius once."""
+    ks, frac = _radius_ranks(n, q)
+    r = _select((B[_above(np.ones(B.shape, dtype=bool))] for B in blocks),
+                ks, frac, n * (n - 1) // 2, n)
+    return r, [_above(B <= r) for B in blocks]
+
+
+def _ball_from_points(X, q):
+    """:func:`_ball_held` of the geodesic distances between the unit rows of
+    X, with no block of them built.  The pairs are sorted by their dot
+    products, one matmul X[i:j] @ X[i:].T per block and pass, the same each
+    pass; only those these cannot place get a distance, from the block
+    kernel if they fill most of the block, else from the row-pair kernel.
+
+    |x.y - cos d| <= delta = 64 D eps: a dot product is about D eps from the
+    cosine of the angle, the kernel's d a few ulp from the angle, cos is
+    1-Lipschitz, and delta leaves room for the float cos(r).  Order
+    statistics move by at most delta, far less than a bin, so the pair of a
+    ranked distance lies in its dot product's bin or a neighbor.  Pairs with
+    x.y >= cos r + 2 delta are in the ball, <= cos r - 2 delta out; those
+    between, all in those bins, are compared with r, unless their block's
+    binned distances lie on one side of it.
     """
-    ks, frac, cap = _radius_ranks(n, q)
-    keep = ks[1] + 1
-    ball = np.zeros(sum((j - i) * (n - i) for i, j in _upper_blocks(n)), dtype=bool)
-    vals = np.empty(cap)
-    fill, t, off = 0, np.inf, 0
-    for B in blocks:
-        below = _above(B <= t).ravel()
-        v = B.ravel()[below]
-        if fill + v.size > vals.size:
-            t = np.partition(vals[:fill], keep - 1)[keep - 1]
-            kept = vals[:fill] <= t
-            seen = ball[:off]
-            seen[seen] = kept
-            fill = int(np.count_nonzero(kept))
-            vals[:fill] = vals[:kept.size][kept]
-            if fill + v.size > vals.size:  # ties at t: make room, up to the triangle
-                size = min(max(2 * vals.size, fill + v.size), n * (n - 1) // 2)
-                vals = np.concatenate([vals[:fill], np.empty(size - fill)])
-        vals[fill:fill + v.size] = v
-        ball[off:off + B.size] = below
-        fill += v.size
-        off += B.size
-    r = _radius(vals[:fill].copy(), ks, frac)
-    ball[ball] = vals[:fill] <= r
+    n = len(X)
+    ks, frac = _radius_ranks(n, q)
+
+    def dots():
+        return ((i, j, X[i:j] @ X[i:].T) for i, j in _upper_blocks(n))
+
+    def bins(G):
+        return ((G + 1.0) * (_DOT_BINS / 2)).astype(np.intp).clip(0, _DOT_BINS - 1)
+
+    def exact(i, j, mask):
+        if 2 * np.count_nonzero(mask) <= mask.size:
+            return _pair_geodesic(X, *(k + i for k in np.nonzero(mask)))
+        return pairwise_geodesic(X[i:j], X[i:])[mask]
+
+    hist = np.zeros(_DOT_BINS + 1, dtype=np.intp)
+    for i, j, G in dots():
+        b = bins(G)
+        b[:, :j - i][np.tri(j - i, dtype=bool)] = _DOT_BINS  # on and below the diagonal
+        hist += np.bincount(b.ravel(), minlength=_DOT_BINS + 1)
+    hist = hist[:_DOT_BINS]
+    hi, lo = _DOT_BINS - 1 - np.searchsorted(np.cumsum(hist[::-1]), ks, side="right")
+    above = int(hist[hi + 2:].sum())
+    bounds = []  # the least and the greatest distance in each block's bins
+
+    def binned():
+        for i, j, G in dots():
+            b = bins(G)
+            d = exact(i, j, _above((b >= lo - 1) & (b <= hi + 1)))
+            bounds.append((d.min(initial=np.inf), d.max(initial=-np.inf)))
+            yield d
+
+    r = _select(binned(), [k - above for k in ks], frac, int(hist[max(lo - 1, 0):hi + 2].sum()), n)
+    delta = 64 * X.shape[1] * np.finfo(float).eps
+    cut, ball = np.cos(r), []
+    for (i, j, G), (least, most) in zip(dots(), bounds):
+        M = G >= cut + 2 * delta
+        edge = _above((G > cut - 2 * delta) & ~M)
+        if most <= r:
+            M |= edge
+        elif least <= r and edge.any():
+            M[edge] = exact(i, j, edge) <= r
+        ball.append(_above(M))
     return r, ball
 
 
-def _kmodes(n, q, block, held):
-    """Mode clustering of n points from their distances, given as the upper
-    row blocks ``block(i, j)``: the distances of rows i..j-1 to columns
-    i..n-1, of which only the strict upper triangle is read.  ``held`` says
-    whether all the blocks may be at hand at once, as views of a matrix are.
+def _kmodes(n, q, ball_of):
+    """Mode clustering of n points from the radius and the ball that
+    ``ball_of()`` gives, as :func:`_ball_held` does, for the upper row
+    blocks of :func:`_upper_blocks`.
 
     A point's neighbors are the other points within the radius.  Its ascent
     target is the member j of its ball, itself included, with the most
@@ -269,12 +291,7 @@ def _kmodes(n, q, block, held):
         raise ValueError("quantile q must be in (0, 1]")
     if n < 2:
         return Clustering(labels=np.zeros(n, dtype=int), sizes=[n], modes=[0])
-    blocks = (block(i, j) for i, j in _upper_blocks(n))
-    _, ball = _ball_held(n, q, list(blocks)) if held else _ball_streamed(n, q, blocks)
-    views, off = [], 0
-    for i, j in _upper_blocks(n):
-        views.append((i, j, ball[off:off + (j - i) * (n - i)].reshape(j - i, n - i)))
-        off += (j - i) * (n - i)
+    views = [(i, j, M) for (i, j), M in zip(_upper_blocks(n), ball_of()[1])]
     counts = np.zeros(n, dtype=np.intp)
     for i, j, M in views:
         counts[i:j] += np.count_nonzero(M, axis=1)
@@ -312,22 +329,24 @@ def kmodes_cluster(distmat, q: float = 0.1) -> Clustering:
     host).
     """
     D = check_distmat(distmat)
-    return _kmodes(D.shape[0], q, lambda i, j: D[i:j, i:], held=True)
+    n = D.shape[0]
+    return _kmodes(n, q, lambda: _ball_held(n, q, [D[i:j, i:] for i, j in _upper_blocks(n)]))
 
 
 def kmodes_from_points(X, q: float = 0.1) -> Clustering:
     """:func:`kmodes_cluster` of the geodesic distances between the rows of X
     (n x D, normalized to the sphere), with the same labels, modes and sizes,
-    from upper row blocks of distances computed once each, with no n x n
-    matrix.
+    and no n x n matrix: the pairs are sorted by their dot products, and
+    only those near the radius get their distance, whose bits are the
+    matrix's.
 
-    Memory peaks near 2.3 n^2 bytes at q = 0.1: the quantile's buffer, a
-    copy of its values and the ball, one byte per pair.  From q = 0.5 on,
-    the buffer holds the triangle's values, and the peak is near 8.6 n^2
-    bytes.  ``KMODES_MAX_POINTS`` gives times.
+    Memory peaks near 0.64 n^2 bytes at any q on spread-out points: the
+    ball, one byte per pair, and the few distances ranked.  n identical
+    points, whose pairs all tie, peak near 1.5 n^2 bytes at q = 0.1 and
+    4.7 n^2 at q = 1.0.  ``KMODES_MAX_POINTS`` gives times.
     """
     X = _unit_rows(X)
-    return _kmodes(len(X), q, lambda i, j: pairwise_geodesic(X[i:j], X[i:]), held=False)
+    return _kmodes(len(X), q, lambda: _ball_from_points(X, q))
 
 
 def fit_mixture(X, clustering: Clustering, frame: MovingFrame) -> GaussianMixture:

@@ -206,35 +206,46 @@ def transport_batch(V: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 _BLOCK_CELLS = 2**14
 
 
+def _layout(X: np.ndarray):
+    """X laid out for the kernels' sums, and their axis: numpy adds under 8
+    terms in order and more in 8 partial sums, so the broadcast's bits come
+    with the coordinates leading below D = 8 and last from D = 8 on."""
+    return (np.ascontiguousarray(X.T), 0) if X.shape[1] < 8 else (X, -1)
+
+
+def _geodesic_cells(A: np.ndarray, B: np.ndarray, axis: int) -> np.ndarray:
+    """Distances between the unit vectors of A and B, broadcast, with their
+    coordinates along ``axis``; the formula is exactly symmetric in A and B."""
+    dif, tot = A - B, A + B
+    add = np.add.reduce  # np.sum's own reduction, without its wrapper
+    return _angle_from_chords(add(A * B, axis=axis), np.sqrt(add(dif * dif, axis=axis)),
+                              np.sqrt(add(tot * tot, axis=axis)))
+
+
 def pairwise_geodesic(X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarray:
     """Geodesic distance matrix between rows of X and rows of Y (default X),
     filled in row blocks of about 2^14 cells, each bitwise what one n x m x D
-    broadcast gives.  Without Y the upper half is computed and mirrored; the
-    formula is exactly symmetric in its two arguments.  numpy adds fewer
-    than 8 terms in order and more in 8 partial sums, so below D = 8 the
-    coordinates lead, one whole-block pass each with the same bits, and
-    from D = 8 on they stay the last axis, as in the broadcast."""
+    broadcast gives.  Without Y the upper half is computed and mirrored."""
     mirror = Y is None
-    Y = X if mirror else Y
-    out = np.empty((len(X), len(Y)))
-    s = max(1, _BLOCK_CELLS // max(1, len(Y)))
-    lead = X.shape[1] < 8
-    if lead:
-        X = np.ascontiguousarray(X.T)
-        Y = X if mirror else np.ascontiguousarray(Y.T)
-    axis = 0 if lead else -1
+    out = np.empty((len(X), len(X if mirror else Y)))
+    s = max(1, _BLOCK_CELLS // max(1, out.shape[1]))
+    X, axis = _layout(X)
+    Y = X if mirror else _layout(Y)[0]
     for i in range(0, out.shape[0], s):
         j = i if mirror else 0
-        A, B = ((X[:, i:i + s, None], Y[:, None, j:]) if lead
+        A, B = ((X[:, i:i + s, None], Y[:, None, j:]) if axis == 0
                 else (X[i:i + s, None, :], Y[None, j:, :]))
-        dif, tot = A - B, A + B
-        add = np.add.reduce  # np.sum's own reduction, without its wrapper
-        block = _angle_from_chords(add(A * B, axis=axis), np.sqrt(add(dif * dif, axis=axis)),
-                                   np.sqrt(add(tot * tot, axis=axis)))
+        block = _geodesic_cells(A, B, axis)
         out[i:i + s, j:] = block
         if mirror:
             out[j:, i:i + s] = block.T
     return out
+
+
+def _pair_geodesic(X: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``pairwise_geodesic(X)[a, b]``, bit for bit, with no matrix."""
+    A, axis = _layout(X[a])
+    return _geodesic_cells(A, _layout(X[b])[0], axis)
 
 
 # ---------------------------------------------------------------------------

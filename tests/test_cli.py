@@ -1,7 +1,11 @@
 import builtins
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,8 +162,8 @@ class TestFit:
         assert "10000" in err["message"]
 
     def test_kmodes_fit_holds_no_distance_matrix(self, workspace, capsys):
-        # the n x n matrix alone would be 8 n^2 bytes; at the default q = 0.1
-        # clustering from the points peaks near 2.3 n^2
+        # the n x n matrix alone would be 8 n^2 bytes; clustering from the
+        # points peaks near 0.74 n^2, the ball and the few distances it ranks
         tmp, config = workspace
         n = 2000
         (tmp / "big.json").write_text(json.dumps(dict(config, n=n)))
@@ -172,7 +176,20 @@ class TestFit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * n * n
+        assert peak <= n * n
+
+    def test_kmodes_fit_imports_no_masked_arrays(self, workspace):
+        # np.quantile reaches np.unique, which imports numpy.ma
+        tmp, _ = workspace
+        run(["simulate", tmp / "config.json", "--out", tmp / "samples.csv"])
+        script = ("import sys\nfrom bundlemw import cli\n"
+                  "assert cli.main(['fit', 'samples.csv', '--frame', 'frame.json', "
+                  "'--method', 'kmodes', '--out', 'fitkm']) == 0\n"
+                  "print('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        res = subprocess.run([sys.executable, "-c", script], cwd=tmp, env=env,
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.splitlines()[-1] == "False"
 
     def test_memory_error_exits_3(self, workspace, capsys, monkeypatch):
         tmp, _ = workspace

@@ -9,10 +9,9 @@ from bundlemw.errors import ClusterTooSmall, DimensionMismatch, EmptyCluster
 from bundlemw.estimation import (
     OUTLIER,
     Clustering,
+    _ball_from_points,
     _ball_held,
-    _ball_streamed,
     _kmeanspp_indices,
-    _kmodes,
     _upper_blocks,
     clustering_to_dict,
     fit_mixture,
@@ -24,6 +23,7 @@ from bundlemw.estimation import (
 from bundlemw.gauss import GaussianMixture
 from bundlemw.geometry import (
     MovingFrame,
+    _pair_geodesic,
     _unit_rows,
     frechet_mean,
     pairwise_geodesic,
@@ -279,13 +279,6 @@ class TestKmodes:
         out = kmodes_cluster(D, q=q)
         assert_matches_row_loop(out, D, q)
 
-    @pytest.mark.parametrize("q", [0.002, 0.02, 0.1])
-    def test_streamed_blocks_match_row_loop_on_ties(self, q):
-        # n = 700 overflows the buffer, and integer distances tie at every t
-        D = tie_heavy_distmat(np.random.default_rng(3), 700, isolated=2)
-        out = _kmodes(700, q, lambda i, j: D[i:j, i:], held=False)
-        assert_matches_row_loop(out, D, q)
-
     @pytest.mark.parametrize("q, per_n2, slack_mib", [(0.1, 8 * 0.1, 2), (1.0, 4, 4)])
     def test_memory_is_the_quantile_buffer(self, q, per_n2, slack_mib):
         # 8 q n^2 bytes hold twice the ranked entries; from q = 0.5 on, the triangle
@@ -294,18 +287,22 @@ class TestKmodes:
         assert peak_alloc_bytes(kmodes_cluster, D, q=q) <= per_n2 * n * n + slack_mib * 2**20
 
     @staticmethod
-    def assert_offdiag_quantile_is_numpys(D, q):
-        # both ball builders: the radius is bitwise numpy's quantile, and the
-        # ball is every upper-triangle cell of the row blocks within it
+    def assert_offdiag_quantile_is_numpys(D, q, X=None):
+        # the radius is bitwise numpy's quantile, and the ball is every
+        # upper-triangle cell of the row blocks within it: from the blocks of
+        # the matrix and, given its points, from their dot products
         n = D.shape[0]
         ref = np.quantile(D[~np.eye(n, dtype=bool)], q)
         spans = list(_upper_blocks(n))
-        ball = np.concatenate([((D[i:j, i:] <= ref) & np.triu(np.ones((j - i, n - i), dtype=bool),
-                                                               1)).ravel() for i, j in spans])
-        for got, mask in (_ball_held(n, q, [D[i:j, i:] for i, j in spans]),
-                          _ball_streamed(n, q, (D[i:j, i:] for i, j in spans))):
+        ball = [(D[i:j, i:] <= ref) & np.triu(np.ones((j - i, n - i), dtype=bool), 1)
+                for i, j in spans]
+        balls = [_ball_held(n, q, [D[i:j, i:] for i, j in spans])]
+        if X is not None:
+            balls.append(_ball_from_points(X, q))
+        for got, masks in balls:
             assert np.float64(got).view(np.int64) == np.float64(ref).view(np.int64)
-            assert np.array_equal(mask, ball)
+            assert len(masks) == len(ball)
+            assert all(np.array_equal(m, b) for m, b in zip(masks, ball))
 
     @pytest.mark.parametrize("q", [1e-9, 0.02, 0.1, 0.5, 1.0])
     @pytest.mark.parametrize("n", [2, 3, 7, 160])
@@ -316,10 +313,19 @@ class TestKmodes:
                   np.full((n, n), 0.7) - 0.7 * np.eye(n)):
             self.assert_offdiag_quantile_is_numpys(D, q)
 
+    @pytest.mark.parametrize("q", [1e-9, 0.02, 0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 7, 160])
+    def test_quantile_from_points_is_bitwise_numpys(self, n, q):
+        # spread-out points, five places that tie every distance, one place
+        rng = np.random.default_rng(n)
+        for X in (unit_rows(rng, n, 3), unit_rows(rng, 5, 4)[rng.integers(0, 5, n)],
+                  np.tile(unit_rows(rng, 1, 3), (n, 1))):
+            self.assert_offdiag_quantile_is_numpys(pairwise_geodesic(X), q, X)
+
     @pytest.mark.parametrize("q", [1e-9, 0.02, 0.1, 0.5, 0.9])
     def test_quantile_streamed_through_many_refills_is_bitwise_numpys(self, q):
-        D = pairwise_geodesic(unit_rows(np.random.default_rng(13), 2000, 3))
-        self.assert_offdiag_quantile_is_numpys(D, q)
+        X = unit_rows(np.random.default_rng(13), 2000, 3)
+        self.assert_offdiag_quantile_is_numpys(pairwise_geodesic(X), q, X)
 
     def test_zero_off_diagonal_with_tiny_diagonal_is_one_cluster(self):
         D = np.zeros((5, 5))
@@ -375,9 +381,61 @@ class TestKmodesFromPoints:
         assert np.count_nonzero(np.triu(D == r, 1)) > 1
         self.assert_matches_matrix_and_row_loop(X, q)
 
+    @pytest.mark.parametrize("q", [0.002, 0.02, 0.1])
+    def test_points_on_ties_match_row_loop(self, q):
+        # n = 700 overflows the buffer: twelve places tie every distance,
+        # and two lone points sit apart from them
+        rng = np.random.default_rng(3)
+        X = np.vstack([unit_rows(rng, 12, 3)[rng.integers(0, 12, 698)], unit_rows(rng, 2, 3)])
+        self.assert_matches_matrix_and_row_loop(X, q)
+
+    @pytest.mark.parametrize("D", [2, 3, 7, 8, 9, 59])
+    def test_row_pair_kernel_has_the_matrix_bits(self, D):
+        # both layouts, with copies, antipodes and orthogonal pairs among the rows
+        rng = np.random.default_rng(D)
+        X = unit_rows(rng, 300, D)
+        X[::5], X[1::7], X[2::11] = X[3], -X[4], np.eye(D)[rng.integers(0, D, 28)]
+        a, b = rng.integers(0, 300, 4000), rng.integers(0, 300, 4000)
+        got = _pair_geodesic(X, a, b)
+        assert got.tobytes() == pairwise_geodesic(X)[a, b].tobytes()
+
+    @pytest.mark.parametrize("q", [1e-9, 0.02, 0.1, 0.5, 1.0])
+    def test_near_duplicates_whose_dot_products_round_to_one(self, q):
+        rng = np.random.default_rng(8)
+        X = unit_rows(rng, 4, 3)[rng.integers(0, 4, 300)] + 1e-9 * rng.standard_normal((300, 3))
+        Xu = _unit_rows(X)
+        assert np.mean((Xu @ Xu.T)[np.triu_indices(300, 1)] == 1.0) > 0.05
+        self.assert_matches_matrix_and_row_loop(X, q)
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 1.0])
+    def test_antipodal_pairs(self, q):
+        Y = unit_rows(np.random.default_rng(9), 150, 3)
+        X = np.vstack([Y, -Y, -Y[:20]])
+        self.assert_matches_matrix_and_row_loop(X, q)
+        self.assert_matches_matrix_and_row_loop(np.vstack([Y[:1], -Y[:1]] * 40), q)
+
+    @pytest.mark.parametrize("q", [0.02, 0.1, 0.5, 1.0])
+    def test_pairs_that_straddle_orthogonal(self, q):
+        # x.y within 1e-12 of 0, where the kernel turns from chords to cochords
+        rng = np.random.default_rng(10)
+        X = np.eye(4)[rng.integers(0, 4, 300)] + 1e-12 * rng.standard_normal((300, 4))
+        dots = (_unit_rows(X) @ _unit_rows(X).T)[np.triu_indices(300, 1)]
+        assert (dots > 0).any() and (dots < 0).any() and np.abs(dots[np.abs(dots) < 0.5]).max() < 1e-11
+        self.assert_matches_matrix_and_row_loop(X, q)
+
+    @pytest.mark.parametrize("q", [0.1, 1.0])
+    @pytest.mark.parametrize("points", ["spread", "blobs"])
+    def test_memory_is_the_ball(self, points, q):
+        # one byte per pair for the ball, and the few distances ranked
+        n = 2000
+        rng = np.random.default_rng(13)
+        X = unit_rows(rng, n, 3) if points == "spread" else repeated_blob_points(rng, n, 3)
+        assert peak_alloc_bytes(kmodes_from_points, X, q=q) <= 0.75 * n * n
+
+    @pytest.mark.parametrize("q", [0.02, 0.1, 1.0])
     @pytest.mark.parametrize("n", [2, 3, 400])
-    def test_identical_points_are_one_cluster(self, n):
-        out = kmodes_from_points(np.tile([0.3, -0.2, 0.9], (n, 1)))
+    def test_identical_points_are_one_cluster(self, n, q):
+        out = kmodes_from_points(np.tile([0.3, -0.2, 0.9], (n, 1)), q)
         assert out.modes == [0] and out.sizes == [n]
         assert list(out.labels) == [0] * n
 
