@@ -6,18 +6,28 @@ maximize a two-sample energy statistic over admissible splits, and each
 candidate is vetted by a permutation test restricted to the segment it
 splits.  Detection proceeds by recursive bisection and terminates at the
 first candidate whose permutation p-value exceeds the threshold.
+
+The permutations of round k are numpy's PCG64 streams for (seed, k, r):
+permutation r is what ``np.random.Generator(np.random.PCG64(
+np.random.SeedSequence(seed, spawn_key=(k, r)))).permutation(L)`` returns.
+``_pcg`` computes all R of them in one numpy pass, so they are pinned by
+this package's code, not by the installed numpy, whose Generator streams
+NEP 19 does not promise across versions.  The permuted blocks are scanned
+in batches of about 2^14 cells.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._jsonfile import write_json
+from ._pcg import permutations
 from .errors import NotSymmetric, SegmentTooSmall
 from .geometry import _BLOCK_CELLS
 
@@ -67,27 +77,51 @@ def _scan_terms(L, min_size):
             m * n / (m + n), m * n, m * (m - 1), n * (n - 1))
 
 
+def _split_scores(A, min_size):
+    """Energy statistic of every admissible split of each L x L block in the
+    (..., L, L) array A of alpha-powered distances, in O(L^2) per block via
+    running sums of the upper triangle on each side of the split.  Row sums
+    over the contiguous last axis and sequential cumsums give each block the
+    bits it has alone."""
+    L = A.shape[-1]
+    low, up, scale, mn, mm, nn = _scan_terms(L, min_size)
+    lower = np.where(low, A, 0.0).sum(axis=-1)
+    upper = np.where(up, A, 0.0).sum(axis=-1)
+    # head[k] = sum over i<j<k of A[i,j]; tail[k] = same for the block k..L
+    zero = np.zeros(A.shape[:-2] + (1,))
+    head = np.concatenate([zero, np.cumsum(lower, axis=-1)], axis=-1)
+    tail = np.concatenate([np.cumsum(upper[..., ::-1], axis=-1)[..., ::-1], zero], axis=-1)
+    ks = slice(min_size, L - min_size + 1)
+    cross = head[..., L:] - head[..., ks] - tail[..., ks]
+    return scale * (2.0 * cross / mn - 2.0 * head[..., ks] / mm - 2.0 * tail[..., ks] / nn)
+
+
 def _scan_segment(A, min_size):
     """Best split of the alpha-powered block A, honoring min_size margins.
 
     Returns (k, Q) with k relative to the block start, or None when the
-    block is too short to admit any split.  The whole scan is O(L^2) via
-    running sums of the upper triangle on each side of the split.
+    block is too short to admit any split.
     """
-    L = A.shape[0]
-    if L < 2 * min_size:
+    if A.shape[0] < 2 * min_size:
         return None
-    low, up, scale, mn, mm, nn = _scan_terms(L, min_size)
-    lower = np.where(low, A, 0.0).sum(axis=1)
-    upper = np.where(up, A, 0.0).sum(axis=1)
-    # head[k] = sum over i<j<k of A[i,j]; tail[k] = same for the block k..L
-    head = np.concatenate([[0.0], np.cumsum(lower)])
-    tail = np.concatenate([np.cumsum(upper[::-1])[::-1], [0.0]])
-    ks = slice(min_size, L - min_size + 1)
-    cross = head[L] - head[ks] - tail[ks]
-    q = scale * (2.0 * cross / mn - 2.0 * head[ks] / mm - 2.0 * tail[ks] / nn)
+    q = _split_scores(A, min_size)
     best = int(np.argmax(q))
     return min_size + best, float(q[best])
+
+
+def _exceedances(block, perms, min_size, q_obs):
+    """How many of the blocks permuted by the rows of perms have a best
+    split scoring at least q_obs, scanned about 2^14 cells at a time."""
+    L = block.shape[0]
+    step = max(1, _BLOCK_CELLS // (L * L))
+    count = 0
+    for s in range(0, len(perms), step):
+        # the rows of every permuted block, then each one's columns
+        batch = block.take(perms[s:s + step], axis=0)
+        for k, perm in enumerate(perms[s:s + step]):
+            batch[k] = batch[k].take(perm, axis=1)
+        count += int(np.count_nonzero(_split_scores(batch, min_size).max(axis=-1) >= q_obs))
+    return count
 
 
 @dataclass(frozen=True)
@@ -126,6 +160,9 @@ def e_divisive(D, R=499, p0=0.0125, min_size=12, alpha=1.0, seed=0):
     points with N^2 max(D)^alpha above the float maximum (about 1.8e308) is
     rejected with ValueError before any power is taken; the test runs in
     logarithms, so it cannot overflow itself.
+
+    ``seed`` is an integer >= 0 (True and False count as 1 and 0); any other
+    type raises TypeError and a negative seed ValueError, before any scan.
     """
     D = check_distmat(D)
     alpha = float(alpha)
@@ -139,6 +176,9 @@ def e_divisive(D, R=499, p0=0.0125, min_size=12, alpha=1.0, seed=0):
         raise ValueError(f"p0 must lie in (0, 1], got {p0}")
     if min_size < 2:
         raise ValueError("min_size must be at least 2")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
     N = D.shape[0]
     if N < 2 * min_size:
         raise SegmentTooSmall(f"need at least {2 * min_size} time points, got {N}")
@@ -165,12 +205,9 @@ def e_divisive(D, R=499, p0=0.0125, min_size=12, alpha=1.0, seed=0):
 
         block = A[lo:hi, lo:hi]
         exceed = 0
-        for r in range(R):
-            seq = np.random.SeedSequence(entropy=seed, spawn_key=(round_idx, r))
-            perm = np.random.Generator(np.random.PCG64(seq)).permutation(hi - lo)
-            _, q_perm = _scan_segment(block[perm][:, perm], min_size)
-            if q_perm >= q_obs:
-                exceed += 1
+        for perms in permutations(seed, round_idx, range(R), hi - lo):
+            exceed += _exceedances(block, perms, min_size, q_obs)
+            del perms  # freed before the next chunk is drawn
         p = (1.0 + exceed) / (R + 1.0)
         accepted = p <= p0
         points.append(
@@ -188,7 +225,7 @@ def e_divisive(D, R=499, p0=0.0125, min_size=12, alpha=1.0, seed=0):
         "p0": float(p0),
         "min_size": min_size,
         "alpha": alpha,
-        "seed": int(seed),
+        "seed": seed,
         "n": N,
     }
     return ChangePointReport(points=tuple(points), hyperparams=hyper)

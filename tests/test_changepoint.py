@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bundlemw import _pcg, changepoint
 from bundlemw.changepoint import (
     ChangePoint,
     ChangePointReport,
@@ -293,6 +294,98 @@ class TestEDivisive:
             e_divisive(D, min_size=1)
         with pytest.raises(ValueError):
             e_divisive(D, alpha=0.0)
+
+
+def numpy_permutation(seed, round_idx, r, L):
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(round_idx, r))
+    return np.random.Generator(np.random.PCG64(seq)).permutation(L)
+
+
+def streamed(seed, round_idx, spawn, L):
+    chunks = list(_pcg.permutations(seed, round_idx, spawn, L))
+    assert all(len(c) for c in chunks)
+    return np.concatenate(chunks)
+
+
+class TestPermutationStreams:
+    """_pcg's rows are numpy's Generator(PCG64(SeedSequence)).permutation."""
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 16, 17, 24, 60, 200, 257])
+    @pytest.mark.parametrize("round_idx", [0, 1, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**70])
+    def test_rows_are_numpys(self, seed, round_idx, L):
+        for spawn in (range(0, 24), range(69_990, 70_000)):
+            got = streamed(seed, round_idx, spawn, L)
+            assert got.shape == (len(spawn), L)
+            for row, r in zip(got, spawn):
+                assert np.array_equal(row, numpy_permutation(seed, round_idx, r, L))
+
+    @pytest.mark.parametrize("L, R", [(2, 4200), (17, 1000), (257, 600)])
+    def test_chunks_join_in_order(self, L, R):
+        assert len(list(_pcg.permutations(3, 2, range(R), L))) >= 2
+        for r, row in enumerate(streamed(3, 2, range(R), L)):
+            assert np.array_equal(row, numpy_permutation(3, 2, r, L))
+
+    def test_two_word_spawn_keys(self):
+        # SeedSequence takes r >= 2^32 as two words; the chunk splits there
+        spawn = range(2**32 - 4, 2**32 + 4)
+        assert [len(c) for c in _pcg.permutations(9, 1, spawn, 24)] == [4, 4]
+        for row, r in zip(streamed(9, 1, spawn, 24), spawn):
+            assert np.array_equal(row, numpy_permutation(9, 1, r, 24))
+
+    def test_one_point_draws_nothing(self):
+        assert streamed(0, 0, range(5), 1).tolist() == [[0]] * 5
+
+
+def planted_distmat(rng, n, cuts=3):
+    at = np.sort(rng.choice(np.arange(8, n - 8), size=cuts, replace=False))
+    segment = np.searchsorted(at, np.arange(n), "right")
+    x = rng.standard_normal((n, 2)) + 1.8 * segment[:, None]
+    return np.sqrt(np.sum((x[:, None] - x[None]) ** 2, axis=-1))
+
+
+class TestStreamedPermutationTest:
+    """e_divisive with _pcg's streams and batched scans reports what the
+    loop over numpy's generators and single scans reports, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("n, min_size, R", [(24, 5, 199), (60, 8, 99), (200, 12, 39)])
+    def test_report_equals_numpys_loop(self, n, min_size, R, alpha, seed):
+        D = planted_distmat(np.random.default_rng(n + int(10 * alpha)), n)
+        report = e_divisive(D, R=R, p0=0.05, min_size=min_size, alpha=alpha, seed=seed)
+        got = [(p.index, p.p_value, p.accepted, p.statistic) for p in report.points]
+        assert len(got) >= 2
+        assert got == loop_e_divisive(D, R, 0.05, min_size, alpha, seed)
+
+    def test_memory_does_not_grow_with_R(self):
+        D = null_distmat(np.random.default_rng(8), 24)
+        small = peak_alloc_bytes(e_divisive, D, R=499, min_size=8)
+        assert peak_alloc_bytes(e_divisive, D, R=20_000, min_size=8) <= 1.2 * small
+
+
+class TestSeed:
+    D = block_distmat(30, 15)
+
+    @pytest.mark.parametrize("seed", [None, 2.0, "3", [1, 2]])
+    def test_non_integer_seed_fails_before_any_scan(self, monkeypatch, seed):
+        def scan(*args):
+            raise AssertionError("scanned before the seed was checked")
+
+        monkeypatch.setattr(changepoint, "_scan_segment", scan)
+        with pytest.raises(TypeError):
+            e_divisive(self.D, R=19, min_size=5, seed=seed)
+
+    def test_negative_seed_is_numpys_value_error(self):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            e_divisive(self.D, R=19, min_size=5, seed=-1)
+
+    def test_integer_likes_are_their_value(self):
+        want = e_divisive(self.D, R=19, min_size=5, seed=1)
+        for seed in (True, np.int64(1), np.uint8(1)):
+            got = e_divisive(self.D, R=19, min_size=5, seed=seed)
+            assert got == want
+            assert type(got.hyperparams["seed"]) is int
 
 
 class TestFloatRange:

@@ -305,6 +305,25 @@ class TestChangepoint:
         assert hyper["min_size"] == 8
         assert hyper["p0"] == 0.0125
 
+    def test_imports_no_numpy_random(self, workspace):
+        # numpy.random brings secrets and OpenSSL's _hashlib with it
+        tmp, _ = workspace
+        save_distmat(tmp / "D.csv", np.abs(np.arange(30.0)[:, None] - np.arange(30.0)))
+        script = ("import sys\nfrom bundlemw import cli\n"
+                  "assert cli.main(['changepoint', 'D.csv', '--min-size', '5', '--R', '19']) == 0\n"
+                  "print(sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        res = subprocess.run([sys.executable, "-c", script], cwd=tmp, env=env,
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.splitlines()[-1] == "[]"
+
+    def test_negative_seed_exits_2(self, workspace, capsys):
+        tmp, _ = workspace
+        save_distmat(tmp / "D.csv", np.abs(np.arange(30.0)[:, None] - np.arange(30.0)))
+        assert run(["changepoint", tmp / "D.csv", "--min-size", "5", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            '{"error": "ValueError", "message": "expected non-negative integer"}\n')
+
 
 class TestTriangles:
     def test_forward_then_backward(self, workspace, capsys):

@@ -432,6 +432,14 @@ class TestKmodesFromPoints:
         X = unit_rows(rng, n, 3) if points == "spread" else repeated_blob_points(rng, n, 3)
         assert peak_alloc_bytes(kmodes_from_points, X, q=q) <= 0.75 * n * n
 
+    @pytest.mark.parametrize("q", [0.9, 1.0])
+    def test_memory_on_ties_with_the_rank_in_the_upper_half(self, q):
+        # every pair ties, so every distance is ranked; the selection keeps
+        # the pairs above the rank, not those below it
+        n = 2000
+        X = np.tile([0.3, -0.2, 0.9], (n, 1))
+        assert peak_alloc_bytes(kmodes_from_points, X, q=q) <= 1.6 * n * n
+
     @pytest.mark.parametrize("q", [0.02, 0.1, 1.0])
     @pytest.mark.parametrize("n", [2, 3, 400])
     def test_identical_points_are_one_cluster(self, n, q):
