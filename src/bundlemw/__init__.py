@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 _TABLE = {
     "changepoint": "ChangePoint ChangePointReport e_divisive report_to_dict save_report",
     "contours": """Contour align_shape contour_to_srvf load_contour_dir load_contour_file
-        load_distmat pairwise_shape_distance save_contours_json save_distmat
-        shape_frechet_mean shape_statistics""",
+        load_distmat save_distmat shape_statistics""",
     "errors": """AntipodalPoint BundleMWError ClusterTooSmall DegenerateContour DegenerateMatrix
         DegenerateTriangle DimensionMismatch EmptyCluster FrameMismatch InfeasibleWeights
         NoConvergence NotSymmetric NumericalError SegmentTooSmall""",
@@ -28,8 +27,7 @@ _TABLE = {
     "gauss": """GaussianMixture check_same_frame load_mixture mixture_from_dict
         mixture_to_dict normalize_minimal_form pairwise_w2sq save_mixture""",
     "geometry": """MovingFrame exp_batch frame_from_dict frame_to_dict frames_equal
-        frechet_mean load_frame log_batch pairwise_geodesic save_frame standard_frame
-        transport_batch transport_frame""",
+        frechet_mean load_frame log_batch pairwise_geodesic standard_frame transport_frame""",
     "sampling": "load_samples sample_mixture save_samples",
     "transport": """MW2Result TransportPlan mw2 pairwise_mw2 result_to_dict save_result
         solve_transportation""",

@@ -8,9 +8,10 @@ rotation and the choice of starting point (seam) remain.  One kernel aligns
 an (n, 2, T) stack of SRVFs to a reference shape: rotation in closed form,
 and optionally the seam, scoring all T circular shifts at once.
 
-Shape distance is the arc length between aligned SRVFs on the sphere.  The
-mean of an (n, 2, T) stack is a Frechet mean of its aligned rows, and its
-covariance is fitted from shooting vectors in the standard frame at e_1.
+The shape distance is the geodesic distance between the unit rows of SRVFs
+aligned to each other.  A stack aligned to one reference has the Frechet
+mean of its rows as its mean, and its covariance is fitted from shooting
+vectors in the standard frame at e_1.
 A ``Contour`` holds one curve's samples; shapes are 2 x T arrays.
 """
 
@@ -21,18 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from ._csvfile import read_table, write_table
-from ._jsonfile import read_json, write_json
-from .errors import ClusterTooSmall, DegenerateContour, DimensionMismatch, NoConvergence
-from .geometry import (
-    _BLOCK_CELLS,
-    MovingFrame,
-    _unit_rows,
-    frechet_mean,
-    log_batch,
-    pairwise_geodesic,
-    standard_frame,
-    transport_frame,
-)
+from ._jsonfile import read_json
+from .errors import ClusterTooSmall, DegenerateContour, DimensionMismatch
+from .geometry import _BLOCK_CELLS, MovingFrame, log_batch, standard_frame, transport_frame
 
 
 class Contour:
@@ -56,10 +48,6 @@ class Contour:
         if P.shape[1] < 4:
             raise ValueError("a contour needs at least 4 boundary points")
         self.points = P
-
-    @property
-    def T(self) -> int:
-        return self.points.shape[1]
 
 
 def _resample_closed(P: np.ndarray, T: int) -> np.ndarray:
@@ -156,48 +144,6 @@ def align_shape(ref: np.ndarray, Q: np.ndarray,
     return aligned, rotations
 
 
-def pairwise_shape_distance(shapes, seam_search: bool = True) -> np.ndarray:
-    """Symmetric matrix of shape distances between the rows of an (n, 2, T)
-    stack, with an exactly zero diagonal; one alignment call per row."""
-    Q = _stack(shapes)
-    n = len(Q)
-    X = _unit_rows(Q.reshape(n, -1))
-    D = np.zeros((n, n))
-    for i in range(n - 1):
-        aligned, _ = align_shape(Q[i], Q[i + 1:], seam_search)
-        aligned = _unit_rows(aligned.reshape(n - i - 1, -1))
-        D[i, i + 1:] = D[i + 1:, i] = pairwise_geodesic(X[i:i + 1], aligned)[0]
-    return D
-
-
-def shape_frechet_mean(
-    shapes,
-    tol: float = 1e-9,
-    max_iter: int = 100,
-    seam_search: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frechet mean of the rows of an (n, 2, T) stack with alternating alignment.
-
-    Each round aligns every shape to the current mean, then moves the mean
-    to the Frechet mean of the aligned unit vectors on S^{2T-1}.  Stops
-    when the mean moves less than ``tol``.  Seam search inside the mean is
-    off by default: re-seaming mid-iteration makes the objective piecewise
-    and rarely changes well-sampled contours.
-
-    Returns the 2 x T mean and the (n, 2, T) stack of aligned inputs.
-    """
-    Q = _stack(shapes)
-    mean = Q[0]
-    for _ in range(max_iter):
-        aligned, _ = align_shape(mean, Q, seam_search)
-        new = frechet_mean(aligned.reshape(len(Q), -1), tol=min(tol, 1e-10))
-        moved = pairwise_geodesic(_unit_rows(mean.reshape(1, -1)), new[None])[0, 0]
-        mean = new.reshape(mean.shape)
-        if moved < tol:
-            return mean, aligned
-    raise NoConvergence(f"shape mean did not stabilize in {max_iter} rounds")
-
-
 def shape_statistics(
     aligned,
     mean: np.ndarray,
@@ -233,10 +179,6 @@ def load_contour_file(path) -> list[Contour]:
     if len(arrays) == 0:
         raise ValueError(f"no contour in {path}")
     return [Contour(np.asarray(a, dtype=float)) for a in arrays]
-
-
-def save_contours_json(path, contours) -> None:
-    write_json(path, [c.points.tolist() for c in contours])
 
 
 def load_contour_dir(path) -> dict[str, list[Contour]]:

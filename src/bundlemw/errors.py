@@ -27,7 +27,7 @@ class EmptyCluster(NumericalError):
 
 
 class DegenerateMatrix(NumericalError):
-    """A distance matrix carries no usable structure."""
+    """A covariance has an eigenvalue below -1e-10: it is not positive semidefinite."""
 
 
 class ClusterTooSmall(NumericalError):

@@ -22,9 +22,8 @@ from typing import Optional
 import numpy as np
 
 from ._jsonfile import write_json
-from .changepoint import check_distmat
 from .errors import ClusterTooSmall, DimensionMismatch, EmptyCluster
-from .gauss import GaussianMixture, normalize_minimal_form
+from .gauss import GaussianMixture, _minimal_form
 from .geometry import (
     _BLOCK_CELLS,
     MovingFrame,
@@ -335,6 +334,8 @@ def kmodes_cluster(distmat, q: float = 0.1) -> Clustering:
     (tracemalloc, and the fastest of 15 runs in process on a shared 2-vCPU
     host).
     """
+    from .changepoint import check_distmat  # here, so that `fit` loads no changepoint code
+
     D = check_distmat(distmat)
     n = D.shape[0]
     return _kmodes(n, q, lambda: _ball_held(n, q, [D[i:j, i:] for i, j in _upper_blocks(n)]))
@@ -399,7 +400,7 @@ def fit_mixture(X, clustering: Clustering, frame: MovingFrame) -> GaussianMixtur
         V = log_batch(m, X[idx]) @ transport_frame(frame, m).T
         covs.append(V.T @ V / (idx.size - 1))
     weights = [idx.size / total for idx in members]
-    return normalize_minimal_form(GaussianMixture(weights, means, covs, frame))
+    return GaussianMixture(*_minimal_form(weights, means, np.array(covs)), frame)
 
 
 # ---------------------------------------------------------------------------

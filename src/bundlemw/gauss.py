@@ -160,6 +160,29 @@ def check_same_frame(mix0: GaussianMixture, mix1: GaussianMixture, tol: float = 
         raise FrameMismatch("mixtures are expressed in different moving frames")
 
 
+def _minimal_form(weights, means: np.ndarray, covs: np.ndarray, tol: float = 1e-9):
+    """The weights, means and covariances of the minimal form of a mixture's
+    arrays, as :func:`normalize_minimal_form` describes it."""
+    near = pairwise_geodesic(means) <= tol
+    flat = covs.reshape(len(covs), -1)
+    reps: list[int] = []
+    summed: list[float] = []
+    for k, wk in enumerate(weights):
+        diff = flat[reps] - flat[k]
+        match = near[k, reps] & (np.sqrt(np.vecdot(diff, diff)) <= tol)
+        if match.any():
+            summed[int(np.argmax(match))] += float(wk)
+        else:
+            reps.append(k)
+            summed.append(float(wk))
+    kept = [(w, k) for w, k in zip(summed, reps) if w > 1e-15]
+    if not kept:
+        raise ValueError("all components have zero weight")
+    w = np.array([k[0] for k in kept])
+    idx = [k[1] for k in kept]
+    return w / w.sum(), means[idx], covs[idx]
+
+
 def normalize_minimal_form(mix: GaussianMixture, tol: float = 1e-9) -> GaussianMixture:
     """Merge duplicate components and drop zero-weight ones.
 
@@ -168,24 +191,7 @@ def normalize_minimal_form(mix: GaussianMixture, tol: float = 1e-9) -> GaussianM
     summing their weights in component order; the earliest component of
     each group supplies the representative basepoint and covariance.
     """
-    near = pairwise_geodesic(mix.means) <= tol
-    flat = mix.covs.reshape(mix.K, -1)
-    reps: list[int] = []
-    weights: list[float] = []
-    for k, wk in enumerate(mix.weights):
-        diff = flat[reps] - flat[k]
-        match = near[k, reps] & (np.sqrt(np.vecdot(diff, diff)) <= tol)
-        if match.any():
-            weights[int(np.argmax(match))] += float(wk)
-        else:
-            reps.append(k)
-            weights.append(float(wk))
-    kept = [(w, k) for w, k in zip(weights, reps) if w > 1e-15]
-    if not kept:
-        raise ValueError("all components have zero weight")
-    w = np.array([k[0] for k in kept])
-    idx = [k[1] for k in kept]
-    return GaussianMixture(w / w.sum(), mix.means[idx], mix.covs[idx], mix.frame)
+    return GaussianMixture(*_minimal_form(mix.weights, mix.means, mix.covs, tol), mix.frame)
 
 
 def pairwise_w2sq(mix0: GaussianMixture, mix1: GaussianMixture) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._jsonfile import read_json, write_json
+from ._jsonfile import read_json
 from .errors import AntipodalPoint, NoConvergence
 
 # <p,q> at or below -1 + ANTIPODE_TOL counts as the puncture.
@@ -159,7 +159,7 @@ def transport_frame(frame: MovingFrame, m: np.ndarray) -> np.ndarray:
     """
     if np.array_equal(frame.p, m):
         return frame.matrix
-    return _tangent_basis(m, transport_batch(frame.matrix, frame.p, m))
+    return _tangent_basis(m, _transport_batch(frame.matrix, frame.p, m))
 
 
 def standard_frame(D: int) -> MovingFrame:
@@ -192,7 +192,7 @@ def log_batch(m: np.ndarray, X: np.ndarray) -> np.ndarray:
     return scale[:, None] * U
 
 
-def transport_batch(V: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _transport_batch(V: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Transport each row of V from T_p to T_q along the minimal geodesic."""
     if np.array_equal(p, q):
         return V.copy()
@@ -280,10 +280,6 @@ def frame_from_dict(data: dict, frames: Optional[dict] = None) -> MovingFrame:
         frames.clear()
         frames[key] = MovingFrame(p, basis)
     return frames[key]
-
-
-def save_frame(path, frame: MovingFrame) -> None:
-    write_json(path, frame_to_dict(frame))
 
 
 def load_frame(path) -> MovingFrame:

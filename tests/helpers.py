@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 
+from bundlemw.contours import align_shape
 from bundlemw.gauss import GaussianMixture
 from bundlemw.geometry import (
     _BLOCK_CELLS,
@@ -263,6 +264,20 @@ def loop_align_shape(a, b, seam_search=True):
     """2 x T b rotated (and re-seamed) onto a, one shape at a time."""
     _, shift, O = (loop_aligned_inner_seam if seam_search else loop_aligned_inner)(a, b)
     return O @ np.roll(b, shift, axis=1)
+
+
+def shape_distance_matrix(shapes, seam_search=True):
+    """Shape distances between the rows of an (n, 2, T) stack by the README's
+    recipe, ``align_shape`` and then ``pairwise_geodesic`` of the unit rows:
+    each row against the rows after it, mirrored, with a zero diagonal."""
+    Q = np.asarray(shapes, dtype=float)
+    n = len(Q)
+    D = np.zeros((n, n))
+    for i in range(n - 1):
+        aligned, _ = align_shape(Q[i], Q[i + 1:], seam_search)
+        rows = _unit_rows(aligned.reshape(n - i - 1, -1))
+        D[i, i + 1:] = D[i + 1:, i] = pairwise_geodesic(unit(Q[i].ravel())[None], rows)[0]
+    return D
 
 
 def loop_shape_distance(a, b, seam_search=True):

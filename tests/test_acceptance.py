@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from helpers import geodesic, make_mixture, random_frame, unit
+from helpers import geodesic, make_mixture, random_frame, shape_distance_matrix, unit
 from bundlemw.changepoint import e_divisive
 from bundlemw.estimation import fit_mixture, riemannian_kmeans
-from bundlemw.contours import Contour, contour_to_srvf, pairwise_shape_distance
+from bundlemw.contours import Contour, contour_to_srvf
 from bundlemw.gauss import GaussianMixture
 from bundlemw.geometry import (
     MovingFrame,
@@ -215,7 +215,7 @@ def random_loop(rng, n=120):
 
 
 def shape_distance(q0, q1):
-    return pairwise_shape_distance([q0, q1])[0, 1]
+    return shape_distance_matrix([q0, q1])[0, 1]
 
 
 def test_08_srvf_similarity_invariance():

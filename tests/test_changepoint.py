@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import warnings
@@ -307,6 +308,25 @@ def streamed(seed, round_idx, spawn, L):
     return np.concatenate(chunks)
 
 
+# sha256 of the little-endian int64 rows of _pcg.permutations(seed, round,
+# spawn, L), as numpy 2.4's Generator gives them.  They pin the change points
+# even if numpy changes its streams.  The cases: one chunk; a 70-bit seed; two
+# chunks of L = 2; two-word spawn keys; the default R = 499 at L = 30, also in
+# two chunks.
+GOLDEN_STREAMS = [
+    (0, 0, range(24), 24,
+     "323d668b9b74979cdc12e908a967ace1c126cb0e2cc9bafba145f98ba8630c26"),
+    (2**70, 5, range(69_990, 70_000), 257,
+     "0d68c0c76a87a52c0c7970ca0659922648375cd458085852910892dc5b588916"),
+    (3, 2, range(4200), 2,
+     "a54f00f86efd8ec98daf9f8316e025235d1fb84605ec317b10d668864026b875"),
+    (9, 1, range(2**32 - 4, 2**32 + 4), 24,
+     "4e612b3fea030d554bb234caa38ad918a7b89ccb0e4f1fbf981209e45dbc2a9c"),
+    (1, 0, range(499), 30,
+     "5b47b6ed175106f58953c174a7baabd22bed8cb0d4da53d2294f8a8c0dfba001"),
+]
+
+
 class TestPermutationStreams:
     """_pcg's rows are numpy's Generator(PCG64(SeedSequence)).permutation."""
 
@@ -332,6 +352,12 @@ class TestPermutationStreams:
         assert [len(c) for c in _pcg.permutations(9, 1, spawn, 24)] == [4, 4]
         for row, r in zip(streamed(9, 1, spawn, 24), spawn):
             assert np.array_equal(row, numpy_permutation(9, 1, r, 24))
+
+    @pytest.mark.parametrize("seed, round_idx, spawn, L, digest", GOLDEN_STREAMS,
+                             ids=["one-chunk", "70-bit-seed", "refill", "two-word-keys", "R499"])
+    def test_golden_digests(self, seed, round_idx, spawn, L, digest):
+        rows = streamed(seed, round_idx, spawn, L)
+        assert hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest() == digest
 
     def test_one_point_draws_nothing(self):
         assert streamed(0, 0, range(5), 1).tolist() == [[0]] * 5

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from bundlemw import cli, errors
+from bundlemw._jsonfile import write_json
 from bundlemw.contours import (
     Contour,
     load_contour_dir,
     load_distmat,
-    save_contours_json,
     save_distmat,
     shape_statistics,
 )
@@ -25,7 +25,6 @@ from bundlemw.geometry import (
     frames_equal,
     frechet_mean,
     pairwise_geodesic,
-    save_frame,
     standard_frame,
 )
 from bundlemw.sampling import load_samples, save_samples
@@ -56,7 +55,7 @@ CONFIG = {
 
 @pytest.fixture
 def workspace(tmp_path):
-    save_frame(tmp_path / "frame.json", standard_frame(3))
+    write_json(tmp_path / "frame.json", frame_to_dict(standard_frame(3)))
     config = json.loads(json.dumps(CONFIG))
     (tmp_path / "config.json").write_text(json.dumps(config))
     return tmp_path, config
@@ -77,7 +76,7 @@ def write_frames(fdir, n_frames=2, per_frame=3, seed=0):
         for _ in range(per_frame):
             r = 1.0 + 0.05 * rng.standard_normal()
             cs.append(Contour(np.vstack([r * np.cos(t), (1 + 0.3 * f) * r * np.sin(t)])))
-        save_contours_json(fdir / f"t{f}.json", cs)
+        write_json(fdir / f"t{f}.json", [c.points.tolist() for c in cs])
     return fdir
 
 
@@ -489,7 +488,7 @@ def component_config(basepoint=(1.0, 0.0, 0.0), cov=((0.01, 0.0), (0.0, 0.01))):
 
 
 def frame_file(dim=3):
-    return lambda path: save_frame(path, standard_frame(dim))
+    return lambda path: write_json(path, frame_to_dict(standard_frame(dim)))
 
 
 def fit_files(samples=SAMPLES, frame=None):

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from bundlemw.errors import (
-    ClusterTooSmall,
-    DegenerateContour,
-    DimensionMismatch,
-    NoConvergence,
-)
+from bundlemw.errors import ClusterTooSmall, DegenerateContour, DimensionMismatch
 from bundlemw.contours import (
     Contour,
     align_shape,
@@ -14,19 +9,18 @@ from bundlemw.contours import (
     load_contour_dir,
     load_contour_file,
     load_distmat,
-    pairwise_shape_distance,
-    save_contours_json,
     save_distmat,
-    shape_frechet_mean,
     shape_statistics,
 )
-from bundlemw.geometry import log_batch
+from bundlemw._jsonfile import write_json
+from bundlemw.geometry import frechet_mean, log_batch
 from helpers import (
     geodesic,
     loop_align_shape,
     loop_contour_to_srvf,
     loop_procrustes_rotation,
     loop_shape_distance,
+    shape_distance_matrix,
     unit,
 )
 
@@ -41,7 +35,7 @@ def rotation_onto(q0, q1):
 
 
 def shape_distance(q0, q1, seam_search=True):
-    return pairwise_shape_distance([q0, q1], seam_search)[0, 1]
+    return shape_distance_matrix([q0, q1], seam_search)[0, 1]
 
 
 def circle_contour(n=200, r=1.0, center=(0.0, 0.0), phase=0.0):
@@ -68,7 +62,7 @@ class TestContourType:
     def test_drops_duplicated_closing_point(self):
         P = np.array([[0, 1, 1, 0, 0], [0, 0, 1, 1, 0]], dtype=float)
         c = Contour(P)
-        assert c.T == 4
+        assert c.points.shape == (2, 4)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
@@ -180,7 +174,7 @@ class TestShapeDistance:
             srvf(square_contour(), 60),
             srvf(ellipse_contour(), 60),
         ]
-        D = pairwise_shape_distance(shapes)
+        D = shape_distance_matrix(shapes)
         assert np.array_equal(D, D.T)
         assert np.all(np.diag(D) == 0.0)
         assert D[0, 1] > 0.1 and D[0, 2] > 0.01
@@ -188,7 +182,7 @@ class TestShapeDistance:
     def test_metric_axioms(self):
         rng = np.random.default_rng(3)
         Q = np.array([srvf(c, 30) for c in noisy_ellipses(rng, n=8)])
-        D = pairwise_shape_distance(Q)
+        D = shape_distance_matrix(Q)
         assert np.all(D[~np.eye(len(Q), dtype=bool)] > 0.0)
         assert np.all(D[:, :, None] <= D[:, None, :] + D[None, :, :].transpose(0, 2, 1) + 1e-10)
 
@@ -250,7 +244,7 @@ class TestAlignmentKernelMatchesPerShapeLoop:
     @pytest.mark.parametrize("seam_search", [True, False])
     def test_pairwise_entries_are_shape_distances(self, T, seam_search):
         for Q in srvf_families(T).values():
-            D = pairwise_shape_distance(Q, seam_search)
+            D = shape_distance_matrix(Q, seam_search)
             for i in range(len(Q)):
                 for j in range(i + 1, len(Q)):
                     d = shape_distance(Q[i], Q[j], seam_search)
@@ -262,43 +256,12 @@ def point(q):
     return unit(np.ravel(q))
 
 
-class TestShapeMean:
-    def test_identical_shapes(self):
-        q = srvf(ellipse_contour(), 50)
-        mean, aligned = shape_frechet_mean([q.copy() for _ in range(4)])
-        assert geodesic(point(mean), point(q)) < 1e-12
-        for s in aligned:
-            assert np.max(np.abs(s - q)) < 1e-12
-
-    def test_two_shapes_midpoint(self):
-        q0 = srvf(circle_contour(), 60)
-        q1 = align_shape(q0, srvf(ellipse_contour(1.5, 1.0), 60)[None])[0][0]
-        mean, aligned = shape_frechet_mean([q0, q1])
-        d0 = geodesic(point(mean), point(aligned[0]))
-        d1 = geodesic(point(mean), point(aligned[1]))
-        assert d0 == pytest.approx(d1, abs=1e-8)
-        total = geodesic(point(aligned[0]), point(aligned[1]))
-        assert d0 + d1 == pytest.approx(total, abs=1e-8)
-
-    def test_mean_is_fixed_point(self):
-        shapes = [
-            srvf(circle_contour(), 40),
-            srvf(ellipse_contour(1.3, 1.0), 40),
-            srvf(ellipse_contour(1.0, 1.4), 40),
-        ]
-        mean, aligned = shape_frechet_mean(shapes, tol=1e-12)
-        mean2, _ = shape_frechet_mean([mean], tol=1e-12)
-        assert geodesic(point(mean), point(mean2)) < 1e-10
-
-    def test_mismatched_T_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            shape_frechet_mean([srvf(circle_contour(), 40), srvf(circle_contour(), 50)])
-
-
 class TestShapeStatistics:
     def setup_shapes(self):
-        shapes = [srvf(ellipse_contour(1.0 + 0.2 * k, 1.0), 30) for k in range(5)]
-        return shape_frechet_mean(shapes)
+        """The mean and aligned stack as the contours command gets them."""
+        Q = np.array([srvf(ellipse_contour(1.0 + 0.2 * k, 1.0), 30) for k in range(5)])
+        aligned, _ = align_shape(Q[0], Q)
+        return frechet_mean(aligned.reshape(len(Q), -1)).reshape(2, 30), aligned
 
     def test_zero_covariance_for_identical(self):
         q = srvf(circle_contour(), 30)
@@ -331,6 +294,11 @@ class TestShapeStatistics:
         with pytest.raises(ClusterTooSmall):
             shape_statistics([q], q)
 
+    def test_mismatched_T_rejected(self):
+        q = srvf(circle_contour(), 40)
+        with pytest.raises(DimensionMismatch):
+            shape_statistics([q, srvf(circle_contour(), 50)], q)
+
     def test_mean_must_be_a_unit_shape(self):
         q = srvf(circle_contour(), 30)
         with pytest.raises(ValueError, match="unit Frobenius norm"):
@@ -351,15 +319,15 @@ class TestContourIO:
     def test_json_roundtrip(self, tmp_path):
         cs = [square_contour(), circle_contour(16)]
         path = tmp_path / "frame1.json"
-        save_contours_json(path, cs)
+        write_json(path, [c.points.tolist() for c in cs])
         back = load_contour_file(path)
         assert len(back) == 2
         for a, b in zip(back, cs):
             assert np.max(np.abs(a.points - b.points)) == 0.0
 
     def test_dir_loader_sorted(self, tmp_path):
-        save_contours_json(tmp_path / "b.json", [square_contour()])
-        save_contours_json(tmp_path / "a.json", [circle_contour(16)])
+        write_json(tmp_path / "b.json", [square_contour().points.tolist()])
+        write_json(tmp_path / "a.json", [circle_contour(16).points.tolist()])
         (tmp_path / "ignore.txt").write_text("not a contour")
         out = load_contour_dir(tmp_path)
         assert list(out) == ["a", "b"]

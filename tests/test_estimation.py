@@ -527,6 +527,20 @@ class TestFitMixture:
         # mode point is used as the mean
         assert np.array_equal(mix.means[0], pts[0])
 
+    def test_duplicate_clusters_merge(self):
+        # the same points under two labels fit the one component that the
+        # points under one label fit, with weight 1
+        frame = random_frame([0.0, 0.0, 1.0], 0)
+        pts = cap_samples(np.random.default_rng(9), [0.0, 0.0, 1.0], 0.05, 3)
+        m = frechet_mean(pts)
+        one = fit_mixture(pts, Clustering(labels=np.zeros(3, dtype=int), sizes=[3],
+                                          centers=[m]), frame)
+        clus = Clustering(labels=np.repeat([0, 1], 3), sizes=[3, 3], centers=[m, m])
+        mix = fit_mixture(np.vstack([pts, pts]), clus, frame)
+        assert mix.K == 1 and mix.weights.tolist() == [1.0]
+        assert np.array_equal(mix.means, one.means)
+        assert np.array_equal(mix.covs, one.covs)
+
     def test_round_trip_recovery(self):
         frame = random_frame([0.0, 0.0, 1.0], 1)
         truth = GaussianMixture(
